@@ -336,10 +336,6 @@ def write_results_csv(table: ResultTable, path, measure_wall: bool = False) -> N
     Path(path).write_text(table.to_csv_text(measure_wall=measure_wall), encoding="utf-8")
 
 
-def _lgamma(x: float) -> float:
-    return math.lgamma(x)
-
-
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     tiny = 1e-300
@@ -382,7 +378,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     if x >= 1.0:
         return 1.0
     ln_front = (
-        _lgamma(a + b) - _lgamma(a) - _lgamma(b) + a * math.log(x) + b * math.log1p(-x)
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
     )
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):

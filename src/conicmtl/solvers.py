@@ -29,6 +29,7 @@ class DualSolution:
     in the combined-kernel space. component_sq_norms holds ||w^m||^2 per
     base kernel in the separated coordinates (theta_m^2 * quadratic form),
     so that sum_m component_sq_norms[m] / theta_m recovers ||w||^2.
+    converged is True when the solve certified duality_gap <= tol.
     """
 
     alpha: np.ndarray
@@ -38,6 +39,7 @@ class DualSolution:
     duality_gap: float
     dual_objective: float
     iterations: int
+    converged: bool
     margins: np.ndarray
 
 
@@ -82,6 +84,41 @@ def _optimal_bias(g: np.ndarray, y: np.ndarray, C: float) -> tuple[float, float]
     return float(candidates[k]), float(C * losses[k])
 
 
+def _newton_direction(Q, y, g, r, alpha, C, use_bias):
+    """Free-set indices and the Newton (or flat) ascent direction on them.
+
+    A variable at a bound is free unless the reduced gradient r strictly
+    pushes it outward; free ones whose component points out are then fixed.
+    """
+    free = ~(((alpha <= 0.0) & (r < 0.0)) | ((alpha >= C) & (r > 0.0)))
+    while True:
+        idx = np.flatnonzero(free)
+        if idx.size <= int(use_bias):
+            # nothing free, or one variable that the equality pins
+            return idx, np.zeros(idx.size)
+        # Z: orthonormal basis of the feasible directions (y_F' d = 0 with the bias)
+        Z = np.linalg.qr(y[idx, None], mode="complete")[0][:, 1:] if use_bias else np.eye(idx.size)
+        w, V = np.linalg.eigh(Z.T @ Q[np.ix_(idx, idx)] @ Z)
+        top = float(np.abs(w).max())
+        if w[0] < -1e-8 * max(1.0, top):
+            raise ValueError("kernel matrix is not positive semidefinite")
+        rhs = Z.T @ g[idx]
+        c = V.T @ rhs
+        null = w <= 1e-12 * top
+        if np.abs(c[null]).max(initial=0.0) > 1e-9 * max(1.0, float(np.abs(rhs).max())):
+            d = Z @ V[:, null] @ c[null]  # flat: the objective rises linearly to the box
+        else:
+            d = Z @ V[:, ~null] @ (c[~null] / w[~null])
+        a = alpha[idx]
+        out = ((a <= 0.0) & (d < 0.0)) | ((a >= C) & (d > 0.0))
+        if not out.any():
+            return idx, d
+        if use_bias and np.unique(y[idx[~out]]).size < 2:
+            # dropping them all would leave one class, which the equality pins
+            out &= np.abs(d) == np.abs(d[out]).max()
+        free[idx[out]] = False
+
+
 def solve_svm_dual(
     K: np.ndarray,
     y: np.ndarray,
@@ -89,14 +126,18 @@ def solve_svm_dual(
     use_bias: bool = False,
     tol: float = 1e-6,
     max_iter: int = 100_000,
+    alpha0: np.ndarray | None = None,
 ) -> DualSolution:
     """Maximize sum(alpha) - 0.5 alpha' (yy' * K) alpha over 0 <= alpha <= C.
 
-    With use_bias the equality constraint sum_i alpha_i y_i = 0 is kept and
-    updates move along maximal-violating pairs; without it the two most
-    violating coordinates are updated exactly each round. Stops when the
-    duality gap falls below tol. Ties in the selection break toward the
-    lowest index.
+    With use_bias the equality constraint sum_i alpha_i y_i = 0 is kept.
+    Each iteration is an active-set Newton step: the free block's Newton
+    system is solved through its eigendecomposition (a gradient component
+    in its null space is followed to the box instead), and the step is cut
+    at the nearest bound, which the blocking coordinate snaps onto. alpha0
+    warm-starts from a feasible point. The loop stops when the duality gap
+    certifies tol, at max_iter, or after n + 1 iterations without a higher
+    dual value (rounding then keeps tol out of reach); converged is gap <= tol.
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -112,10 +153,14 @@ def solve_svm_dual(
         raise ValueError("degenerate task: only one class present")
     if not np.allclose(K, K.T, atol=1e-10):
         raise ValueError("kernel matrix is not symmetric")
+    alpha = np.zeros(n) if alpha0 is None else np.array(alpha0, dtype=np.float64)
+    if alpha.shape != (n,) or np.any(alpha < 0.0) or np.any(alpha > C):
+        raise ValueError("warm start must be a vector in the box [0, C]")
+    if use_bias and abs(float(alpha @ y)) > 1e-9 * C * n:
+        raise ValueError("warm start violates sum_i alpha_i y_i = 0")
 
     Q = K * np.outer(y, y)
-    alpha = np.zeros(n)
-    g = np.ones(n)  # gradient of the dual objective, 1 - Q alpha
+    g = 1.0 - Q @ alpha  # gradient of the dual objective
 
     def gap_terms():
         # dual value, primal value and gap, all O(n) given g
@@ -129,56 +174,33 @@ def solve_svm_dual(
         return dual, primal, primal - dual, bias
 
     iterations = 0
-    if use_bias:
-        for iterations in range(1, max_iter + 1):
-            _, _, gap, _ = gap_terms()
-            if gap <= tol:
-                break
-            up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-            lo = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-            if not up.any() or not lo.any():
-                break
-            f = y * g
-            i = int(np.argmax(np.where(up, f, -np.inf)))
-            j = int(np.argmin(np.where(lo, f, np.inf)))
-            violation = f[i] - f[j]
-            if violation <= 1e-15:
-                break
-            denom = K[i, i] + K[j, j] - 2.0 * K[i, j]
-            if denom < -1e-8 * max(1.0, abs(K[i, i]) + abs(K[j, j])):
-                raise ValueError("kernel matrix is not positive semidefinite")
-            # step s moves alpha_i by y_i s and alpha_j by -y_j s
-            s_max_i = C - alpha[i] if y[i] > 0 else alpha[i]
-            s_max_j = alpha[j] if y[j] > 0 else C - alpha[j]
-            s = min(s_max_i, s_max_j)
-            if denom > 0:
-                s = min(s, violation / denom)
-            if s <= 0:
-                break
-            alpha[i] += y[i] * s
-            alpha[j] -= y[j] * s
-            g -= s * (y[i] * Q[:, i] - y[j] * Q[:, j])
-    else:
-        for iterations in range(1, max_iter + 1):
-            _, _, gap, _ = gap_terms()
-            if gap <= tol:
-                break
-            viol = np.where((alpha < C) & (g > 0), g, 0.0)
-            viol = np.maximum(viol, np.where((alpha > 0) & (g < 0), -g, 0.0))
-            if viol.max() <= 1e-15:
-                break
-            order = np.argsort(-viol, kind="stable")
-            for i in order[:2]:
-                i = int(i)
-                if Q[i, i] > 0:
-                    target = alpha[i] + g[i] / Q[i, i]
-                else:
-                    target = C if g[i] > 0 else 0.0
-                new = min(max(target, 0.0), C)
-                delta = new - alpha[i]
-                if delta != 0.0:
-                    alpha[i] = new
-                    g -= delta * Q[:, i]
+    best, stalled = -np.inf, 0
+    for iterations in range(1, max_iter + 1):
+        dual, _, gap, bias = gap_terms()
+        if gap <= tol:
+            break
+        # n + 1 steps without a higher dual value: rounding stops the ascent short of tol
+        stalled = stalled + 1 if dual <= best else 0
+        best = max(best, dual)
+        if stalled > n:
+            break
+        inside = (alpha > 0.0) & (alpha < C)
+        if use_bias and inside.any():
+            # the equality multiplier, exact at a free-set optimum
+            bias = float(np.mean((y * g)[inside]))
+        idx, d = _newton_direction(Q, y, g, g - y * bias, alpha, C, use_bias)
+        slope = float(g[idx] @ d)
+        if not slope > 0.0:
+            break
+        # exact line search (1 for a Newton step), cut at the nearest bound
+        curvature = float(d @ Q[np.ix_(idx, idx)] @ d)
+        a = alpha[idx]
+        room = np.divide(np.where(d > 0.0, C, 0.0) - a, d, out=np.full(d.size, np.inf), where=d != 0.0)
+        moved = a + min(slope / curvature if curvature > 0.0 else np.inf, float(room.min())) * d
+        # the blocking coordinate, and any other within rounding of a bound, lands on it
+        snap = 1e-14 * C
+        alpha[idx] = np.where(moved <= snap, 0.0, np.where(moved >= C - snap, C, moved))
+        g = 1.0 - Q @ alpha
 
     dual, primal, gap, bias = gap_terms()
     margins = 1.0 - g  # y_i * (decision value without bias)
@@ -190,6 +212,7 @@ def solve_svm_dual(
         duality_gap=max(gap, 0.0),
         dual_objective=dual,
         iterations=iterations,
+        converged=gap <= tol,
         margins=margins,
     )
 
@@ -226,17 +249,6 @@ def theta_step(u, p: float) -> KernelWeights:
     raw = u ** (1.0 / (p + 1.0))
     theta = raw / lp_norm(raw, p)
     return KernelWeights(theta, p)
-
-
-def theta_step_unsquared(w_norms_by_task, p: float) -> KernelWeights:
-    """Compatibility variant using v_m = sum_t ||w_t^m|| (unsquared, unweighted).
-
-    Kept for reproducing older runs; the default training path uses
-    theta_step on u_m = sum_t lambda_t ||w_t^m||^2, the exact block
-    minimizer.
-    """
-    v = np.sqrt(np.asarray(w_norms_by_task, dtype=float)).sum(axis=0)
-    return theta_step(v, p)
 
 
 def _lambda_of_nu(nu: float, J: np.ndarray, c: np.ndarray, r_max: float) -> np.ndarray:

@@ -61,7 +61,10 @@ class TrainConfig:
 
 @dataclass
 class MtlModel:
-    """Trained state: kernel weights, task weights, per-task duals, trace."""
+    """Trained state: kernel weights, task weights, per-task duals, trace.
+
+    converged: the outer loop met tol_rel_obj and every accepted w-step met its gap.
+    """
 
     config: TrainConfig
     kernel_specs: list
@@ -171,6 +174,7 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
     trace = [float((lam * J).sum())]
 
     converged = False
+    solves_converged = True  # every accepted w-step certified its duality gap
     for _ in range(config.max_outer_iters):
         f_prev_iter = trace[-1]
 
@@ -183,10 +187,12 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
         for t, (task, stack) in enumerate(zip(tasks, stacks)):
             K = combine(stack, theta)
             cand = solve_svm_dual(
-                K, task.y, config.C, use_bias=config.use_bias, tol=tol, max_iter=config.svm_max_iter
+                K, task.y, config.C, use_bias=config.use_bias, tol=tol, max_iter=config.svm_max_iter,
+                alpha0=None if duals[t] is None else duals[t].alpha,
             )
             if duals[t] is None or cand.objective <= J[t]:
                 duals[t] = cand
+                solves_converged &= cand.converged
                 comps[t] = component_sq_norms(cand.alpha, task.y, stack, theta)
                 hinges[t] = _hinge_total(cand, task.y, config.C, config.use_bias)
                 J[t] = cand.objective
@@ -225,7 +231,7 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
     for t, (task, stack) in enumerate(zip(tasks, stacks)):
         d = duals[t]
         final_duals.append(
-            replace_dual(d, component_sq_norms=component_sq_norms(d.alpha, task.y, stack, theta))
+            replace(d, component_sq_norms=component_sq_norms(d.alpha, task.y, stack, theta))
         )
 
     if config.mode == "conic":
@@ -244,23 +250,8 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
         duals=final_duals,
         objective_trace=trace,
         tasks=list(tasks),
-        converged=converged,
+        converged=converged and solves_converged,
     )
-
-
-def replace_dual(d: DualSolution, **changes) -> DualSolution:
-    fields = dict(
-        alpha=d.alpha,
-        bias=d.bias,
-        objective=d.objective,
-        component_sq_norms=d.component_sq_norms,
-        duality_gap=d.duality_gap,
-        dual_objective=d.dual_objective,
-        iterations=d.iterations,
-        margins=d.margins,
-    )
-    fields.update(changes)
-    return DualSolution(**fields)
 
 
 def fit_single_task(task, stack, config: TrainConfig, kernel_specs=None) -> MtlModel:
@@ -471,6 +462,7 @@ def load_model(path, tasks) -> MtlModel:
                 duality_gap=float.fromhex(entry["duality_gap"]),
                 dual_objective=float("nan"),
                 iterations=0,
+                converged=bool(int(cfg_raw["converged"])),  # set only if every solve certified
                 margins=np.full(alpha.size, np.nan),
             )
         )

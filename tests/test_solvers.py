@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conicmtl.kernels import GramStack, KernelWeights
+from conicmtl.kernels import GramStack, KernelSpec, KernelWeights, compute_gram
 from conicmtl.solvers import TaskWeights, component_sq_norms, lambda_step, solve_svm_dual, theta_step
 from conicmtl.util import lp_norm
 
@@ -132,6 +132,81 @@ def test_solver_input_validation():
         solve_svm_dual(np.eye(2), np.array([1.0, 0.5]), C=1.0)
     with pytest.raises(ValueError, match="symmetric"):
         solve_svm_dual(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, -1.0]), C=1.0)
+    with pytest.raises(ValueError, match="warm start"):
+        solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=1.0, alpha0=np.array([2.0, 0.0]))
+    with pytest.raises(ValueError, match="warm start"):
+        solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=1.0, use_bias=True, alpha0=np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_solver_rejects_kernel_that_is_not_psd(use_bias):
+    rng = np.random.default_rng(8)
+    K = random_psd(rng, 6) - 2.0 * np.eye(6)
+    y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        solve_svm_dual(K, y, C=1.0, use_bias=use_bias)
+
+
+def test_iteration_cap_is_reported_as_not_converged():
+    rng = np.random.default_rng(9)
+    K = random_psd(rng, 15)
+    y = np.where(np.arange(15) % 2 == 0, 1.0, -1.0)
+    capped = solve_svm_dual(K, y, C=1.0, max_iter=1)
+    assert capped.iterations == 1
+    assert capped.duality_gap > 1e-6
+    assert capped.converged is False
+    assert solve_svm_dual(K, y, C=1.0).converged is True
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_rank_deficient_linear_grams_certify_quickly_and_match_oracle(use_bias):
+    # linear kernels with fewer features than samples are singular; the
+    # solver must follow their flat directions instead of crawling
+    rng = np.random.default_rng(10 + use_bias)
+    for _ in range(4):
+        n = int(rng.integers(12, 31))
+        X = rng.standard_normal((n, int(rng.integers(1, 4))))
+        K = X @ X.T
+        y = rng.choice([-1.0, 1.0], size=n)
+        y[:2] = [1.0, -1.0]
+        C = float(rng.uniform(0.1, 5.0))
+        tol = 1e-9
+        sol = solve_svm_dual(K, y, C=C, use_bias=use_bias, tol=tol)
+        assert sol.converged and sol.duality_gap <= tol
+        assert sol.iterations <= 100
+        assert sol.dual_objective <= sol.objective + 1e-12
+        Q = K * np.outer(y, y)
+        oracle = projected_gradient_qp(Q, C, y=y if use_bias else None, iters=1500)
+        assert oracle.sum() - 0.5 * oracle @ Q @ oracle <= sol.dual_objective + 1e-9
+        assert sol.objective <= primal_value(K, y, C, oracle, sol.bias) + 1e-4
+
+        again = solve_svm_dual(K, y, C=C, use_bias=use_bias, tol=tol)
+        assert again.alpha.tobytes() == sol.alpha.tobytes()
+
+        # a warm start from a perturbed optimum (scaling keeps y'alpha = 0)
+        warm = solve_svm_dual(K, y, C=C, use_bias=use_bias, tol=tol, alpha0=0.5 * sol.alpha)
+        assert warm.converged and warm.iterations <= 100
+        assert abs(warm.objective - sol.objective) <= tol
+
+
+def test_bias_mode_certifies_singular_and_nearly_constant_kernels():
+    # with the equality row the free set must keep both classes, and bound
+    # variables are judged against the multiplier of those inside the box
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 25))
+        if seed % 2 == 0:
+            X = rng.standard_normal((n, int(rng.integers(1, 4))))
+            K = X @ X.T
+        else:
+            X = rng.standard_normal((n, 2))
+            K = compute_gram(KernelSpec(kind="gaussian", spread=8.0), X, X)
+        y = rng.choice([-1.0, 1.0], size=n)
+        y[:2] = [1.0, -1.0]
+        C = float(10 ** rng.uniform(-3, 3))
+        tol = 1e-10 * C * n  # relative to the scale of the objective
+        sol = solve_svm_dual(K, y, C=C, use_bias=True, tol=tol, max_iter=200)
+        assert sol.converged, f"seed {seed}: gap {sol.duality_gap} above {tol}"
 
 
 # ------------------------------------------------------ component norms
@@ -215,17 +290,6 @@ def test_theta_unit_norm_and_beats_random_feasible_points(p):
 def test_theta_rejects_zero_vector():
     with pytest.raises(ValueError, match="zero"):
         theta_step(np.zeros(3), p=2.0)
-
-
-def test_theta_unsquared_compatibility_variant():
-    from conicmtl.solvers import theta_step_unsquared
-
-    # squared per-task component norms (T=2, M=2); the variant weighs by
-    # the unsquared per-task norms, unweighted across tasks
-    sq = np.array([[4.0, 1.0], [16.0, 1.0]])
-    w = theta_step_unsquared(sq, p=1.0)
-    expected = theta_step(np.array([6.0, 2.0]), p=1.0)
-    assert np.array_equal(w.values, expected.values)
 
 
 # ----------------------------------------------------------- lambda step

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conicmtl import training
 from conicmtl.data import Scaler, TaskDataset, synth_multitask
 from conicmtl.kernels import GramStack, KernelSpec, build_gram_stack, default_kernel_dictionary
 from conicmtl.solvers import solve_svm_dual
@@ -126,6 +129,15 @@ def test_non_convergence_is_flagged_not_raised():
     assert model.converged is False
 
 
+def test_solver_cap_hit_clears_converged():
+    tasks = make_tasks(T=2, N=16, seed=8)
+    stacks = make_stacks(tasks, SPECS)
+    cfg = TrainConfig(C=1.0, p=2.0, mode="average", svm_max_iter=1)
+    model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
+    assert model.converged is False
+    assert fit(tasks, stacks, replace(cfg, svm_max_iter=100_000), kernel_specs=SPECS).converged is True
+
+
 # ---------------------------------------------------------- pareto weights
 
 def test_pareto_lambda_examples():
@@ -234,7 +246,7 @@ def test_single_task_equals_average_with_one_task():
     assert np.array_equal(st.theta.values, avg.theta.values)
 
 
-def test_single_task_concentrates_weight_on_informative_kernel():
+def test_single_task_concentrates_weight_on_informative_kernel(monkeypatch):
     rng = np.random.default_rng(16)
     X_signal = np.zeros((24, 4))
     X_signal[:12, 0] = 1.0
@@ -255,8 +267,24 @@ def test_single_task_concentrates_weight_on_informative_kernel():
         compute_gram(spec, noise_only, noise_only),
     ])
     stack = GramStack(task_id="t", grams=grams)
+    solves, starts = [], []
+
+    def recording_solve(*args, **kwargs):
+        starts.append(kwargs.get("alpha0"))
+        solves.append(solve_svm_dual(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(training, "solve_svm_dual", recording_solve)
     model = fit_single_task(task, stack, TrainConfig(C=1.0, p=2.0), kernel_specs=[spec, spec])
     assert model.theta.values[0] > model.theta.values[1]
+    # every w-step certifies its (tight) gap well inside the iteration cap
+    assert solves and all(s.converged for s in solves)
+    assert max(s.iterations for s in solves) <= 20
+    assert model.converged
+    # each w-step after the first warm-starts from the previous dual point
+    assert starts[0] is None and len(solves) > 1
+    for prev, start in zip(solves, starts[1:]):
+        assert start.tobytes() == prev.alpha.tobytes()
 
 
 # ------------------------------------------------------------ serialization
@@ -277,6 +305,8 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path):
         after = predict(loaded, t.task_id, probe)[1]
         assert after.tobytes() == before[t.task_id].tobytes()
     assert loaded.objective_trace == model.objective_trace
+    assert loaded.converged is model.converged
+    assert all(d.converged is model.converged for d in loaded.duals)
 
 
 def test_pareto_model_roundtrips_despite_out_of_box_weights(tmp_path):
