@@ -9,6 +9,13 @@ closed form,
     u_m(sigma) = sum_t (gamma_t^2 / lam_t) * sigma_t' G_t^m sigma_t,
 
 so enumeration or Monte Carlo over signs is the only source of error.
+
+This complexity and the budget-split scale constant share one sign engine:
+blocks of signs (all 2^total patterns, or Philox blocks keyed on (tag,
+seed, block)), one contraction to per-task quadratic-form tables (a GEMM
+per task and column chunk), and one mean and std-error accumulator. Only
+the reducer differs: sum the scaled tables over tasks, then the p*-norm;
+or the p*-norm per task, then the max over tasks.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .util import conjugate_exponent, derive_seed, lp_norm
 
 EXHAUSTIVE_LIMIT = 20
 MC_BLOCK = 4096
+CONTRACT_CHUNK = 512
 
 
 def margin_loss(x, rho: float):
@@ -66,40 +74,99 @@ class BoundInputs:
             raise ValueError(f"traces must have shape (T, M) = ({self.T}, {self.M})")
 
 
-def _weight_values(weights) -> np.ndarray:
-    if isinstance(weights, TaskWeights):
-        return weights.values
-    return np.asarray(weights, dtype=float)
-
-
-def _row_dual_norms(U: np.ndarray, p_star: float) -> np.ndarray:
+def _dual_norms(U: np.ndarray, p_star: float) -> np.ndarray:
+    """p*-norm of each column of a (M, n) table, negative entries clipped to 0."""
     U = np.maximum(U, 0.0)
     if np.isinf(p_star):
-        return U.max(axis=1)
+        return U.max(axis=0)
     if p_star == 1.0:
-        return U.sum(axis=1)
-    return (U**p_star).sum(axis=1) ** (1.0 / p_star)
+        return U.sum(axis=0)
+    return (U**p_star).sum(axis=0) ** (1.0 / p_star)
 
 
-def _all_sign_rows(n: int) -> np.ndarray:
-    rows = np.arange(1 << n, dtype=np.int64)
-    return ((rows[:, None] >> np.arange(n)[None, :]) & 1).astype(float) * 2.0 - 1.0
+def _check_inputs(stacks, R: float, samples: int, **per_task) -> int:
+    """Argument checks of both estimators; returns the total sample count.
 
-
-def _quadforms(signs: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """sigma' G_m sigma for every sign row and kernel; returns (rows, M)."""
-    out = np.empty((signs.shape[0], grams.shape[0]))
-    for m in range(grams.shape[0]):
-        out[:, m] = ((signs @ grams[m]) * signs).sum(axis=1)
-    return out
-
-
-def _per_task_quadforms_exhaustive(stacks) -> list:
-    tables = []
+    Each per_task vector must hold one positive entry per task.
+    """
+    if not stacks:
+        raise ValueError("stacks must hold at least one task")
     for stack in stacks:
-        signs = _all_sign_rows(stack.n_samples)
-        tables.append(_quadforms(signs, stack.grams))
+        if stack.n_kernels != stacks[0].n_kernels:
+            raise ValueError(
+                f"task {stack.task_id!r} has {stack.n_kernels} kernels, "
+                f"task {stacks[0].task_id!r} has {stacks[0].n_kernels}"
+            )
+        if stack.n_samples < 1:
+            raise ValueError(f"task {stack.task_id!r} has no samples")
+    for name, values in per_task.items():
+        if values.shape != (len(stacks),):
+            ids = [s.task_id for s in stacks]
+            raise ValueError(f"{name} has shape {values.shape}, expected one entry per task {ids}")
+        for stack, value in zip(stacks, values):
+            if not value > 0:
+                raise ValueError(f"{name} of task {stack.task_id!r} must be positive, got {value}")
+    if not R >= 0:
+        raise ValueError("R must be nonnegative")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    return sum(s.n_samples for s in stacks)
+
+
+def _sign_block(total: int, n_patterns: int, block: int, tag: str, seed: int, exhaustive: bool) -> np.ndarray:
+    """Block `block` of MC_BLOCK sign vectors as a C-contiguous (total, n_block) array of +-1 columns.
+
+    Exhaustive pattern k has sign (bit j of k) for sample j; a random block
+    is drawn from a Philox generator keyed on (tag, seed, block).
+    """
+    start = block * MC_BLOCK
+    n_block = min(MC_BLOCK, n_patterns - start)
+    if exhaustive:
+        index = np.arange(start, start + n_block, dtype=np.int64)
+        cols = ((index[None, :] >> np.arange(total)[:, None]) & 1).astype(float)
+    else:
+        rng = np.random.Generator(np.random.Philox(key=derive_seed(tag, seed, block)))
+        cols = rng.integers(0, 2, size=(n_block, total)).T.astype(float, order="C")
+    cols *= 2.0
+    cols -= 1.0
+    return cols
+
+
+def _quadforms(cols: np.ndarray, stacks) -> list:
+    """One (M, n_cols) table of sigma_t' G_t^m sigma_t per task; cols holds the tasks' signs in order.
+
+    Each task makes one GEMM per CONTRACT_CHUNK columns against its grams
+    stacked as (M*n, n), which bounds the size of the product.
+    """
+    tables = []
+    lo = 0
+    for stack in stacks:
+        M, n, _ = stack.grams.shape
+        stacked = stack.grams.reshape(M * n, n)
+        signs = cols[lo : lo + n]
+        lo += n
+        table = np.empty((M, cols.shape[1]))
+        for start in range(0, cols.shape[1], CONTRACT_CHUNK):
+            part = signs[:, start : start + CONTRACT_CHUNK]
+            prod = (stacked @ part).reshape(M, n, part.shape[1])
+            np.einsum("mic,ic->mc", prod, part, out=table[:, start : start + CONTRACT_CHUNK])
+        tables.append(table)
     return tables
+
+
+def _sign_expectation(stacks, samples, tag, seed, exhaustive, reduce) -> RademacherEstimate:
+    """Mean and standard error of reduce(per-task quadform tables); one sign block is alive at a time."""
+    total = sum(s.n_samples for s in stacks)
+    n = 1 << total if exhaustive else samples
+    acc_sum = acc_sq = 0.0
+    for block in range(-(-n // MC_BLOCK)):
+        values = reduce(_quadforms(_sign_block(total, n, block, tag, seed, exhaustive), stacks))
+        acc_sum += float(values.sum())
+        acc_sq += float((values**2).sum())
+    mean = acc_sum / n
+    var = max(0.0, (acc_sq - n * mean * mean) / max(n - 1, 1))
+    std_error = 0.0 if exhaustive else float(np.sqrt(var / n))
+    return RademacherEstimate(mean=mean, std_error=std_error, samples=n, exhaustive=exhaustive)
 
 
 def rademacher_mc(
@@ -115,67 +182,23 @@ def rademacher_mc(
     """Complexity of the weighted-task ball: (2/total) E sqrt(R ||u||_{p*}).
 
     When the total sample count is at most exhaustive_limit, all 2^total
-    sign patterns are enumerated and the result is exact (std_error 0).
-    Otherwise Monte Carlo sampling is used, in fixed-size blocks with
-    counter-based per-block generators keyed on (seed, block), so the
-    estimate is reproducible and independent of any execution order.
+    sign patterns are enumerated and the result is exact (std_error 0);
+    otherwise the Monte Carlo estimate is reproducible from the seed alone.
     """
-    lam = _weight_values(task_weights)
-    if np.any(lam <= 0):
-        raise ValueError("task weights must be positive")
-    scales = 1.0 / lam
-    if gamma is not None:
-        gamma = np.asarray(gamma, dtype=float)
-        if np.any(gamma <= 0):
-            raise ValueError("sign scales must be positive")
-        scales = gamma**2 / lam
-    if not R >= 0:
-        raise ValueError("R must be nonnegative")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    counts = np.array([s.n_samples for s in stacks])
-    total = int(counts.sum())
+    if isinstance(task_weights, TaskWeights):
+        task_weights = task_weights.values
+    lam = np.asarray(task_weights, dtype=float)
+    gamma = np.ones(lam.shape) if gamma is None else np.asarray(gamma, dtype=float)
+    total = _check_inputs(stacks, R, samples, task_weights=lam, gamma=gamma)
+    scales = gamma**2 / lam
     prefactor = 2.0 / total
     p_star = conjugate_exponent(p)
 
-    if total <= exhaustive_limit:
-        tables = _per_task_quadforms_exhaustive(stacks)
-        U = np.zeros((1, stacks[0].n_kernels))
-        for t, table in enumerate(tables):
-            U = (U[:, None, :] + scales[t] * table[None, :, :]).reshape(-1, U.shape[1])
-        values = np.sqrt(R * _row_dual_norms(U, p_star))
-        return RademacherEstimate(
-            mean=prefactor * float(values.mean()),
-            std_error=0.0,
-            samples=values.size,
-            exhaustive=True,
-        )
+    def reduce(tables):
+        U = sum(scale * table for scale, table in zip(scales, tables))
+        return prefactor * np.sqrt(R * _dual_norms(U, p_star))
 
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    acc_sum = 0.0
-    acc_sq = 0.0
-    done = 0
-    block_index = 0
-    while done < samples:
-        n_block = min(MC_BLOCK, samples - done)
-        rng = np.random.Generator(np.random.Philox(key=derive_seed("rademacher", seed, block_index)))
-        signs = rng.integers(0, 2, size=(n_block, total)).astype(float) * 2.0 - 1.0
-        U = np.zeros((n_block, stacks[0].n_kernels))
-        for t, stack in enumerate(stacks):
-            part = signs[:, offsets[t] : offsets[t + 1]]
-            U += scales[t] * _quadforms(part, stack.grams)
-        values = prefactor * np.sqrt(R * _row_dual_norms(U, p_star))
-        acc_sum += float(values.sum())
-        acc_sq += float((values**2).sum())
-        done += n_block
-        block_index += 1
-    mean = acc_sum / samples
-    if samples > 1:
-        var = max(0.0, (acc_sq - samples * mean * mean) / (samples - 1))
-        std_error = float(np.sqrt(var / samples))
-    else:
-        std_error = 0.0
-    return RademacherEstimate(mean=mean, std_error=std_error, samples=samples, exhaustive=False)
+    return _sign_expectation(stacks, samples, "rademacher", seed, total <= exhaustive_limit, reduce)
 
 
 def estimate_scale_constant(
@@ -192,43 +215,13 @@ def estimate_scale_constant(
     the hypothesis ball concentrates its budget on the best single task,
     and the kernel weights maximize a linear form over the Lp ball.
     """
-    if not R >= 0:
-        raise ValueError("R must be nonnegative")
-    counts = np.array([s.n_samples for s in stacks])
-    total = int(counts.sum())
+    total = _check_inputs(stacks, R, samples)
     p_star = conjugate_exponent(p)
 
-    if total <= exhaustive_limit:
-        best = np.zeros(1)
-        for stack in stacks:
-            signs = _all_sign_rows(stack.n_samples)
-            norms = _row_dual_norms(_quadforms(signs, stack.grams), p_star)
-            best = np.maximum(best[:, None], norms[None, :]).reshape(-1)
-        values = np.sqrt(R * best)
-        return RademacherEstimate(float(values.mean()), 0.0, values.size, True)
+    def reduce(tables):
+        return np.sqrt(R * np.max([_dual_norms(table, p_star) for table in tables], axis=0))
 
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    acc_sum = 0.0
-    acc_sq = 0.0
-    done = 0
-    block_index = 0
-    while done < samples:
-        n_block = min(MC_BLOCK, samples - done)
-        rng = np.random.Generator(np.random.Philox(key=derive_seed("scale-const", seed, block_index)))
-        signs = rng.integers(0, 2, size=(n_block, total)).astype(float) * 2.0 - 1.0
-        best = np.full(n_block, -np.inf)
-        for t, stack in enumerate(stacks):
-            part = signs[:, offsets[t] : offsets[t + 1]]
-            norms = _row_dual_norms(_quadforms(part, stack.grams), p_star)
-            best = np.maximum(best, norms)
-        values = np.sqrt(R * best)
-        acc_sum += float(values.sum())
-        acc_sq += float((values**2).sum())
-        done += n_block
-        block_index += 1
-    mean = acc_sum / samples
-    var = max(0.0, (acc_sq - samples * mean * mean) / max(samples - 1, 1))
-    return RademacherEstimate(mean, float(np.sqrt(var / samples)), samples, False)
+    return _sign_expectation(stacks, samples, "scale-const", seed, total <= exhaustive_limit, reduce)
 
 
 def erc_upper_bound_lp(inputs: BoundInputs, p1_smoothing: bool = False) -> float:

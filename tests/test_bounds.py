@@ -1,7 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conicmtl.bounds import (
+    CONTRACT_CHUNK,
+    MC_BLOCK,
     BoundInputs,
     bound_report,
     bound_rhs_any_lambda,
@@ -16,7 +21,7 @@ from conicmtl.data import Scaler, TaskDataset, synth_multitask
 from conicmtl.kernels import GramStack, build_gram_stack, default_kernel_dictionary
 from conicmtl.solvers import TaskWeights
 from conicmtl.training import TrainConfig, fit
-from conicmtl.util import conjugate_exponent, lp_norm
+from conicmtl.util import conjugate_exponent, derive_seed, lp_norm
 from conicmtl.verification import random_stacks, run_verification_suite
 
 
@@ -146,6 +151,141 @@ def test_scale_constant_single_task_matches_complexity():
     est = estimate_scale_constant(stacks, R=1.0, p=2.0)
     mc = rademacher_mc(stacks, weights([1.0]), R=1.0, p=2.0)
     assert mc.mean == pytest.approx(2.0 / total * est.mean, rel=1e-12)
+
+
+def test_scale_constant_monte_carlo_reproducible_and_near_exhaustive():
+    rng = np.random.default_rng(12)
+    stacks = random_stacks(rng, T=2, N=4, M=2)
+    exact = estimate_scale_constant(stacks, R=1.0, p=2.0)
+    a = estimate_scale_constant(stacks, R=1.0, p=2.0, samples=4000, seed=9, exhaustive_limit=0)
+    b = estimate_scale_constant(stacks, R=1.0, p=2.0, samples=4000, seed=9, exhaustive_limit=0)
+    assert exact.exhaustive and not a.exhaustive and a.std_error > 0 and a.samples == 4000
+    assert np.float64([a.mean, a.std_error]).tobytes() == np.float64([b.mean, b.std_error]).tobytes()
+    assert abs(a.mean - exact.mean) <= 5 * a.std_error
+
+
+# ------------------------------------------------- sign engine: oracle, checks
+
+def brute_force_tables(stacks, signs):
+    """sigma_t' G_t^m sigma_t by an explicit loop; one (rows, M) table per task."""
+    tables = []
+    lo = 0
+    for stack in stacks:
+        n = stack.n_samples
+        tables.append(np.array([[s[lo : lo + n] @ G @ s[lo : lo + n] for G in stack.grams] for s in signs]))
+        lo += n
+    return tables
+
+
+def drawn_signs(tag, seed, samples, total):
+    """The documented Monte Carlo draw: Philox blocks of MC_BLOCK keyed on (tag, seed, block)."""
+    blocks = []
+    for block, start in enumerate(range(0, samples, MC_BLOCK)):
+        rng = np.random.Generator(np.random.Philox(key=derive_seed(tag, seed, block)))
+        blocks.append(rng.integers(0, 2, size=(min(MC_BLOCK, samples - start), total)) * 2.0 - 1.0)
+    return np.vstack(blocks)
+
+
+def uneven_stacks():
+    rng = np.random.default_rng(13)
+    return [random_stacks(rng, T=1, N=n, M=2)[0] for n in (3, 5, 7)]
+
+
+@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0])
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_estimators_match_brute_force_quadratic_forms(p, exhaustive):
+    stacks = uneven_stacks()
+    total = 15
+    lam = np.array([1.3, 2.2, 3.1])
+    gamma = np.array([0.7, 1.4, 1.9])
+    R = 1.7
+    p_star = conjugate_exponent(p)
+    # one full block plus a second block that crosses a contraction-chunk boundary
+    samples = MC_BLOCK + CONTRACT_CHUNK + 2
+    kwargs = {} if exhaustive else dict(samples=samples, seed=5, exhaustive_limit=0)
+    complexity = rademacher_mc(stacks, lam, R=R, p=p, gamma=gamma, **kwargs)
+    scale = estimate_scale_constant(stacks, R=R, p=p, **kwargs)
+    if exhaustive:
+        # every task's own patterns, then all 2^total combinations of them
+        own = [np.array(list(itertools.product([-1.0, 1.0], repeat=s.n_samples))) for s in stacks]
+        combos = np.array(list(itertools.product(*[range(len(o)) for o in own])))
+        tables = [brute_force_tables([s], o)[0][combos[:, t]] for t, (s, o) in enumerate(zip(stacks, own))]
+    for tag, est in (("rademacher", complexity), ("scale-const", scale)):
+        if not exhaustive:
+            tables = brute_force_tables(stacks, drawn_signs(tag, 5, samples, total))
+        if tag == "rademacher":
+            u = sum(g * g / w * q for g, w, q in zip(gamma, lam, tables))
+            values = 2.0 / total * np.sqrt(R * np.linalg.norm(u, ord=p_star, axis=1))
+        else:
+            values = np.sqrt(R * np.max([np.linalg.norm(q, ord=p_star, axis=1) for q in tables], axis=0))
+        assert est.samples == (2**total if exhaustive else samples) and est.exhaustive == exhaustive
+        assert abs(est.mean - values.mean()) <= 1e-12 * values.mean()
+        if not exhaustive:
+            expected_se = values.std(ddof=1) / np.sqrt(samples)
+            assert abs(est.std_error - expected_se) <= 1e-9 * expected_se
+
+
+@pytest.mark.parametrize("samples", [MC_BLOCK, 3 * MC_BLOCK])
+def test_monte_carlo_memory_stays_bounded(samples):
+    # the benchmark shape: 4 tasks of 30 samples, 11 kernels; a product over
+    # a whole block per task, or two blocks alive at once, would exceed this
+    stacks = random_stacks(np.random.default_rng(14), T=4, N=30, M=11)
+    tracemalloc.start()
+    try:
+        rademacher_mc(stacks, np.full(4, 2.0), R=1.0, p=2.0, samples=samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("exhaustive_limit", [20, 0])
+@pytest.mark.parametrize("samples", [0, -3])
+def test_both_estimators_reject_nonpositive_samples(samples, exhaustive_limit):
+    stacks = [one_kernel_stack(np.eye(2))]
+    with pytest.raises(ValueError, match="samples must be positive"):
+        estimate_scale_constant(stacks, R=1.0, p=2.0, samples=samples, exhaustive_limit=exhaustive_limit)
+    with pytest.raises(ValueError, match="samples must be positive"):
+        rademacher_mc(stacks, [1.0], R=1.0, p=2.0, samples=samples, exhaustive_limit=exhaustive_limit)
+
+
+def test_both_estimators_reject_empty_stacks():
+    with pytest.raises(ValueError, match="at least one task"):
+        rademacher_mc([], np.array([]), R=1.0, p=2.0)
+    with pytest.raises(ValueError, match="at least one task"):
+        estimate_scale_constant([], R=1.0, p=2.0)
+
+
+@pytest.mark.parametrize("exhaustive_limit", [20, 0])
+def test_both_estimators_reject_mixed_kernel_counts(exhaustive_limit):
+    two = GramStack(task_id="b", grams=np.stack([np.eye(3), np.eye(3)]))
+    stacks = [one_kernel_stack(np.eye(3), "a"), two]
+    with pytest.raises(ValueError, match="task 'b' has 2 kernels, task 'a' has 1"):
+        rademacher_mc(stacks, [1.0, 1.0], R=1.0, p=2.0, samples=64, exhaustive_limit=exhaustive_limit)
+    with pytest.raises(ValueError, match="task 'b' has 2 kernels, task 'a' has 1"):
+        estimate_scale_constant(stacks, R=1.0, p=2.0, samples=64, exhaustive_limit=exhaustive_limit)
+
+
+def test_rejects_task_weights_of_wrong_length():
+    stacks = [one_kernel_stack(np.eye(2), "a"), one_kernel_stack(np.eye(2), "b")]
+    with pytest.raises(ValueError, match=r"task_weights has shape \(1,\), expected one entry per task \['a', 'b'\]"):
+        rademacher_mc(stacks, [1.0], R=1.0, p=2.0)
+    with pytest.raises(ValueError, match=r"task_weights has shape \(3,\)"):
+        rademacher_mc(stacks, [1.0, 1.0, 1.0], R=1.0, p=2.0)
+
+
+def test_rejects_gamma_of_wrong_length():
+    stacks = [one_kernel_stack(np.eye(2), "a"), one_kernel_stack(np.eye(2), "b")]
+    with pytest.raises(ValueError, match=r"gamma has shape \(1,\), expected one entry per task \['a', 'b'\]"):
+        rademacher_mc(stacks, [1.0, 1.0], R=1.0, p=2.0, gamma=[2.0])
+
+
+def test_rejects_task_without_samples():
+    stacks = [one_kernel_stack(np.eye(2), "a"), one_kernel_stack(np.zeros((0, 0)), "empty")]
+    with pytest.raises(ValueError, match="task 'empty' has no samples"):
+        rademacher_mc(stacks, [1.0, 1.0], R=1.0, p=2.0)
+    with pytest.raises(ValueError, match="task 'empty' has no samples"):
+        estimate_scale_constant(stacks, R=1.0, p=2.0)
 
 
 # ------------------------------------------------------------- trace bound
