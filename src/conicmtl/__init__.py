@@ -21,6 +21,7 @@ from .data import (
     build_ovo_tasks,
     load_sparse_text,
     load_task_directory,
+    prepare_run,
     save_task_directory,
     stratified_split,
     synth_multitask,

@@ -18,6 +18,7 @@ from . import data as data_io
 from .bounds import bound_report
 from .experiments import (
     ExperimentConfig,
+    budget_from_fraction,
     read_results_csv,
     resolve_dataset,
     run_experiment,
@@ -27,11 +28,11 @@ from .experiments import (
 )
 from .kernels import build_gram_stack, default_kernel_dictionary
 from .training import TrainConfig, fit, load_model, predict, save_model
-from .util import derive_seed
 from .verification import run_verification_suite
 
 
-def _load_config_section(path, section):
+def _load_config_section(path, section, keys):
+    """The section's values; a key outside keys (those the command reads) is an error."""
     if not path:
         return {}
     parser = configparser.ConfigParser()
@@ -39,7 +40,13 @@ def _load_config_section(path, section):
         parser.read_file(fh)
     if not parser.has_section(section):
         return {}
-    return dict(parser.items(section))
+    values = dict(parser.items(section))
+    for key in values:
+        if key not in keys:
+            raise ValueError(
+                f"{path}: unknown key {key!r} in [{section}]; accepted keys: {', '.join(sorted(keys))}"
+            )
+    return values
 
 
 def _merged(args, config_values, key, cast, default):
@@ -60,21 +67,6 @@ def _names(text):
     return tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
 
 
-def _prepared_training_tasks(dataset, fraction, seed, balanced):
-    train_tasks, test_tasks = [], []
-    for task in dataset:
-        working = task
-        if balanced:
-            working = data_io.balanced_resample(working, derive_seed(seed, "balance", task.task_id))
-        if fraction is not None:
-            tr, te = data_io.stratified_split(working, fraction, derive_seed(seed, "split", task.task_id))
-        else:
-            tr, te = working, None
-        train_tasks.append(tr)
-        test_tasks.append(te)
-    return train_tasks, test_tasks
-
-
 def cmd_gram(args):
     _, dataset = resolve_dataset(args.data)
     specs = default_kernel_dictionary()
@@ -87,25 +79,17 @@ def cmd_gram(args):
 
 
 def cmd_train(args):
-    cfg_file = _load_config_section(args.config, "train")
+    cfg_file = _load_config_section(args.config, "train", ("fraction", "seed", "mode"))
     fraction = _merged(args, cfg_file, "fraction", float, None)
     seed = int(_merged(args, cfg_file, "seed", int, 0))
     mode = _merged(args, cfg_file, "mode", str, "conic")
     _, dataset = resolve_dataset(args.data)
-    train_tasks, _ = _prepared_training_tasks(dataset, fraction, seed, args.balanced)
-
-    scaler = data_io.Scaler().fit(np.vstack([t.X for t in train_tasks]))
-    train_tasks = [
-        data_io.TaskDataset(t.task_id, scaler.transform(t.X), t.y, t.provenance)
-        for t in train_tasks
-    ]
+    train_tasks, _, scaler = data_io.prepare_run(dataset, fraction, seed, args.balanced)
     specs = default_kernel_dictionary()
     stacks = [build_gram_stack(t.task_id, t.X, specs, cache_dir=args.cache_dir) for t in train_tasks]
 
     budget = args.budget
     if budget is None:
-        from .experiments import budget_from_fraction
-
         budget = budget_from_fraction(stacks, args.p, args.budget_frac)
     config = TrainConfig(
         C=args.C,
@@ -118,8 +102,7 @@ def cmd_train(args):
         seed=seed,
     )
     model = fit(train_tasks, stacks, config, kernel_specs=specs)
-    model.scaler_mean = scaler.mean
-    model.scaler_scale = scaler.scale
+    model.scaler = scaler
 
     out = Path(args.out)
     save_model(model, out)
@@ -137,8 +120,8 @@ def cmd_predict(args):
     tasks = data_io.load_task_directory(args.train_data)
     model = load_model(args.model, tasks)
     X, y = data_io.load_sparse_text(args.input, n_features=tasks.d)
-    if model.scaler_mean is not None and not args.pre_scaled:
-        X = (X - model.scaler_mean) / model.scaler_scale
+    if model.scaler is not None and not args.pre_scaled:
+        X = model.scaler.transform(X)
     labels, values = predict(model, args.task, X)
     lines = [f"{int(l)} {float(v)!r}" for l, v in zip(labels, values)]
     text = "\n".join(lines) + "\n"
@@ -157,16 +140,8 @@ def cmd_bound(args):
     model = load_model(args.model, train_tasks)
     _, test_dataset = resolve_dataset(args.test_data)
     test_tasks = list(test_dataset)
-    if model.scaler_mean is not None:
-        test_tasks = [
-            data_io.TaskDataset(
-                t.task_id,
-                (t.X - model.scaler_mean) / model.scaler_scale,
-                t.y,
-                t.provenance,
-            )
-            for t in test_tasks
-        ]
+    if model.scaler is not None:
+        test_tasks = model.scaler.transform_tasks(test_tasks)
     report = bound_report(
         model,
         test_tasks,
@@ -191,7 +166,12 @@ def cmd_radcheck(args):
 
 
 def cmd_experiment(args):
-    cfg_file = _load_config_section(args.config, "experiment")
+    cfg_file = _load_config_section(
+        args.config,
+        "experiment",
+        ("data", "fractions", "methods", "runs", "folds", "seed", "r_max",
+         "grid_c", "grid_p", "grid_a_frac", "grid_p_exp"),
+    )
     config = ExperimentConfig(
         dataset=_merged(args, cfg_file, "data", str, "sample:mtl"),
         fractions=_floats(_merged(args, cfg_file, "fractions", str, "0.5")),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import float_text
+from .util import derive_seed, float_text
 
 
 @dataclass
@@ -85,6 +85,10 @@ class Scaler:
         if self.mean is None:
             raise ValueError("scaler not fitted")
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.scale
+
+    def transform_tasks(self, tasks) -> list:
+        """The tasks with standardized features; ids, labels and provenance kept."""
+        return [TaskDataset(t.task_id, self.transform(t.X), t.y, t.provenance) for t in tasks]
 
 
 def load_sparse_text(path, n_features=None):
@@ -214,6 +218,29 @@ def stratified_split(task: TaskDataset, fraction: float, seed: int):
         task.subset(np.flatnonzero(mask), provenance=task.provenance + tag + ":train"),
         task.subset(np.flatnonzero(~mask), provenance=task.provenance + tag + ":test"),
     )
+
+
+def prepare_run(dataset, fraction, seed, balanced):
+    """One run's data: balance, split and standardize every task.
+
+    Each task is balanced (when asked) with derive_seed(seed, "balance", id)
+    and split with derive_seed(seed, "split", id); fraction=None keeps the
+    whole task for training and returns test=None. Every part is
+    standardized on the pooled training features.
+    Returns (train, test, scaler) with train and test lists of tasks.
+    """
+    train, test = [], []
+    for task in dataset:
+        if balanced:
+            task = balanced_resample(task, derive_seed(seed, "balance", task.task_id))
+        if fraction is None:
+            train.append(task)
+        else:
+            tr, te = stratified_split(task, fraction, derive_seed(seed, "split", task.task_id))
+            train.append(tr)
+            test.append(te)
+    scaler = Scaler().fit(np.vstack([t.X for t in train]))
+    return scaler.transform_tasks(train), None if fraction is None else scaler.transform_tasks(test), scaler
 
 
 def synth_multitask(

@@ -19,6 +19,8 @@ from .util import conjugate_exponent, derive_seed, float_text
 
 RESULT_HEADER = "dataset,fraction,method,seed,mean_accuracy,C,p,a,p_exp,wall_ms,converged"
 
+SYNTH_KEYS = ("T", "N", "d", "sim", "noise", "seed")
+
 METHOD_MODES = {
     "Conic": "conic",
     "Average": "average",
@@ -49,14 +51,17 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if any(not 0.0 < f < 1.0 for f in self.fractions):
             raise ValueError("fractions must lie in (0, 1)")
-        for name, grid in (
-            ("grid_C", self.grid_C),
-            ("grid_p", self.grid_p),
-            ("grid_a_frac", self.grid_a_frac),
-            ("grid_p_exp", self.grid_p_exp),
+        for name, grid, valid, rule in (
+            ("grid_C", self.grid_C, lambda v: v > 0.0, "> 0"),
+            ("grid_p", self.grid_p, lambda v: v >= 1.0, ">= 1"),
+            ("grid_a_frac", self.grid_a_frac, lambda v: v > 0.0, "> 0"),
+            ("grid_p_exp", self.grid_p_exp, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
         ):
             if len(grid) == 0:
                 raise ValueError(f"{name} must not be empty")
+            for value in grid:
+                if not valid(value):
+                    raise ValueError(f"{name} value {value!r} must be {rule}")
         unknown = set(self.methods) - set(METHOD_MODES)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -64,18 +69,19 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
+    """One (method, run) outcome; a failed row leaves the result fields None."""
+
     dataset: str
     fraction: float
     method: str
     seed: int
-    mean_accuracy: float | None
-    per_task_accuracies: list
-    C: float | None
-    p: float | None
-    a: float | None
-    p_exp: float | None
     wall_ms: float
     converged: str
+    mean_accuracy: float | None = None
+    C: float | None = None
+    p: float | None = None
+    a: float | None = None
+    p_exp: float | None = None
 
 
 @dataclass
@@ -111,7 +117,12 @@ def resolve_dataset(text: str) -> tuple[str, data_io.MultiTaskDataset]:
     or a sparse text file (decomposed one-vs-one when multiclass).
     """
     if text.startswith("synth:"):
-        params = dict(kv.split("=") for kv in text[6:].split(",") if kv)
+        params = {}
+        for token in filter(None, text[6:].split(",")):
+            key, sep, value = token.partition("=")
+            if not sep or key not in SYNTH_KEYS:
+                raise ValueError(f"bad synth token {token!r}; expected key=value, key one of {SYNTH_KEYS}")
+            params[key] = value
         dataset = data_io.synth_multitask(
             T=int(params.get("T", 4)),
             N=int(params.get("N", 60)),
@@ -164,15 +175,17 @@ def budget_from_fraction(stacks, p: float, frac: float) -> float:
     return frac * float(sum(s.trace_norm(p_star) for s in stacks))
 
 
-def _train_method(method, tasks, stacks, specs, C, p, a_frac, p_exp, r_max, use_bias):
+def _train_method(method, tasks, stacks, specs, cell, config: ExperimentConfig):
+    """Train method at one grid cell (C, p, a_frac, p_exp) from _grid_cells."""
+    C, p, a_frac, p_exp = cell
     base = TrainConfig(
         C=C,
         p=p,
         budget=budget_from_fraction(stacks, p, a_frac) if method == "Conic" else 1.0,
-        r_max=r_max,
+        r_max=config.r_max,
         mode=METHOD_MODES[method],
         p_exp=p_exp if method == "ParetoPath" else 1.0,
-        use_bias=use_bias,
+        use_bias=config.use_bias,
     )
     if method == "SingleTask":
         return [
@@ -222,26 +235,24 @@ def cross_validate(tasks, stacks, method, config: ExperimentConfig, seed: int, s
         _fold_assignments(task, config.cv_folds, derive_seed(seed, "folds", task.task_id))
         for task in tasks
     ]
+    folds = []  # (training sub-tasks, their sub-stacks, held-out parts) per fold
+    for k in range(config.cv_folds):
+        sub_tasks, sub_stacks, held = [], [], []
+        for task, stack, assign in zip(tasks, stacks, assignments):
+            tr = np.flatnonzero(assign != k)
+            sub = task.subset(tr)
+            if np.all(sub.y == sub.y[0]):
+                raise ValueError(f"fold degeneracy in task {task.task_id!r}")
+            sub_tasks.append(sub)
+            sub_stacks.append(_sub_stack(stack, tr))
+            held.append(task.subset(np.flatnonzero(assign == k)))
+        folds.append((sub_tasks, sub_stacks, held))
     best = None
     best_score = -1.0
     for cell in cells:
-        C, p, a_frac, p_exp = cell
         fold_scores = []
-        for k in range(config.cv_folds):
-            sub_tasks, sub_stacks, held = [], [], []
-            for task, stack, assign in zip(tasks, stacks, assignments):
-                tr = np.flatnonzero(assign != k)
-                te = np.flatnonzero(assign == k)
-                sub = task.subset(tr)
-                if np.all(sub.y == sub.y[0]):
-                    raise ValueError(f"fold degeneracy in task {task.task_id!r}")
-                sub_tasks.append(sub)
-                sub_stacks.append(_sub_stack(stack, tr))
-                held.append(task.subset(te))
-            trained = _train_method(
-                method, sub_tasks, sub_stacks, specs, C, p, a_frac or 1.0, p_exp or 1.0,
-                config.r_max, config.use_bias,
-            )
+        for sub_tasks, sub_stacks, held in folds:
+            trained = _train_method(method, sub_tasks, sub_stacks, specs, cell, config)
             accs, _ = _method_accuracies(method, trained, sub_tasks, held)
             fold_scores.append(float(np.mean(accs)))
         score = float(np.mean(fold_scores))
@@ -264,51 +275,24 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     for fraction in config.fractions:
         for run in range(config.runs):
             run_seed = derive_seed(config.master_seed, "run", fraction, run)
-            train_tasks, test_tasks = [], []
-            for task in dataset:
-                working = task
-                if config.balanced:
-                    working = data_io.balanced_resample(
-                        working, derive_seed(run_seed, "balance", task.task_id)
-                    )
-                tr, te = data_io.stratified_split(
-                    working, fraction, derive_seed(run_seed, "split", task.task_id)
-                )
-                train_tasks.append(tr)
-                test_tasks.append(te)
-            scaler = data_io.Scaler().fit(np.vstack([t.X for t in train_tasks]))
-            train_tasks = [
-                data_io.TaskDataset(t.task_id, scaler.transform(t.X), t.y, t.provenance)
-                for t in train_tasks
-            ]
-            test_tasks = [
-                data_io.TaskDataset(t.task_id, scaler.transform(t.X), t.y, t.provenance)
-                for t in test_tasks
-            ]
+            train_tasks, test_tasks, _ = data_io.prepare_run(dataset, fraction, run_seed, config.balanced)
             stacks = [build_gram_stack(t.task_id, t.X, specs) for t in train_tasks]
             for method in config.methods:
                 started = time.perf_counter()
                 try:
                     cell = cross_validate(train_tasks, stacks, method, config, run_seed, specs)
                     C, p, a_frac, p_exp = cell
-                    trained = _train_method(
-                        method, train_tasks, stacks, specs, C, p, a_frac or 1.0,
-                        p_exp or 1.0, config.r_max, config.use_bias,
-                    )
+                    trained = _train_method(method, train_tasks, stacks, specs, cell, config)
                     accs, converged = _method_accuracies(method, trained, train_tasks, test_tasks)
-                    a_abs = (
-                        budget_from_fraction(stacks, p, a_frac) if method == "Conic" else None
-                    )
                     row = ResultRow(
                         dataset=label,
                         fraction=fraction,
                         method=method,
                         seed=run,
                         mean_accuracy=float(np.mean(accs)),
-                        per_task_accuracies=accs,
                         C=C,
                         p=p,
-                        a=a_abs,
+                        a=budget_from_fraction(stacks, p, a_frac) if method == "Conic" else None,
                         p_exp=p_exp if method == "ParetoPath" else None,
                         wall_ms=(time.perf_counter() - started) * 1e3,
                         converged="1" if converged else "0",
@@ -319,12 +303,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                         fraction=fraction,
                         method=method,
                         seed=run,
-                        mean_accuracy=None,
-                        per_task_accuracies=[],
-                        C=None,
-                        p=None,
-                        a=None,
-                        p_exp=None,
                         wall_ms=(time.perf_counter() - started) * 1e3,
                         converged=f"error:{type(exc).__name__}",
                     )

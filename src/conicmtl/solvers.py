@@ -66,10 +66,6 @@ class TaskWeights:
         ):
             raise ValueError("task weights outside the [1, r_max] box")
 
-    @staticmethod
-    def ones(n_tasks: int, r_max: float, budget: float) -> "TaskWeights":
-        return TaskWeights(np.ones(n_tasks), r_max, budget)
-
 
 def _optimal_bias(g: np.ndarray, y: np.ndarray, C: float) -> tuple[float, float]:
     """Exact minimizer of the hinge total over the bias, given dual gradient g.

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import TaskDataset
+from .data import Scaler, TaskDataset
 from .kernels import KernelSpec, KernelWeights, combine, compute_gram
 from .solvers import DualSolution, TaskWeights, component_sq_norms, lambda_step, solve_svm_dual, theta_step
 from .util import conjugate_exponent
@@ -64,6 +64,7 @@ class MtlModel:
     """Trained state: kernel weights, task weights, per-task duals, trace.
 
     converged: the outer loop met tol_rel_obj and every accepted w-step met its gap.
+    scaler: the standardization applied to the training features, if any.
     """
 
     config: TrainConfig
@@ -74,12 +75,7 @@ class MtlModel:
     objective_trace: list
     tasks: list
     converged: bool
-    scaler_mean: np.ndarray | None = None
-    scaler_scale: np.ndarray | None = None
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
+    scaler: Scaler | None = None
 
     def task_index(self, task_id: str) -> int:
         for i, task in enumerate(self.tasks):
@@ -360,10 +356,10 @@ def save_model(model: MtlModel, path) -> None:
     lines.append(f"values = {_hex_vector(model.task_weights.values)}")
     lines.append("[trace]")
     lines.append(f"values = {_hex_vector(model.objective_trace)}")
-    if model.scaler_mean is not None:
+    if model.scaler is not None:
         lines.append("[scaler]")
-        lines.append(f"mean = {_hex_vector(model.scaler_mean)}")
-        lines.append(f"scale = {_hex_vector(model.scaler_scale)}")
+        lines.append(f"mean = {_hex_vector(model.scaler.mean)}")
+        lines.append(f"scale = {_hex_vector(model.scaler.scale)}")
     for task, dual in zip(model.tasks, model.duals):
         lines.append(f"[task {task.task_id}]")
         lines.append(f"hash = {task_data_hash(task)}")
@@ -467,10 +463,9 @@ def load_model(path, tasks) -> MtlModel:
             )
         )
 
-    scaler_mean = scaler_scale = None
+    scaler = None
     if "scaler" in data:
-        scaler_mean = _unhex_vector(data["scaler"]["mean"])
-        scaler_scale = _unhex_vector(data["scaler"]["scale"])
+        scaler = Scaler(_unhex_vector(data["scaler"]["mean"]), _unhex_vector(data["scaler"]["scale"]))
 
     return MtlModel(
         config=config,
@@ -481,6 +476,5 @@ def load_model(path, tasks) -> MtlModel:
         objective_trace=list(_unhex_vector(data["trace"]["values"])),
         tasks=model_tasks,
         converged=bool(int(cfg_raw["converged"])),
-        scaler_mean=scaler_mean,
-        scaler_scale=scaler_scale,
+        scaler=scaler,
     )

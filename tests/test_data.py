@@ -8,6 +8,7 @@ from conicmtl.data import (
     build_ovo_tasks,
     load_sparse_text,
     load_task_directory,
+    prepare_run,
     sample_mtl_path,
     sample_multiclass_path,
     save_task_directory,
@@ -15,6 +16,7 @@ from conicmtl.data import (
     synth_multitask,
     write_sparse_text,
 )
+from conicmtl.util import derive_seed
 
 
 # ------------------------------------------------------------ sparse text
@@ -232,6 +234,68 @@ def test_task_directory_roundtrip(tmp_path):
 def test_task_directory_requires_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_task_directory(tmp_path)
+
+
+# ------------------------------------------------------------- prepare_run
+
+def unbalanced_tasks():
+    a = make_unbalanced(n_pos=30, n_neg=10, seed=0)
+    b = make_unbalanced(n_pos=7, n_neg=19, seed=1)
+    return [
+        TaskDataset("a", a.X, a.y, provenance="src-a"),
+        TaskDataset("b", b.X + 4.0, b.y, provenance="src-b"),
+    ]
+
+
+def standardized(train, parts):
+    """Reference standardization on the pooled training features."""
+    pooled = np.vstack([t.X for t in train])
+    mean, scale = pooled.mean(axis=0), pooled.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    return [(t.task_id, (t.X - mean) / scale, t.y, t.provenance) for t in parts]
+
+
+def as_tuples(tasks):
+    return [(t.task_id, t.X, t.y, t.provenance) for t in tasks]
+
+
+def assert_same_tasks(got, expected):
+    assert len(got) == len(expected)
+    for (gid, gX, gy, gprov), (eid, eX, ey, eprov) in zip(as_tuples(got), expected):
+        assert (gid, gprov) == (eid, eprov)
+        np.testing.assert_array_equal(gX, eX)
+        np.testing.assert_array_equal(gy, ey)
+
+
+def test_prepare_run_balances_splits_and_standardizes_on_train():
+    tasks = unbalanced_tasks()
+    train, test, scaler = prepare_run(tasks, 0.5, seed=21, balanced=True)
+    ref_train, ref_test = [], []
+    for task in tasks:
+        kept = balanced_resample(task, derive_seed(21, "balance", task.task_id))
+        tr, te = stratified_split(kept, 0.5, derive_seed(21, "split", task.task_id))
+        ref_train.append(tr)
+        ref_test.append(te)
+    # balancing drops majority samples: 30/10 keeps 20, 7/19 keeps 14
+    assert [tr.n + te.n for tr, te in zip(ref_train, ref_test)] == [20, 14]
+    assert_same_tasks(train, standardized(ref_train, ref_train))
+    assert_same_tasks(test, standardized(ref_train, ref_test))
+    pooled = np.vstack([t.X for t in ref_train])
+    np.testing.assert_array_equal(scaler.mean, pooled.mean(axis=0))
+    assert train[0].provenance.startswith("src-a|balanced(seed=")
+    assert test[1].provenance.endswith(":test")
+
+
+def test_prepare_run_without_fraction_trains_on_whole_tasks():
+    tasks = unbalanced_tasks()
+    train, test, _ = prepare_run(tasks, None, seed=5, balanced=False)
+    assert test is None
+    assert_same_tasks(train, standardized(tasks, tasks))
+    train, test, _ = prepare_run(tasks, None, seed=5, balanced=True)
+    kept = [balanced_resample(t, derive_seed(5, "balance", t.task_id)) for t in tasks]
+    assert test is None
+    assert [t.n for t in train] == [20, 14]
+    assert_same_tasks(train, standardized(kept, kept))
 
 
 # ------------------------------------------------------------------ scaler

@@ -120,6 +120,21 @@ def prepared_tasks(T=2, N=18, seed=0):
     return tasks, stacks, specs
 
 
+@pytest.mark.parametrize(
+    "grid, value",
+    [("grid_C", 0.0), ("grid_C", -1.0), ("grid_p", 0.5), ("grid_a_frac", 0.0),
+     ("grid_p_exp", 0.0), ("grid_p_exp", 1.5)],
+)
+def test_config_rejects_grid_values_outside_their_range(grid, value):
+    with pytest.raises(ValueError, match=rf"{grid} value {value!r} must be"):
+        small_config(**{grid: (1.0, value)})
+
+
+def test_config_accepts_grid_edges():
+    cfg = small_config(grid_p=(1.0,), grid_a_frac=(1e-3, 2.0), grid_p_exp=(1.0,))
+    assert cfg.grid_p_exp == (1.0,)
+
+
 def test_cv_single_cell_short_circuits():
     tasks, stacks, specs = prepared_tasks()
     cfg = small_config()
@@ -213,6 +228,9 @@ def test_resolve_dataset_variants(tmp_path):
     assert len(ds) == 2
     with pytest.raises(FileNotFoundError):
         resolve_dataset(str(tmp_path / "missing.txt"))
+    for spec, token in (("synth:t=2,N=20", "t=2"), ("synth:T=2,sed=5", "sed=5"), ("synth:T", "T")):
+        with pytest.raises(ValueError, match=f"bad synth token '{token}'"):
+            resolve_dataset(spec)
 
 
 # ------------------------------------------------------------------ report
