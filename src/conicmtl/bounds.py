@@ -404,7 +404,7 @@ def bound_report(
         p=p,
         traces=np.vstack([s.traces for s in stacks]),
     )
-    emp = weighted_empirical_loss(model, rho)
+    emp = weighted_empirical_loss(model, rho, stacks)
     est = rademacher_mc(stacks, model.task_weights, inputs.R, p, samples=mc_samples, seed=seed)
     upper = erc_upper_bound_lp(inputs)
     with warnings.catch_warnings():

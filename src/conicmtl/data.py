@@ -202,6 +202,7 @@ def stratified_split(task: TaskDataset, fraction: float, seed: int):
         raise ValueError("fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     train_idx = []
+    n_test = 0
     for sign in (1.0, -1.0):
         members = np.flatnonzero(task.y == sign)
         n_train = int(round(fraction * members.size))
@@ -209,7 +210,10 @@ def stratified_split(task: TaskDataset, fraction: float, seed: int):
             raise ValueError(
                 f"fraction {fraction} leaves no training samples for a class of task {task.task_id!r}"
             )
+        n_test += members.size - n_train
         train_idx.append(rng.choice(members, size=n_train, replace=False))
+    if n_test == 0:
+        raise ValueError(f"fraction {fraction} leaves no test samples for task {task.task_id!r}")
     train_idx = np.sort(np.concatenate(train_idx))
     mask = np.zeros(task.n, dtype=bool)
     mask[train_idx] = True

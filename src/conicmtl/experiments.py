@@ -49,6 +49,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds value {self.cv_folds!r} must be >= 2")
         if any(not 0.0 < f < 1.0 for f in self.fractions):
             raise ValueError("fractions must lie in (0, 1)")
         for name, grid, valid, rule in (

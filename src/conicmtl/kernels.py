@@ -21,6 +21,7 @@ CACHE_MAGIC = b"GRAM"
 CACHE_VERSION = 1
 
 GAUSSIAN_CONVENTIONS = ("sigma", "sigma_sq", "gamma")
+EXPAND_BLOCK = 2048  # columns per block of an `expand` call
 
 
 @dataclass(frozen=True)
@@ -99,44 +100,52 @@ def default_kernel_dictionary() -> list[KernelSpec]:
     return specs
 
 
-def _check_features(X: np.ndarray, name: str) -> np.ndarray:
+def _check_features(X: np.ndarray, name: str, d: int | None = None) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError(f"{name} contains non-finite values")
+    if d is not None and X.shape[1] != d:
+        raise ValueError(f"feature dimension mismatch: rows has {d}, {name} has {X.shape[1]}")
     return X
 
 
-def _raw_gram(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray, same: bool = False) -> np.ndarray:
+def _kernel(spec: KernelSpec, inner, sq):
+    """The one formula per kernel kind, from inner products and squared distances."""
     if spec.kind == "linear":
-        return rows @ cols.T
+        return inner
     if spec.kind == "polynomial":
-        return (spec.offset + rows @ cols.T) ** spec.degree
-    sq = (
-        (rows * rows).sum(axis=1)[:, None]
-        + (cols * cols).sum(axis=1)[None, :]
-        - 2.0 * (rows @ cols.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    if same:
-        np.fill_diagonal(sq, 0.0)  # cancellation noise would break the unit diagonal
-    if spec.gaussian_convention == "sigma":
-        scale = 1.0 / (2.0 * spec.spread**2)
-    elif spec.gaussian_convention == "sigma_sq":
-        scale = 1.0 / (2.0 * spec.spread)
-    else:
-        scale = spec.spread
+        return (spec.offset + inner) ** spec.degree
+    s = spec.spread
+    scale = {"sigma": 1.0 / (2.0 * s**2), "sigma_sq": 1.0 / (2.0 * s), "gamma": s}[spec.gaussian_convention]
     return np.exp(-scale * sq)
 
 
-def _self_kernel_diag(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """k(x, x) for each row, used by cosine normalization of cross Grams."""
-    if spec.kind == "linear":
-        return (X * X).sum(axis=1)
-    if spec.kind == "polynomial":
-        return (spec.offset + (X * X).sum(axis=1)) ** spec.degree
-    return np.ones(X.shape[0])
+def _grams(specs, rows: np.ndarray, cols: np.ndarray, same: bool):
+    """Yield each spec's Gram of (rows, cols) in turn, all derived from one
+    set of inner products, squared norms and clamped squared distances."""
+    inner = rows @ cols.T
+    sq_rows = (rows * rows).sum(axis=1)
+    sq_cols = sq_rows if same else (cols * cols).sum(axis=1)
+    sq = None
+    if any(spec.kind == "gaussian" for spec in specs):
+        sq = sq_rows[:, None] + sq_cols[None, :] - 2.0 * inner
+        np.maximum(sq, 0.0, out=sq)
+        if same:
+            np.fill_diagonal(sq, 0.0)  # cancellation noise would break the unit diagonal
+    for spec in specs:
+        gram = _kernel(spec, inner, sq)
+        if spec.normalize and same:
+            gram = cosine_normalize(gram)
+        elif spec.normalize:
+            # k(x, x) of each row and column: the same formula at distance 0
+            dr = _kernel(spec, sq_rows, np.zeros_like(sq_rows))
+            dc = _kernel(spec, sq_cols, np.zeros_like(sq_cols))
+            if np.any(dr <= 0) or np.any(dc <= 0):
+                raise ValueError("cosine normalization hit a nonpositive self-kernel value")
+            gram = gram / np.sqrt(np.outer(dr, dc))
+        yield gram
 
 
 def compute_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
@@ -147,22 +156,30 @@ def compute_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     """
     rows = _check_features(rows, "rows")
     same = cols is None or cols is rows
-    cols = rows if same else _check_features(cols, "cols")
-    if rows.shape[1] != cols.shape[1]:
-        raise ValueError(
-            f"feature dimension mismatch: rows has {rows.shape[1]}, cols has {cols.shape[1]}"
-        )
-    gram = _raw_gram(spec, rows, cols, same=same)
-    if spec.normalize:
-        if same:
-            gram = cosine_normalize(gram)
-        else:
-            dr = _self_kernel_diag(spec, rows)
-            dc = _self_kernel_diag(spec, cols)
-            if np.any(dr <= 0) or np.any(dc <= 0):
-                raise ValueError("cosine normalization hit a nonpositive self-kernel value")
-            gram = gram / np.sqrt(np.outer(dr, dc))
-    return gram
+    cols = rows if same else _check_features(cols, "cols", rows.shape[1])
+    return next(_grams([spec], rows, cols, same))
+
+
+def expand(specs, theta, rows, coef, cols) -> np.ndarray:
+    """Kernel expansion sum_m theta_m * (coef @ k_m(rows, cols)), one value per column.
+
+    cols is walked in blocks of EXPAND_BLOCK columns, so memory is
+    O(len(rows) * EXPAND_BLOCK); per block the inner products and distances
+    are shared by every kernel with theta_m != 0.
+    """
+    rows = _check_features(rows, "rows")
+    cols = _check_features(cols, "cols", rows.shape[1])
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (len(specs),):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({len(specs)},)")
+    active = np.flatnonzero(theta)
+    out = np.zeros(cols.shape[0])
+    for start in range(0, cols.shape[0], EXPAND_BLOCK):
+        block = out[start : start + EXPAND_BLOCK]
+        grams = _grams([specs[m] for m in active], rows, cols[start : start + EXPAND_BLOCK], False)
+        for m, gram in zip(active, grams):
+            block += theta[m] * (coef @ gram)
+    return out
 
 
 def cosine_normalize(gram) -> np.ndarray:

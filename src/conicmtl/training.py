@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bounds import margin_loss
 from .data import Scaler, TaskDataset
-from .kernels import KernelSpec, KernelWeights, combine, compute_gram
+from .kernels import KernelSpec, KernelWeights, combine, expand
 from .solvers import DualSolution, TaskWeights, component_sq_norms, lambda_step, solve_svm_dual, theta_step
 from .util import conjugate_exponent
 
@@ -257,7 +258,10 @@ def fit_single_task(task, stack, config: TrainConfig, kernel_specs=None) -> MtlM
 
 
 def decision_values(model: MtlModel, task_id: str, X_test) -> np.ndarray:
-    """Kernel-expansion decision values f(x) = sum_i alpha_i y_i k_theta(x_i, x) + bias."""
+    """Kernel-expansion decision values f(x) = sum_i alpha_i y_i k_theta(x_i, x) + bias.
+
+    Only the support vectors (alpha_i != 0) enter, in one kernels.expand pass.
+    """
     t = model.task_index(task_id)
     task = model.tasks[t]
     dual = model.duals[t]
@@ -269,13 +273,8 @@ def decision_values(model: MtlModel, task_id: str, X_test) -> np.ndarray:
     if not model.kernel_specs:
         raise ValueError("model carries no kernel specs; cannot evaluate kernels")
     coef = dual.alpha * task.y
-    theta = model.theta.values
-    out = np.zeros(X_test.shape[0])
-    for m, spec in enumerate(model.kernel_specs):
-        if theta[m] == 0.0:
-            continue
-        cross = compute_gram(spec, task.X, X_test)
-        out += theta[m] * (coef @ cross)
+    sv = np.flatnonzero(coef)
+    out = expand(model.kernel_specs, model.theta.values, task.X[sv], coef[sv], X_test)
     if model.config.use_bias:
         out += dual.bias
     return out
@@ -288,22 +287,27 @@ def predict(model: MtlModel, task_id: str, X_test):
     return labels, values
 
 
-def weighted_empirical_loss(model: MtlModel, rho: float) -> float:
+def weighted_empirical_loss(model: MtlModel, rho: float, stacks) -> float:
     """Weighted ramp-loss average over the training samples.
 
     (1 / total_count) * sum_t lam_t * sum_i ramp(y_t_i f_t(x_t_i); rho),
-    where ramp is 0 above rho, 1 below 0 and linear between.
+    where ramp is 0 above rho, 1 below 0 and linear between. The training
+    decision values come from stacks, the tasks' training Gram stacks.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    theta = model.theta.values
     lam = model.task_weights.values
     total = 0.0
     count = 0
-    for t, task in enumerate(model.tasks):
-        values = decision_values(model, task.task_id, task.X)
-        margin = task.y * values
-        ramp = np.clip(1.0 - margin / rho, 0.0, 1.0)
-        total += lam[t] * float(ramp.sum())
+    for t, (task, stack) in enumerate(zip(model.tasks, stacks, strict=True)):
+        if stack.grams.shape != (theta.size, task.y.size, task.y.size):
+            raise ValueError(f"stack of task {task.task_id!r} has shape {stack.grams.shape}")
+        coef = model.duals[t].alpha * task.y
+        values = np.zeros(task.y.size)
+        for m in np.flatnonzero(theta):
+            values += theta[m] * (coef @ stack.grams[m])
+        if model.config.use_bias:
+            values += model.duals[t].bias
+        total += lam[t] * float(margin_loss(task.y * values, rho).sum())
         count += task.y.size
     return total / count
 

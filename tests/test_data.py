@@ -183,6 +183,14 @@ def test_stratified_split_rejects_too_small_fraction():
         stratified_split(task, 0.05, seed=0)
 
 
+def test_stratified_split_rejects_fraction_that_leaves_no_test_samples():
+    with pytest.raises(ValueError, match="fraction 0.99 leaves no test samples for task 't'"):
+        stratified_split(make_unbalanced(10, 10), 0.99, seed=0)
+    # an empty test part in one class only still leaves a test set
+    tr, te = stratified_split(make_unbalanced(10, 3), 0.9, seed=0)
+    assert (tr.n, te.n) == (12, 1)
+
+
 # --------------------------------------------------------------- synthetic
 
 def test_synth_balanced_labels_and_determinism():

@@ -130,6 +130,17 @@ def test_config_rejects_grid_values_outside_their_range(grid, value):
         small_config(**{grid: (1.0, value)})
 
 
+@pytest.mark.parametrize("folds", [1, 0, -2])
+def test_config_rejects_fewer_than_two_folds(folds):
+    with pytest.raises(ValueError, match=rf"cv_folds value {folds!r} must be >= 2"):
+        small_config(cv_folds=folds, grid_C=(0.5, 1.0))
+
+
+def test_experiment_rejects_fraction_without_test_samples():
+    with pytest.raises(ValueError, match="fraction 0.99 leaves no test samples for task 'synth0'"):
+        run_experiment(small_config(fractions=(0.99,), methods=("Average",)))
+
+
 def test_config_accepts_grid_edges():
     cfg = small_config(grid_p=(1.0,), grid_a_frac=(1e-3, 2.0), grid_p_exp=(1.0,))
     assert cfg.grid_p_exp == (1.0,)

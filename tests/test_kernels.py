@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conicmtl.kernels import (
+    EXPAND_BLOCK,
     GramStack,
     KernelSpec,
     KernelWeights,
@@ -10,6 +11,7 @@ from conicmtl.kernels import (
     compute_gram,
     cosine_normalize,
     default_kernel_dictionary,
+    expand,
     gram_cache_key,
     load_cached_gram,
     save_cached_gram,
@@ -88,6 +90,57 @@ def test_compute_gram_errors():
         compute_gram(spec, np.zeros((2, 3)), np.zeros((2, 4)))
     with pytest.raises(ValueError, match="non-finite"):
         compute_gram(spec, np.array([[np.nan, 0.0]]), np.zeros((1, 2)))
+
+
+# ---------------------------------------------------------------- expansion
+
+EXPANSION_SPECS = [
+    KernelSpec(kind="linear", normalize=True),
+    KernelSpec(kind="polynomial", degree=2, offset=1.0, normalize=True),
+    KernelSpec(kind="polynomial", degree=3, offset=0.5),
+    KernelSpec(kind="gaussian", spread=0.8),
+    KernelSpec(kind="gaussian", spread=0.8, gaussian_convention="sigma_sq"),
+    KernelSpec(kind="gaussian", spread=0.8, gaussian_convention="gamma"),
+    KernelSpec(kind="gaussian", spread=2.0, normalize=True),
+]
+
+
+def brute_force_expansion(specs, theta, rows, coef, cols):
+    return sum(w * (coef @ compute_gram(spec, rows, cols)) for w, spec in zip(theta, specs) if w != 0.0)
+
+
+@pytest.mark.parametrize("n_cols", [0, 1, 2 * EXPAND_BLOCK + 1])
+def test_expand_matches_per_kernel_grams_across_blocks(n_cols):
+    rng = np.random.default_rng(30)
+    rows = rng.standard_normal((9, 3))
+    cols = rng.standard_normal((n_cols, 3))
+    coef = rng.standard_normal(9)
+    theta = np.array([0.3, 0.0, 0.2, 0.5, 0.0, 0.4, 0.1])
+    got = expand(EXPANSION_SPECS, theta, rows, coef, cols)
+    want = brute_force_expansion(EXPANSION_SPECS, theta, rows, coef, cols)
+    assert got.shape == (n_cols,)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=1.0))
+
+
+def test_expand_without_rows_or_weights_is_zero():
+    cols = np.ones((5, 2))
+    theta = np.full(len(EXPANSION_SPECS), 0.2)
+    assert np.array_equal(expand(EXPANSION_SPECS, theta, np.zeros((0, 2)), np.zeros(0), cols), np.zeros(5))
+    zero = np.zeros(len(EXPANSION_SPECS))
+    assert np.array_equal(expand(EXPANSION_SPECS, zero, np.ones((3, 2)), np.ones(3), cols), np.zeros(5))
+
+
+def test_expand_errors():
+    specs = EXPANSION_SPECS[:1]
+    rows = np.ones((2, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        expand(specs, [1.0], rows, np.ones(2), np.ones((4, 2)))
+    with pytest.raises(ValueError, match="cols contains non-finite"):
+        expand(specs, [1.0], rows, np.ones(2), np.array([[0.0, np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="theta has shape"):
+        expand(specs, [1.0, 0.5], rows, np.ones(2), rows)
+    with pytest.raises(ValueError, match="nonpositive self-kernel"):
+        expand(specs, [1.0], rows, np.ones(2), np.zeros((1, 3)))
 
 
 def _random_stack(rng, M=3, N=7):

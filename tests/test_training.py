@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,10 +6,19 @@ import pytest
 
 from conicmtl import training
 from conicmtl.data import Scaler, TaskDataset, synth_multitask
-from conicmtl.kernels import GramStack, KernelSpec, build_gram_stack, default_kernel_dictionary
-from conicmtl.solvers import solve_svm_dual
+from conicmtl.kernels import (
+    EXPAND_BLOCK,
+    GramStack,
+    KernelSpec,
+    KernelWeights,
+    build_gram_stack,
+    default_kernel_dictionary,
+)
+from conicmtl.solvers import DualSolution, TaskWeights, solve_svm_dual
 from conicmtl.training import (
+    MtlModel,
     TrainConfig,
+    decision_values,
     fit,
     fit_single_task,
     load_model,
@@ -18,6 +28,7 @@ from conicmtl.training import (
     weighted_empirical_loss,
 )
 from conicmtl.util import conjugate_exponent
+from test_kernels import EXPANSION_SPECS, brute_force_expansion
 
 
 def make_tasks(T=3, N=20, d=4, seed=0, noise=0.6, sim=0.7):
@@ -209,6 +220,72 @@ def test_decision_values_scale_with_kernel_weights_labels_do_not():
     assert np.array_equal(labels, labels2)
 
 
+def handmade_model(specs, theta, alpha, bias=0.0, use_bias=False, d=4, seed=0):
+    """One-task model with the given duals, for prediction tests that need no training."""
+    rng = np.random.default_rng(seed)
+    n = alpha.size
+    task = TaskDataset("t", rng.standard_normal((n, d)), np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
+    dual = DualSolution(
+        alpha=alpha, bias=bias, objective=0.0, component_sq_norms=np.zeros(len(specs)),
+        duality_gap=0.0, dual_objective=0.0, iterations=0, converged=True, margins=np.zeros(n),
+    )
+    return MtlModel(
+        config=TrainConfig(use_bias=use_bias), kernel_specs=specs, theta=KernelWeights(theta, 2.0),
+        task_weights=TaskWeights(np.ones(1), 8.0, 1.0), duals=[dual], objective_trace=[0.0],
+        tasks=[task], converged=True,
+    )
+
+
+def brute_force_decisions(model, X_test):
+    """sum_m theta_m (alpha*y) @ k_m(X_train, X_test) over every training row, plus the bias."""
+    task, dual = model.tasks[0], model.duals[0]
+    out = brute_force_expansion(model.kernel_specs, model.theta.values, task.X, dual.alpha * task.y, X_test)
+    return out + (dual.bias if model.config.use_bias else 0.0)
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_decision_values_match_all_row_expansion_across_blocks(use_bias):
+    rng = np.random.default_rng(40)
+    alpha = np.where(rng.random(30) < 0.5, 0.0, rng.uniform(0.1, 2.0, 30))
+    theta = np.array([0.3, 0.4, 0.0, 0.2, 0.5, 0.0, 0.1])
+    model = handmade_model(EXPANSION_SPECS, theta, alpha, bias=-0.3, use_bias=use_bias)
+    X_test = rng.standard_normal((2 * EXPAND_BLOCK + 1, 4))
+    want = brute_force_decisions(model, X_test)
+    got = decision_values(model, "t", X_test)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_decision_values_without_support_vectors_is_the_bias():
+    model = handmade_model(EXPANSION_SPECS, np.full(len(EXPANSION_SPECS), 0.3), np.zeros(12), bias=0.25, use_bias=True)
+    X_test = np.random.default_rng(41).standard_normal((7, 4))
+    assert np.array_equal(decision_values(model, "t", X_test), np.full(7, 0.25))
+
+
+@pytest.mark.parametrize("alpha", [np.zeros(8), np.ones(8)])
+def test_decision_values_reject_bad_test_features(alpha):
+    model = handmade_model(EXPANSION_SPECS, np.full(len(EXPANSION_SPECS), 0.3), alpha)
+    for bad in (np.ones(4), np.ones((3, 5)), np.ones((2, 3, 4))):
+        with pytest.raises(ValueError, match="test features must be 2-d"):
+            decision_values(model, "t", bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        decision_values(model, "t", np.array([[0.0, np.nan, 0.0, 0.0]]))
+
+
+def test_decision_values_memory_is_bounded_by_the_column_block():
+    # every one of 160 training points a support vector, 20,000 test points:
+    # one full cross Gram alone would take 25.6 MB
+    rng = np.random.default_rng(42)
+    model = handmade_model(SPECS, KernelWeights.uniform(len(SPECS), 2.0).values, rng.uniform(0.1, 1.0, 160), d=10)
+    X_test = rng.standard_normal((20_000, 10))
+    tracemalloc.start()
+    try:
+        decision_values(model, "t", X_test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
 def test_predict_unknown_task_raises():
     tasks = make_tasks(T=1, N=10, seed=13)
     stacks = make_stacks(tasks, SPECS)
@@ -223,15 +300,41 @@ def test_weighted_empirical_loss_zero_when_margins_clear():
     X = np.array([[1.0], [-1.0]])
     task = TaskDataset("t", X, np.array([1.0, -1.0]))
     spec = [KernelSpec(kind="linear")]
-    model = fit([task], make_stacks([task], spec), TrainConfig(C=10.0, mode="average"), spec)
-    assert weighted_empirical_loss(model, rho=1.0) == pytest.approx(0.0, abs=1e-6)
+    stacks = make_stacks([task], spec)
+    model = fit([task], stacks, TrainConfig(C=10.0, mode="average"), spec)
+    assert weighted_empirical_loss(model, rho=1.0, stacks=stacks) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_weighted_empirical_loss_all_zero_decisions_gives_one():
     tasks = make_tasks(T=2, N=10, seed=14)
     stacks = make_stacks(tasks, SPECS)
     model = fit(tasks, stacks, TrainConfig(C=1e-12, mode="average", max_outer_iters=1), SPECS)
-    assert weighted_empirical_loss(model, rho=1.0) == pytest.approx(1.0, abs=1e-6)
+    assert weighted_empirical_loss(model, rho=1.0, stacks=stacks) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_weighted_empirical_loss_matches_brute_force_ramp():
+    tasks = make_tasks(T=2, N=16, seed=20)
+    stacks = make_stacks(tasks, SPECS)
+    cfg = TrainConfig(C=1.0, p=2.0, budget=0.5 * total_cost(stacks, 2.0), mode="conic", use_bias=True)
+    model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
+    loss = weighted_empirical_loss(model, rho=0.5, stacks=stacks)
+    ramp_total = 0.0
+    for lam, task, dual in zip(model.task_weights.values, tasks, model.duals):
+        values = brute_force_expansion(SPECS, model.theta.values, task.X, dual.alpha * task.y, task.X)
+        ramp_total += lam * np.clip(1.0 - task.y * (values + dual.bias) / 0.5, 0.0, 1.0).sum()
+    assert loss == pytest.approx(ramp_total / 32, rel=1e-12)
+
+
+def test_weighted_empirical_loss_rejects_bad_rho_and_misaligned_stacks():
+    tasks = make_tasks(T=2, N=10, seed=21)
+    stacks = make_stacks(tasks, SPECS)
+    model = fit(tasks, stacks, TrainConfig(mode="average"), SPECS)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        weighted_empirical_loss(model, 0.0, stacks)
+    with pytest.raises(ValueError, match="zip"):
+        weighted_empirical_loss(model, 1.0, stacks[:1])
+    with pytest.raises(ValueError, match=f"stack of task {tasks[0].task_id!r} has shape"):
+        weighted_empirical_loss(model, 1.0, make_stacks(tasks[:1], SPECS[:3]) + stacks[1:])
 
 
 # -------------------------------------------------------------- single task
@@ -307,6 +410,20 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path):
     assert loaded.objective_trace == model.objective_trace
     assert loaded.converged is model.converged
     assert all(d.converged is model.converged for d in loaded.duals)
+
+
+def test_bias_model_roundtrip_is_bit_exact_past_a_block_boundary(tmp_path):
+    tasks = make_tasks(T=2, N=20, seed=22)
+    stacks = make_stacks(tasks, SPECS)
+    cfg = TrainConfig(C=1.0, p=2.0, budget=0.5 * total_cost(stacks, 2.0), mode="conic", use_bias=True)
+    model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
+    path = tmp_path / "bias.txt"
+    save_model(model, path)
+    loaded = load_model(path, tasks)
+    probe = np.random.default_rng(23).standard_normal((EXPAND_BLOCK + 1, tasks[0].X.shape[1]))
+    for t in tasks:
+        assert loaded.duals[model.task_index(t.task_id)].bias == model.duals[model.task_index(t.task_id)].bias
+        assert decision_values(loaded, t.task_id, probe).tobytes() == decision_values(model, t.task_id, probe).tobytes()
 
 
 def test_pareto_model_roundtrips_despite_out_of_box_weights(tmp_path):
