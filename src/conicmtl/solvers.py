@@ -3,8 +3,8 @@
 Per task, training alternates between
   w-step:      an SVM dual solve against the combined Gram matrix,
   theta-step:  a closed-form update of the kernel weights on the Lp ball,
-  lambda-step: task weights from KKT conditions plus bisection on the
-               budget multiplier.
+  lambda-step: task weights from KKT conditions, with the budget
+               multiplier found in closed form by a breakpoint search.
 
 All functions here are pure and deterministic: identical inputs give
 identical outputs, bit for bit. Solves for different tasks share no state
@@ -59,10 +59,12 @@ class TaskWeights:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.r_max <= 1.0:
+        if not self.r_max > 1.0:
             raise ValueError(f"r_max must exceed 1, got {self.r_max}")
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"task weights must be finite, got {self.values}")
         if self.enforce_box and (
-            np.any(self.values < 1.0 - 1e-9) or np.any(self.values > self.r_max + 1e-9)
+            (self.values < 1.0 - 1e-9).any() or (self.values > self.r_max + 1e-9).any()
         ):
             raise ValueError("task weights outside the [1, r_max] box")
 
@@ -81,7 +83,8 @@ def _optimal_bias(g: np.ndarray, y: np.ndarray, C: float) -> tuple[float, float]
 
 
 def _newton_direction(Q, y, g, r, alpha, C, use_bias):
-    """Free-set indices and the Newton (or flat) ascent direction on them.
+    """Free-set indices, the Newton (or flat) ascent direction d on them,
+    and its curvature d' Q_FF d on the free block.
 
     A variable at a bound is free unless the reduced gradient r strictly
     pushes it outward; free ones whose component points out are then fixed.
@@ -91,28 +94,39 @@ def _newton_direction(Q, y, g, r, alpha, C, use_bias):
         idx = np.flatnonzero(free)
         if idx.size <= int(use_bias):
             # nothing free, or one variable that the equality pins
-            return idx, np.zeros(idx.size)
-        # Z: orthonormal basis of the feasible directions (y_F' d = 0 with the bias)
-        Z = np.linalg.qr(y[idx, None], mode="complete")[0][:, 1:] if use_bias else np.eye(idx.size)
-        w, V = np.linalg.eigh(Z.T @ Q[np.ix_(idx, idx)] @ Z)
+            return idx, np.zeros(idx.size), 0.0
+        Q_FF = Q[idx[:, None], idx]  # the free block, gathered once
+        if use_bias:
+            # Z: orthonormal basis of the feasible directions (y_F' d = 0)
+            Z = np.linalg.qr(y[idx, None], mode="complete")[0][:, 1:]
+            H, rhs = Z.T @ Q_FF @ Z, Z.T @ g[idx]
+        else:
+            H, rhs = Q_FF, g[idx]
+        w, V = np.linalg.eigh(H)
         top = float(np.abs(w).max())
         if w[0] < -1e-8 * max(1.0, top):
             raise ValueError("kernel matrix is not positive semidefinite")
-        rhs = Z.T @ g[idx]
         c = V.T @ rhs
         null = w <= 1e-12 * top
         if np.abs(c[null]).max(initial=0.0) > 1e-9 * max(1.0, float(np.abs(rhs).max())):
-            d = Z @ V[:, null] @ c[null]  # flat: the objective rises linearly to the box
+            basis, step = V[:, null], c[null]  # flat: the objective rises linearly to the box
         else:
-            d = Z @ V[:, ~null] @ (c[~null] / w[~null])
+            basis, step = V[:, ~null], c[~null] / w[~null]
+        # a C-ordered basis keeps the summation order of the product
+        d = (Z @ basis if use_bias else np.ascontiguousarray(basis)) @ step
         a = alpha[idx]
         out = ((a <= 0.0) & (d < 0.0)) | ((a >= C) & (d > 0.0))
         if not out.any():
-            return idx, d
+            return idx, d, float(d @ Q_FF @ d)
         if use_bias and np.unique(y[idx[~out]]).size < 2:
             # dropping them all would leave one class, which the equality pins
             out &= np.abs(d) == np.abs(d[out]).max()
         free[idx[out]] = False
+
+
+def _symmetric(K: np.ndarray) -> bool:
+    """np.allclose(K, K.T, atol=1e-10), written out for finite K."""
+    return bool((np.abs(K - K.T) <= 1e-10 + 1e-5 * np.abs(K.T)).all())
 
 
 def solve_svm_dual(
@@ -140,17 +154,19 @@ def solve_svm_dual(
     n = y.size
     if K.shape != (n, n):
         raise ValueError(f"kernel shape {K.shape} does not match {n} labels")
-    if not np.all(np.abs(y) == 1.0):
+    if not (np.abs(y) == 1.0).all():
         raise ValueError("labels must be +1 or -1")
-    if not C > 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
     if use_bias and np.all(y == y[0]):
         # the equality constraint pins alpha at zero and the bias escapes
         raise ValueError("degenerate task: only one class present")
-    if not np.allclose(K, K.T, atol=1e-10):
+    if not np.isfinite(K).all():
+        raise ValueError("kernel matrix K has non-finite entries")
+    if not _symmetric(K):
         raise ValueError("kernel matrix is not symmetric")
     alpha = np.zeros(n) if alpha0 is None else np.array(alpha0, dtype=np.float64)
-    if alpha.shape != (n,) or np.any(alpha < 0.0) or np.any(alpha > C):
+    if alpha.shape != (n,) or (alpha < 0.0).any() or (alpha > C).any():
         raise ValueError("warm start must be a vector in the box [0, C]")
     if use_bias and abs(float(alpha @ y)) > 1e-9 * C * n:
         raise ValueError("warm start violates sum_i alpha_i y_i = 0")
@@ -184,12 +200,11 @@ def solve_svm_dual(
         if use_bias and inside.any():
             # the equality multiplier, exact at a free-set optimum
             bias = float(np.mean((y * g)[inside]))
-        idx, d = _newton_direction(Q, y, g, g - y * bias, alpha, C, use_bias)
+        idx, d, curvature = _newton_direction(Q, y, g, g - y * bias, alpha, C, use_bias)
         slope = float(g[idx] @ d)
         if not slope > 0.0:
             break
         # exact line search (1 for a Newton step), cut at the nearest bound
-        curvature = float(d @ Q[np.ix_(idx, idx)] @ d)
         a = alpha[idx]
         room = np.divide(np.where(d > 0.0, C, 0.0) - a, d, out=np.full(d.size, np.inf), where=d != 0.0)
         moved = a + min(slope / curvature if curvature > 0.0 else np.inf, float(room.min())) * d
@@ -247,71 +262,58 @@ def theta_step(u, p: float) -> KernelWeights:
     return KernelWeights(theta, p)
 
 
-def _lambda_of_nu(nu: float, J: np.ndarray, c: np.ndarray, r_max: float) -> np.ndarray:
-    lam = np.empty_like(J)
-    pos = J > 0
-    lam[~pos] = r_max
-    if nu <= 0:
-        lam[pos] = 1.0
-    else:
-        lam[pos] = np.clip(np.sqrt(nu * c[pos] / J[pos]), 1.0, r_max)
-    return lam
-
-
 def lambda_step(J, c, budget: float, r_max: float) -> TaskWeights:
     """Minimize sum_t lambda_t J_t over the box [1, r_max]^T with
     sum_t c_t / lambda_t <= budget.
 
-    KKT gives lambda_t = clip(sqrt(nu c_t / J_t), 1, r_max) for a
-    multiplier nu >= 0; nu is located by doubling then bisection until the
-    budget constraint is tight (or nu = 0 when it is slack at the lower
-    box corner). Tasks with J_t = 0 cost nothing and take r_max, freeing
-    budget for the rest.
+    KKT gives lambda_t = clip(s / b_t, 1, r_max) with b_t = sqrt(J_t / c_t)
+    and s = sqrt(nu) for a multiplier nu >= 0 (0 when the budget is slack at
+    the lower box corner). Tasks with J_t = 0 cost nothing and take r_max.
+    Between consecutive breakpoints (s = b_t and s = r_max b_t) the usage
+    is A + B / s, so the sorted breakpoints bracket the crossing and
+    s = B / (budget - A) solves it in closed form. A budget that no
+    breakpoint meets is attainable only in the limit, at r_max everywhere.
     """
     J = np.asarray(J, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    if J.shape != c.shape or J.ndim != 1:
-        raise ValueError("objective and cost vectors must be 1-d with equal length")
-    if np.any(J < 0):
+    if J.shape != c.shape or J.ndim != 1 or J.size == 0:
+        raise ValueError("objective and cost vectors must be 1-d, non-empty and of equal length")
+    for name, values in (("J", J), ("c", c)):
+        if not np.isfinite(values).all():
+            k = int(np.argmin(np.isfinite(values)))
+            raise ValueError(f"{name}[{k}] must be finite, got {values[k]}")
+    if (J < 0).any():
         raise ValueError("task objectives must be nonnegative")
-    if np.any(c <= 0):
+    if (c <= 0).any():
         raise ValueError("task costs must be positive")
-    if r_max <= 1.0:
-        raise ValueError("r_max must exceed 1")
+    if not 1.0 < r_max < np.inf:
+        raise ValueError(f"r_max must exceed 1 and be finite, got {r_max}")
+    if np.isnan(budget):
+        raise ValueError(f"budget must be a number, got {budget}")
     min_use = float((c / r_max).sum())
     if min_use > budget * (1.0 + 1e-12):
         raise ValueError(
             f"infeasible budget: even at r_max the constraint needs {min_use}, budget is {budget}"
         )
 
-    def usage(nu):
-        return float((c / _lambda_of_nu(nu, J, c, r_max)).sum())
-
-    if usage(0.0) <= budget:
-        lam = _lambda_of_nu(0.0, J, c, r_max)
+    pos = J > 0
+    lam = np.where(pos, 1.0, r_max)
+    if float((c / lam).sum()) <= budget:
         return TaskWeights(lam, r_max, budget)
 
-    nu_hi = 1.0
-    for _ in range(600):
-        if usage(nu_hi) <= budget:
-            break
-        nu_hi *= 2.0
-    else:
+    b = np.sqrt(J[pos] / c[pos])
+    points = np.sort(np.concatenate([b, r_max * b]))
+    lam_at = np.repeat(lam[None], points.size, axis=0)
+    lam_at[:, pos] = np.clip(points[:, None] / b, 1.0, r_max)
+    usage = (c / lam_at).sum(axis=1)
+    j = int(np.argmax(usage <= budget))  # row 0 is the lower corner, so j >= 1 when met
+    if usage[j] > budget:
         # budget attainable only in the limit; everything at the upper box edge
         return TaskWeights(np.full_like(J, r_max), r_max, budget)
-
-    nu_lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (nu_lo + nu_hi)
-        residual = usage(mid) - budget
-        if abs(residual) < 1e-10:
-            nu_hi = mid
-            break
-        if residual > 0:
-            nu_lo = mid
-        else:
-            nu_hi = mid
-        if (nu_hi - nu_lo) < 1e-12 * nu_hi:
-            break
-    lam = _lambda_of_nu(nu_hi, J, c, r_max)  # feasible end of the bracket
+    # between the bracketing breakpoints lo < hi the usage A + B / s is
+    # affine in 1 / s, so s = B / (budget - A) interpolates 1 / s
+    lo, hi = float(points[j - 1]), float(points[j])
+    w = float(budget - usage[j]) / float(usage[j - 1] - usage[j])
+    s = 1.0 / (w / lo + (1.0 - w) / hi)
+    lam[pos] = np.clip(s / b, 1.0, r_max)
     return TaskWeights(lam, r_max, budget)

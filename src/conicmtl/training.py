@@ -48,14 +48,22 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
-        if not self.tol_rel_obj > 0:
-            raise ValueError("tol_rel_obj must be positive")
+        if not 0 < self.C < np.inf:
+            raise ValueError(f"C must be positive and finite, got {self.C}")
+        if not self.p >= 1.0:
+            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not self.budget > 0:
+            raise ValueError(f"budget must be positive, got {self.budget}")
+        if not 1.0 < self.r_max < np.inf:
+            raise ValueError(f"r_max must exceed 1 and be finite, got {self.r_max}")
+        if not 0 < self.tol_rel_obj < np.inf:
+            raise ValueError(f"tol_rel_obj must be positive and finite, got {self.tol_rel_obj}")
         if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be positive")
+            raise ValueError(f"max_outer_iters must be positive, got {self.max_outer_iters}")
+        if not self.svm_tol > 0:
+            raise ValueError(f"svm_tol must be positive, got {self.svm_tol}")
+        if self.svm_max_iter < 1:
+            raise ValueError(f"svm_max_iter must be positive, got {self.svm_max_iter}")
         if self.mode == "pareto" and not (0.0 < self.p_exp <= 1.0):
             raise ValueError("pareto exponent must lie in (0, 1]")
 
@@ -114,10 +122,10 @@ def _hinge_total(dual: DualSolution, y: np.ndarray, C: float, use_bias: bool) ->
     return float(C * np.maximum(0.0, 1.0 - margins).sum())
 
 
-def _regularizer(comp: np.ndarray, theta: np.ndarray) -> float:
-    """sum_m comp_m / (2 theta_m) with 0/0 treated as 0."""
+def _regularizer(comp: np.ndarray, theta: np.ndarray):
+    """sum_m comp_m / (2 theta_m) with 0/0 treated as 0, per row of comp."""
     out = np.divide(comp, 2.0 * theta, out=np.zeros_like(comp), where=theta > 0)
-    return float(out.sum())
+    return out.sum(axis=-1)
 
 
 def _validate_fit_inputs(tasks, stacks):
@@ -162,12 +170,11 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
         kappa = float(costs.sum()) / config.budget
         if kappa > 1.0:
             lam = np.full(T, min(kappa, config.r_max))
-    counts = np.array([t.y.size for t in tasks], dtype=float)
 
     duals = [None] * T
-    comps = [np.zeros(M) for _ in range(T)]
-    hinges = [float(config.C * c) for c in counts]  # w = 0 start, loss l(0) = 1 each
-    J = np.array([h for h in hinges])
+    comps = np.zeros((T, M))
+    hinges = config.C * np.array([t.y.size for t in tasks], dtype=float)  # w = 0 start, loss l(0) = 1 each
+    J = hinges.copy()
     trace = [float((lam * J).sum())]
 
     converged = False
@@ -196,22 +203,20 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
         trace.append(float((lam * J).sum()))
 
         # theta-step: closed form on u_m = sum_t lam_t ||w_t^m||^2, kept
-        # only if it does not lose to the current weights numerically.
-        u = np.zeros(M)
-        for t in range(T):
-            u += lam[t] * comps[t]
-        if np.any(u > 0):
+        # only if it does not lose to the current weights numerically. The
+        # sum runs in task order and, like a sum started at +0, has no -0.
+        u = np.cumsum(lam[:, None] * comps, axis=0)[-1] + 0.0
+        if (u > 0).any():
             theta_new = theta_step(u, config.p)
             if _regularizer(u, theta_new.values) <= _regularizer(u, theta.values):
                 theta = theta_new
-        for t in range(T):
-            J[t] = _regularizer(comps[t], theta.values) + hinges[t]
+        J = _regularizer(comps, theta.values) + hinges
         trace.append(float((lam * J).sum()))
 
         # lambda-step (identity in average mode so traces stay comparable)
         if config.mode == "conic":
             lam_new = lambda_step(J, costs, config.budget, config.r_max).values
-            if float((lam_new * J).sum()) <= float((lam * J).sum()):
+            if float((lam_new * J).sum()) <= trace[-1]:  # trace[-1] is the value at lam
                 lam = lam_new
         elif config.mode == "pareto":
             target = pareto_lambda(np.maximum(J, 1e-300), config.p_exp)
@@ -224,17 +229,13 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
 
     # components re-expressed at the final kernel weights, matching the
     # (alpha, theta) pair that prediction uses
-    final_duals = []
-    for t, (task, stack) in enumerate(zip(tasks, stacks)):
-        d = duals[t]
-        final_duals.append(
-            replace(d, component_sq_norms=component_sq_norms(d.alpha, task.y, stack, theta))
-        )
+    final_duals = [
+        replace(d, component_sq_norms=component_sq_norms(d.alpha, task.y, stack, theta))
+        for d, task, stack in zip(duals, tasks, stacks)
+    ]
 
-    if config.mode == "conic":
-        weights = TaskWeights(lam, config.r_max, config.budget)
-    elif config.mode == "average":
-        weights = TaskWeights(np.ones(T), config.r_max, config.budget)
+    if config.mode != "pareto":
+        weights = TaskWeights(lam, config.r_max, config.budget)  # all ones in average mode
     else:
         # path-tracing weights are not box constrained
         weights = TaskWeights(lam, config.r_max, float("inf"), enforce_box=False)
@@ -331,6 +332,18 @@ def _unhex_vector(text: str) -> np.ndarray:
     return np.array([float.fromhex(tok) for tok in text.split()])
 
 
+# the stored TrainConfig fields, in document order: (name, encode, decode)
+_CONFIG_KEYS = (
+    ("mode", str, str),
+    *(
+        (name, lambda v: float(v).hex(), float.fromhex)
+        for name in ("C", "p", "budget", "r_max", "p_exp", "tol_rel_obj", "svm_tol")
+    ),
+    ("use_bias", lambda flag: str(int(flag)), lambda text: bool(int(text))),
+    *((name, str, int) for name in ("max_outer_iters", "svm_max_iter", "seed")),
+)
+
+
 def save_model(model: MtlModel, path) -> None:
     """Write a versioned text document for the trained model.
 
@@ -340,13 +353,8 @@ def save_model(model: MtlModel, path) -> None:
     """
     cfg = model.config
     lines = [f"conicmtl-model v{MODEL_FORMAT_VERSION}", "[config]"]
-    lines.append(f"mode = {cfg.mode}")
-    for key in ("C", "p", "budget", "r_max", "p_exp", "tol_rel_obj", "svm_tol"):
-        lines.append(f"{key} = {float(getattr(cfg, key)).hex()}")
-    lines.append(f"use_bias = {int(cfg.use_bias)}")
-    lines.append(f"max_outer_iters = {cfg.max_outer_iters}")
-    lines.append(f"svm_max_iter = {cfg.svm_max_iter}")
-    lines.append(f"seed = {cfg.seed}")
+    for name, encode, _ in _CONFIG_KEYS:
+        lines.append(f"{name} = {encode(getattr(cfg, name))}")
     lines.append(f"converged = {int(model.converged)}")
     lines.append("[kernels]")
     for spec in model.kernel_specs:
@@ -418,20 +426,7 @@ def load_model(path, tasks) -> MtlModel:
             data[section][key] = value
 
     cfg_raw = data["config"]
-    config = TrainConfig(
-        C=float.fromhex(cfg_raw["C"]),
-        p=float.fromhex(cfg_raw["p"]),
-        budget=float.fromhex(cfg_raw["budget"]),
-        r_max=float.fromhex(cfg_raw["r_max"]),
-        mode=cfg_raw["mode"],
-        p_exp=float.fromhex(cfg_raw["p_exp"]),
-        use_bias=bool(int(cfg_raw["use_bias"])),
-        tol_rel_obj=float.fromhex(cfg_raw["tol_rel_obj"]),
-        max_outer_iters=int(cfg_raw["max_outer_iters"]),
-        seed=int(cfg_raw["seed"]),
-        svm_tol=float.fromhex(cfg_raw["svm_tol"]),
-        svm_max_iter=int(cfg_raw["svm_max_iter"]),
-    )
+    config = TrainConfig(**{name: decode(cfg_raw[name]) for name, _, decode in _CONFIG_KEYS})
     specs = [KernelSpec.from_label(label) for label in data["kernel_labels"]]
 
     theta = KernelWeights(_unhex_vector(data["theta"]["values"]), float.fromhex(data["theta"]["p"]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conicmtl.kernels import GramStack, KernelSpec, KernelWeights, compute_gram
-from conicmtl.solvers import TaskWeights, component_sq_norms, lambda_step, solve_svm_dual, theta_step
+from conicmtl.solvers import TaskWeights, _symmetric, component_sq_norms, lambda_step, solve_svm_dual, theta_step
 from conicmtl.util import lp_norm
 
 
@@ -40,6 +40,47 @@ def primal_value(K, y, C, alpha, bias=0.0):
     coef = alpha * y
     margins = y * (K @ coef + bias)
     return 0.5 * coef @ K @ coef + C * np.maximum(0.0, 1.0 - margins).sum()
+
+
+def bisection_lambda_step(J, c, budget, r_max):
+    """The multiplier search by doubling, then bisection: the reference for
+    the closed-form breakpoint step. Returns (lambda, nu).
+
+    It stops once the usage is within 1e-10 of the budget, on either side.
+    """
+
+    def lam_of(nu):
+        lam = np.full_like(J, r_max)
+        pos = J > 0
+        lam[pos] = 1.0 if nu <= 0 else np.clip(np.sqrt(nu * c[pos] / J[pos]), 1.0, r_max)
+        return lam
+
+    def usage(nu):
+        return float((c / lam_of(nu)).sum())
+
+    if usage(0.0) <= budget:
+        return lam_of(0.0), 0.0
+    nu_hi = 1.0
+    for _ in range(600):
+        if usage(nu_hi) <= budget:
+            break
+        nu_hi *= 2.0
+    else:
+        return np.full_like(J, r_max), np.inf
+    nu_lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (nu_lo + nu_hi)
+        residual = usage(mid) - budget
+        if abs(residual) < 1e-10:
+            nu_hi = mid
+            break
+        if residual > 0:
+            nu_lo = mid
+        else:
+            nu_hi = mid
+        if (nu_hi - nu_lo) < 1e-12 * nu_hi:
+            break
+    return lam_of(nu_hi), nu_hi
 
 
 def random_psd(rng, n):
@@ -132,10 +173,45 @@ def test_solver_input_validation():
         solve_svm_dual(np.eye(2), np.array([1.0, 0.5]), C=1.0)
     with pytest.raises(ValueError, match="symmetric"):
         solve_svm_dual(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, -1.0]), C=1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_svm_dual(np.array([[1.0, 0.5], [0.5, np.nan]]), np.array([1.0, -1.0]), C=1.0)
     with pytest.raises(ValueError, match="warm start"):
         solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=1.0, alpha0=np.array([2.0, 0.0]))
     with pytest.raises(ValueError, match="warm start"):
         solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=1.0, use_bias=True, alpha0=np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_solver_rejects_infinite_kernel_entry(use_bias):
+    # symmetric, so it used to reach the eigensolver and fail there
+    K = np.array([[1.0, np.inf], [np.inf, 1.0]])
+    with pytest.raises(ValueError, match="K has non-finite entries"):
+        solve_svm_dual(K, np.array([1.0, -1.0]), C=1.0, use_bias=use_bias)
+
+
+@pytest.mark.parametrize("C", [np.inf, np.nan, 0.0, -1.0])
+def test_solver_rejects_nonfinite_or_nonpositive_C(C):
+    with pytest.raises(ValueError, match=f"C must be positive and finite, got {C}"):
+        solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=C)
+
+
+def test_symmetry_test_decides_as_allclose():
+    # np.allclose(K, K.T, atol=1e-10) accepts |K - K'| <= 1e-10 + 1e-5 |K'|;
+    # perturb one entry around that threshold, at both tolerances' scales
+    rng = np.random.default_rng(12)
+    decisions = set()
+    for _ in range(3000):
+        n = int(rng.integers(2, 9))
+        K = random_psd(rng, n) * 10.0 ** rng.uniform(-12, 4)
+        i, j = rng.choice(n, size=2, replace=False)
+        threshold = 1e-10 + 1e-5 * abs(K[j, i])
+        K[i, j] = K[j, i] + rng.choice([-1.0, 1.0]) * threshold * rng.choice([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0])
+        if rng.random() < 0.1:
+            K[tuple(rng.integers(0, n, size=2))] = np.nan
+        want = bool(np.allclose(K, K.T, atol=1e-10))
+        assert _symmetric(K) == want
+        decisions.add(want)
+    assert decisions == {False, True}
 
 
 @pytest.mark.parametrize("use_bias", [False, True])
@@ -355,6 +431,88 @@ def test_lambda_objective_monotone_in_budget():
         budgets = np.sort(rng.uniform(lo, float(c.sum()) * 1.5, 4))
         objs = [float(lambda_step(J, c, float(b), r).values @ J) for b in budgets]
         assert all(objs[i + 1] <= objs[i] + 1e-9 for i in range(len(objs) - 1))
+
+
+def test_lambda_breakpoint_step_matches_bisection_oracle():
+    rng = np.random.default_rng(13)
+    for _ in range(2500):
+        T = int(rng.integers(1, 8))
+        J = rng.uniform(0.05, 5.0, T)
+        J[rng.random(T) < 0.15] = 0.0
+        c = rng.uniform(0.3, 3.0, T)
+        r = float(rng.uniform(1.5, 10.0))
+        budget = float((c / r).sum()) * float(rng.uniform(1.0, 3.0))
+        lam = lambda_step(J, c, budget, r).values
+        want, nu = bisection_lambda_step(J, c, budget, r)
+        assert np.abs(lam - want).max() <= 1e-8 * r
+        assert np.all(lam >= 1.0) and np.all(lam <= r)
+        assert float((c / lam).sum()) <= budget + 1e-9
+        # bisection may stop up to 1e-10 over the budget; the objective that
+        # overrun buys is the multiplier times it (to first order)
+        overrun = max(float((c / want).sum()) - budget, 0.0)
+        theirs = float(want @ J)
+        assert float(lam @ J) <= theirs + 1e-9 * abs(theirs) + 2.0 * nu * overrun
+
+
+def test_lambda_budget_exactly_on_a_breakpoint():
+    # breakpoints s = sqrt(J_t / c_t) = 1, 2; at s = 2 the usage is 1/2 + 1
+    J, c = np.array([1.0, 4.0]), np.array([1.0, 1.0])
+    w = lambda_step(J, c, budget=1.5, r_max=10.0)
+    assert w.values == pytest.approx([2.0, 1.0], rel=1e-14)
+    assert w.values == pytest.approx(bisection_lambda_step(J, c, 1.5, 10.0)[0], abs=1e-8)
+
+
+def test_lambda_zero_objectives_mixed_with_positive_ones():
+    J, c = np.array([0.0, 1.0, 0.0, 4.0]), np.array([1.0, 1.0, 2.0, 1.0])
+    w = lambda_step(J, c, budget=1.5, r_max=6.0)
+    assert w.values[[0, 2]].tolist() == [6.0, 6.0]
+    # the zero tasks use 1/6 + 2/6 of the budget; the rest is the asymmetric example at budget 1
+    assert w.values[[1, 3]] == pytest.approx([3.0, 1.5], rel=1e-14)
+    assert w.values == pytest.approx(bisection_lambda_step(J, c, 1.5, 6.0)[0], abs=1e-8)
+
+
+def test_lambda_single_task_spends_the_budget():
+    w = lambda_step(np.array([3.0]), np.array([2.0]), budget=0.5, r_max=8.0)
+    assert w.values == pytest.approx([4.0], rel=1e-15)
+
+
+def test_lambda_budget_met_only_at_the_upper_corner():
+    J, c, r = np.array([1.0, 3.0, 0.5]), np.array([1.0, 2.0, 0.5]), 4.0
+    corner = float((c / r).sum())
+    assert np.array_equal(lambda_step(J, c, corner, r).values, np.full(3, r))
+    # within the feasibility tolerance below the corner: attainable only in the limit
+    below = corner * (1.0 - 1e-13)
+    assert np.array_equal(lambda_step(J, c, below, r).values, np.full(3, r))
+    assert np.array_equal(bisection_lambda_step(J, c, below, r)[0], np.full(3, r))
+
+
+def test_lambda_all_zero_objectives_take_the_upper_edge():
+    w = lambda_step(np.zeros(3), np.array([1.0, 2.0, 3.0]), budget=1.5, r_max=4.0)
+    assert np.array_equal(w.values, np.full(3, 4.0))
+
+
+@pytest.mark.parametrize(
+    "J, c, budget, r_max, message",
+    [
+        ([1.0, np.nan], [1.0, 1.0], 1.0, 4.0, "J\\[1\\] must be finite, got nan"),
+        ([1.0, np.inf], [1.0, 1.0], 1.0, 4.0, "J\\[1\\] must be finite, got inf"),
+        ([1.0, 2.0], [np.nan, 1.0], 1.0, 4.0, "c\\[0\\] must be finite, got nan"),
+        ([1.0, 2.0], [1.0, 1.0], np.nan, 4.0, "budget must be a number, got nan"),
+        ([1.0, 2.0], [1.0, 1.0], 1.0, np.nan, "r_max must exceed 1 and be finite, got nan"),
+        ([], [], 1.0, 4.0, "non-empty"),
+    ],
+)
+def test_lambda_rejects_nonfinite_and_empty_inputs(J, c, budget, r_max, message):
+    with pytest.raises(ValueError, match=message):
+        lambda_step(np.array(J), np.array(c), budget, r_max)
+
+
+@pytest.mark.parametrize("values, r_max", [([1.0, np.nan], 2.0), ([np.inf], 2.0), ([1.0], np.nan)])
+def test_task_weights_reject_nonfinite_values(values, r_max):
+    with pytest.raises(ValueError, match="finite|r_max must exceed 1"):
+        TaskWeights(np.array(values), r_max=r_max, budget=1.0)
+    with pytest.raises(ValueError, match="finite|r_max must exceed 1"):
+        TaskWeights(np.array(values), r_max=r_max, budget=float("inf"), enforce_box=False)
 
 
 def test_task_weights_box_validation():

@@ -129,6 +129,25 @@ def test_degenerate_task_raises():
         fit([bad], stacks, TrainConfig(mode="average"), SPECS)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("r_max", 1.0, "r_max must exceed 1 and be finite, got 1.0"),
+        ("r_max", float("inf"), "r_max must exceed 1 and be finite, got inf"),
+        ("budget", 0.0, "budget must be positive, got 0.0"),
+        ("budget", float("nan"), "budget must be positive, got nan"),
+        ("p", float("nan"), "p must be >= 1, got nan"),
+        ("C", float("inf"), "C must be positive and finite, got inf"),
+        ("tol_rel_obj", float("inf"), "tol_rel_obj must be positive and finite, got inf"),
+        ("svm_tol", 0.0, "svm_tol must be positive, got 0.0"),
+        ("svm_max_iter", 0, "svm_max_iter must be positive, got 0"),
+    ],
+)
+def test_config_rejects_values_that_fail_late_or_never(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+
+
 def test_non_convergence_is_flagged_not_raised():
     tasks = make_tasks(T=3, N=20, seed=8)
     stacks = make_stacks(tasks, SPECS)
@@ -410,6 +429,19 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path):
     assert loaded.objective_trace == model.objective_trace
     assert loaded.converged is model.converged
     assert all(d.converged is model.converged for d in loaded.duals)
+
+
+def test_save_load_keeps_every_config_field(tmp_path):
+    tasks = make_tasks(T=2, N=12, seed=18)
+    stacks = make_stacks(tasks, SPECS)
+    cfg = TrainConfig(
+        C=0.75, p=4.0 / 3.0, budget=0.6 * total_cost(stacks, 4.0 / 3.0), r_max=5.5, mode="conic", p_exp=0.3,
+        use_bias=True, tol_rel_obj=1e-6, max_outer_iters=7, seed=5, svm_tol=1e-7, svm_max_iter=500,
+    )
+    model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    assert load_model(path, tasks).config == cfg
 
 
 def test_bias_model_roundtrip_is_bit_exact_past_a_block_boundary(tmp_path):
