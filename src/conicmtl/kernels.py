@@ -9,6 +9,7 @@ need repeatedly.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +23,9 @@ CACHE_VERSION = 1
 
 GAUSSIAN_CONVENTIONS = ("sigma", "sigma_sq", "gamma")
 EXPAND_BLOCK = 2048  # columns per block of an `expand` call
+EXP_ZERO = -745.2  # np.exp is exactly +0.0 below this argument
+EXP_FAST = -707.0  # np.exp takes its fast path above -1021 ln 2 = -707.70 (numpy 2.4, AVX-512)
+EXP_SPLIT_MIN = 2048  # lanes; on fewer, exp's slow lanes cost less than splitting them off
 
 
 @dataclass(frozen=True)
@@ -49,10 +53,22 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
-        if self.kind == "gaussian" and not self.spread > 0:
-            raise ValueError("gaussian spread must be positive")
+        if self.kind == "polynomial" and not math.isfinite(self.offset):
+            raise ValueError(f"polynomial offset must be finite, got offset={self.offset!r}")
         if self.gaussian_convention not in GAUSSIAN_CONVENTIONS:
             raise ValueError(f"unknown gaussian convention: {self.gaussian_convention!r}")
+        if self.kind == "gaussian":
+            if not (math.isfinite(self.spread) and self.spread > 0):
+                raise ValueError(f"gaussian spread must be finite and positive, got spread={self.spread!r}")
+            try:
+                scale = _gaussian_scale(self)
+            except ArithmeticError:  # spread**2 overflows, or 2 spread**2 is 0
+                scale = math.nan
+            if not (math.isfinite(scale) and scale > 0):
+                raise ValueError(
+                    f"gaussian spread={self.spread!r} has no finite positive scale "
+                    f"under convention {self.gaussian_convention!r}"
+                )
 
     def label(self) -> str:
         if self.kind == "linear":
@@ -111,41 +127,114 @@ def _check_features(X: np.ndarray, name: str, d: int | None = None) -> np.ndarra
     return X
 
 
-def _kernel(spec: KernelSpec, inner, sq):
-    """The one formula per kernel kind, from inner products and squared distances."""
+def _gaussian_scale(spec: KernelSpec) -> float:
+    """The factor of ||x-y||^2 in a gaussian's exponent; only the spec's own
+    convention is evaluated."""
+    s = spec.spread
+    if spec.gaussian_convention == "sigma":
+        return 1.0 / (2.0 * s**2)
+    if spec.gaussian_convention == "sigma_sq":
+        return 1.0 / (2.0 * s)
+    return s
+
+
+def _exp(arg, lo, hi, mask):
+    """np.exp(arg) written over arg, bit for bit; None where it is +0.0 everywhere.
+
+    lo and hi bound arg from below and above. np.exp is slow on lanes with
+    special results: on an AVX-512 Xeon, about 16 ns a lane for an underflow
+    to +0.0 and 110 ns for a subnormal, against 1 ns for a normal result.
+    So a block entirely below EXP_ZERO is not evaluated. On a block of at
+    least EXP_SPLIT_MIN lanes, the lanes below EXP_FAST enter the dense exp
+    at EXP_FAST and are zeroed by multiplying with `mask` (a float buffer
+    of arg's shape), and those that may have a subnormal result get np.exp
+    on their own.
+    """
+    if hi < EXP_ZERO:
+        return None
+    if not lo < EXP_FAST or arg.size < EXP_SPLIT_MIN:  # also when a lane is NaN
+        return np.exp(arg, out=arg)
+    flat = arg.reshape(-1)
+    tiny = np.flatnonzero((flat >= EXP_ZERO) & (flat < EXP_FAST))
+    tiny_exp = np.exp(flat[tiny])
+    np.greater_equal(arg, EXP_FAST, out=mask)
+    np.maximum(arg, EXP_FAST, out=arg)  # also maps -inf to a finite argument
+    np.exp(arg, out=arg)
+    np.multiply(arg, mask, out=arg)
+    flat[tiny] = tiny_exp
+    return arg
+
+
+def _kernel(spec: KernelSpec, inner, sq, out, sq_span, scratch):
+    """The one formula per kernel kind, from inner products and squared distances.
+
+    The value is written into `out`, except that the linear kernel is
+    `inner` itself. sq_span is (sq.min(), sq.max()): from it a gaussian
+    sees which of exp's slow lanes it holds (see `_exp`, which uses
+    `scratch`), and a gaussian that is +0.0 everywhere comes back as None.
+    """
     if spec.kind == "linear":
         return inner
     if spec.kind == "polynomial":
-        return (spec.offset + inner) ** spec.degree
-    s = spec.spread
-    scale = {"sigma": 1.0 / (2.0 * s**2), "sigma_sq": 1.0 / (2.0 * s), "gamma": s}[spec.gaussian_convention]
-    return np.exp(-scale * sq)
+        np.add(inner, spec.offset, out=out)
+        out **= spec.degree
+        return out
+    scale = -_gaussian_scale(spec)
+    np.multiply(sq, scale, out=out)
+    return _exp(out, scale * sq_span[1], scale * sq_span[0], scratch)
 
 
-def _grams(specs, rows: np.ndarray, cols: np.ndarray, same: bool):
-    """Yield each spec's Gram of (rows, cols) in turn, all derived from one
-    set of inner products, squared norms and clamped squared distances."""
-    inner = rows @ cols.T
-    sq_rows = (rows * rows).sum(axis=1)
-    sq_cols = sq_rows if same else (cols * cols).sum(axis=1)
-    sq = None
-    if any(spec.kind == "gaussian" for spec in specs):
-        sq = sq_rows[:, None] + sq_cols[None, :] - 2.0 * inner
-        np.maximum(sq, 0.0, out=sq)
-        if same:
-            np.fill_diagonal(sq, 0.0)  # cancellation noise would break the unit diagonal
-    for spec in specs:
-        gram = _kernel(spec, inner, sq)
-        if spec.normalize and same:
-            gram = cosine_normalize(gram)
-        elif spec.normalize:
-            # k(x, x) of each row and column: the same formula at distance 0
-            dr = _kernel(spec, sq_rows, np.zeros_like(sq_rows))
-            dc = _kernel(spec, sq_cols, np.zeros_like(sq_cols))
-            if np.any(dr <= 0) or np.any(dc <= 0):
-                raise ValueError("cosine normalization hit a nonpositive self-kernel value")
-            gram = gram / np.sqrt(np.outer(dr, dc))
-        yield gram
+def _self_kernel(spec: KernelSpec, sq_norms):
+    """k(x, x) of each point from its squared norm: the same formula at distance 0."""
+    return _kernel(spec, sq_norms, np.zeros_like(sq_norms), np.empty_like(sq_norms), (0.0, 0.0), None)
+
+
+class _GramBlocks:
+    """The Grams of fixed rows against blocks of at most `width` columns.
+
+    Every block is evaluated in the same four buffers: inner products,
+    clamped squared distances, the current Gram and scratch (the exp mask,
+    normalization denominators). The row norms and the row self-kernels of
+    normalized kernels are computed once.
+    """
+
+    def __init__(self, specs, rows: np.ndarray, width: int):
+        self.specs = specs
+        self.rows = rows
+        self.sq_rows = (rows * rows).sum(axis=1)
+        self.diag_rows = [_self_kernel(spec, self.sq_rows) if spec.normalize else None for spec in specs]
+        size = rows.shape[0] * width
+        self.inner, self.gram, self.scratch = np.empty(size), np.empty(size), np.empty(size)
+        self.sq = np.empty(size) if any(spec.kind == "gaussian" for spec in specs) else None
+
+    def __call__(self, cols: np.ndarray, same: bool):
+        """Yield each spec's Gram of (rows, cols) in turn, or None for a Gram
+        that is +0.0 everywhere. A yielded Gram is valid until the next one."""
+        n, b = self.rows.shape[0], cols.shape[0]
+        inner, gram, scratch = (buf[: n * b].reshape(n, b) for buf in (self.inner, self.gram, self.scratch))
+        np.matmul(self.rows, cols.T, out=inner)
+        sq_cols = self.sq_rows if same else (cols * cols).sum(axis=1)
+        sq = sq_span = None
+        if self.sq is not None:
+            sq = self.sq[: n * b].reshape(n, b)
+            np.add(self.sq_rows[:, None], sq_cols[None, :], out=sq)
+            np.subtract(sq, np.multiply(inner, 2.0, out=gram), out=sq)
+            np.maximum(sq, 0.0, out=sq)
+            if same:
+                np.fill_diagonal(sq, 0.0)  # cancellation noise would break the unit diagonal
+            sq_span = (float(sq.min()), float(sq.max())) if sq.size else (0.0, 0.0)
+        for spec, diag_rows in zip(self.specs, self.diag_rows):
+            value = _kernel(spec, inner, sq, gram, sq_span, scratch)
+            if value is None or not spec.normalize:
+                yield value
+            elif same:
+                yield cosine_normalize(value)
+            else:
+                diag_cols = _self_kernel(spec, sq_cols)
+                if np.any(diag_rows <= 0) or np.any(diag_cols <= 0):
+                    raise ValueError("cosine normalization hit a nonpositive self-kernel value")
+                np.multiply(diag_rows[:, None], diag_cols[None, :], out=scratch)
+                yield np.divide(value, np.sqrt(scratch, out=scratch), out=gram)
 
 
 def compute_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
@@ -157,15 +246,18 @@ def compute_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     rows = _check_features(rows, "rows")
     same = cols is None or cols is rows
     cols = rows if same else _check_features(cols, "cols", rows.shape[1])
-    return next(_grams([spec], rows, cols, same))
+    gram = next(_GramBlocks([spec], rows, cols.shape[0])(cols, same))
+    return np.zeros((rows.shape[0], cols.shape[0])) if gram is None else gram
 
 
 def expand(specs, theta, rows, coef, cols) -> np.ndarray:
     """Kernel expansion sum_m theta_m * (coef @ k_m(rows, cols)), one value per column.
 
-    cols is walked in blocks of EXPAND_BLOCK columns, so memory is
-    O(len(rows) * EXPAND_BLOCK); per block the inner products and distances
-    are shared by every kernel with theta_m != 0.
+    cols is walked in blocks of EXPAND_BLOCK columns, all evaluated in the
+    same few buffers, so memory is O(len(rows) * EXPAND_BLOCK); per block
+    the inner products and distances are shared by every kernel with
+    theta_m != 0, and a gaussian that is +0.0 on the whole block adds
+    nothing and is skipped.
     """
     rows = _check_features(rows, "rows")
     cols = _check_features(cols, "cols", rows.shape[1])
@@ -174,11 +266,12 @@ def expand(specs, theta, rows, coef, cols) -> np.ndarray:
         raise ValueError(f"theta has shape {theta.shape}, expected ({len(specs)},)")
     active = np.flatnonzero(theta)
     out = np.zeros(cols.shape[0])
+    grams = _GramBlocks([specs[m] for m in active], rows, min(EXPAND_BLOCK, cols.shape[0]))
     for start in range(0, cols.shape[0], EXPAND_BLOCK):
         block = out[start : start + EXPAND_BLOCK]
-        grams = _grams([specs[m] for m in active], rows, cols[start : start + EXPAND_BLOCK], False)
-        for m, gram in zip(active, grams):
-            block += theta[m] * (coef @ gram)
+        for m, gram in zip(active, grams(cols[start : start + EXPAND_BLOCK], False)):
+            if gram is not None:
+                block += theta[m] * (coef @ gram)
     return out
 
 
@@ -246,13 +339,18 @@ def build_gram_stack(task_id: str, X, specs, cache_dir=None) -> GramStack:
     """Compute (or load from cache) the full kernel stack for one task."""
     X = _check_features(X, "X")
     grams = np.empty((len(specs), X.shape[0], X.shape[0]))
+    missing = []
     for m, spec in enumerate(specs):
         cached = load_cached_gram(spec, X, cache_dir) if cache_dir else None
         if cached is None:
-            cached = compute_gram(spec, X, X)
-            if cache_dir:
-                save_cached_gram(spec, X, cached, cache_dir)
-        grams[m] = cached
+            missing.append(m)
+        else:
+            grams[m] = cached
+    # one pass of shared inner products and distances for every uncached kernel
+    for m, gram in zip(missing, _GramBlocks([specs[m] for m in missing], X, X.shape[0])(X, True)):
+        grams[m] = gram
+        if cache_dir:
+            save_cached_gram(specs[m], X, gram, cache_dir)
     return GramStack(task_id=task_id, grams=grams)
 
 

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from conicmtl.kernels import (
+    EXP_FAST,
+    EXP_SPLIT_MIN,
+    EXP_ZERO,
     EXPAND_BLOCK,
     GramStack,
     KernelSpec,
@@ -17,6 +20,7 @@ from conicmtl.kernels import (
     save_cached_gram,
     trace_vector,
 )
+from conicmtl.kernels import _exp, _gaussian_scale
 
 
 def test_default_dictionary_has_eleven_kernels():
@@ -141,6 +145,194 @@ def test_expand_errors():
         expand(specs, [1.0, 0.5], rows, np.ones(2), rows)
     with pytest.raises(ValueError, match="nonpositive self-kernel"):
         expand(specs, [1.0], rows, np.ones(2), np.zeros((1, 3)))
+
+
+# ------------------------------------------- byte oracle for the block buffers
+
+def oracle_kernel(spec, inner, sq):
+    """One kernel from fresh temporaries and a plain np.exp: the reference the
+    block-buffer evaluation must match byte for byte. The gaussian scale is
+    computed for the spec's own convention only."""
+    if spec.kind == "linear":
+        return inner
+    if spec.kind == "polynomial":
+        return (spec.offset + inner) ** spec.degree
+    s = spec.spread
+    scale = {"sigma": lambda: 1.0 / (2.0 * s**2), "sigma_sq": lambda: 1.0 / (2.0 * s), "gamma": lambda: s}
+    return np.exp(-scale[spec.gaussian_convention]() * sq)
+
+
+def oracle_grams(specs, rows, cols, same):
+    inner = rows @ cols.T
+    sq_rows = (rows * rows).sum(axis=1)
+    sq_cols = sq_rows if same else (cols * cols).sum(axis=1)
+    sq = None
+    if any(spec.kind == "gaussian" for spec in specs):
+        sq = sq_rows[:, None] + sq_cols[None, :] - 2.0 * inner
+        np.maximum(sq, 0.0, out=sq)
+        if same:
+            np.fill_diagonal(sq, 0.0)
+    for spec in specs:
+        gram = oracle_kernel(spec, inner, sq)
+        if spec.normalize and same:
+            gram = cosine_normalize(gram)
+        elif spec.normalize:
+            dr = oracle_kernel(spec, sq_rows, np.zeros_like(sq_rows))
+            dc = oracle_kernel(spec, sq_cols, np.zeros_like(sq_cols))
+            gram = gram / np.sqrt(np.outer(dr, dc))
+        yield gram
+
+
+def oracle_compute_gram(spec, rows, cols):
+    same = cols is rows
+    return next(oracle_grams([spec], rows, cols, same))
+
+
+def oracle_expand(specs, theta, rows, coef, cols):
+    active = np.flatnonzero(theta)
+    out = np.zeros(cols.shape[0])
+    for start in range(0, cols.shape[0], EXPAND_BLOCK):
+        block = out[start : start + EXPAND_BLOCK]
+        grams = oracle_grams([specs[m] for m in active], rows, cols[start : start + EXPAND_BLOCK], False)
+        for m, gram in zip(active, grams):
+            block += theta[m] * (coef @ gram)
+    return out
+
+
+def exp_regime(regime, n_cols):
+    """(specs, rows, cols) whose gaussian arguments fall in one of exp's regimes:
+    all below EXP_ZERO, straddling both cut points, all with subnormal
+    results, or reaching -inf beside exact zeros; `dictionary` is the default
+    kernel dictionary on standard normal data."""
+    rng = np.random.default_rng(50)
+    gamma = KernelSpec(kind="gaussian", spread=1.0, gaussian_convention="gamma")
+    if regime == "dictionary":
+        return default_kernel_dictionary(), rng.standard_normal((9, 10)), rng.standard_normal((n_cols, 10))
+    if regime == "zero":
+        specs = [gamma, KernelSpec(kind="gaussian", spread=2.0**-7), KernelSpec(kind="linear", normalize=True)]
+        return specs, rng.uniform(0, 5, (9, 3)), rng.uniform(40, 60, (n_cols, 3))
+    if regime == "straddle":
+        specs = [gamma, KernelSpec(kind="gaussian", spread=0.5, gaussian_convention="sigma_sq", normalize=True)]
+        return specs, rng.uniform(0, 5, (9, 3)), rng.uniform(-20, 25, (n_cols, 3))
+    if regime == "subnormal":
+        # rows within 0.35 of the origin, cols at distance 27 from it: ||x-y||^2 in [702, 749]
+        direction = rng.standard_normal((n_cols, 3))
+        cols = 27.0 * direction / np.linalg.norm(direction, axis=1, keepdims=True)
+        specs = [gamma, KernelSpec(kind="polynomial", degree=3, offset=0.5, normalize=True)]
+        return specs, rng.uniform(0, 0.2, (9, 3)), cols
+    assert regime == "-inf"
+    # integer points: a copy of a row is at distance exactly 0, a shifted one at
+    # 3 (argument -3e300) or at 3e10 (argument -inf)
+    rows = rng.integers(0, 5, (9, 3)).astype(float)
+    pool = np.concatenate([rows, rows + 1.0, rows + 1e5])
+    specs = [KernelSpec(kind="gaussian", spread=1e300, gaussian_convention="gamma")]
+    return specs, rows, pool[rng.integers(0, len(pool), n_cols)]
+
+
+EXP_REGIMES = ["dictionary", "zero", "straddle", "subnormal", "-inf"]
+
+
+def gaussian_arguments(spec, rows, cols):
+    sq = np.maximum((rows * rows).sum(1)[:, None] + (cols * cols).sum(1)[None, :] - 2.0 * rows @ cols.T, 0.0)
+    return -_gaussian_scale(spec) * sq
+
+
+@pytest.mark.parametrize(
+    "regime, lanes",
+    [
+        ("zero", {"zero"}),
+        ("straddle", {"zero", "subnormal", "fast"}),
+        ("subnormal", {"subnormal"}),
+        ("-inf", {"-inf", "zero", "fast"}),
+    ],
+)
+def test_exp_regimes_hold_the_lanes_they_are_named_for(regime, lanes):
+    specs, rows, cols = exp_regime(regime, 2 * EXPAND_BLOCK + 1)
+    with np.errstate(over="ignore"):
+        arg = gaussian_arguments(specs[0], rows, cols)
+    found = {
+        "-inf": bool(np.any(arg == -np.inf)),
+        "zero": bool(np.any(arg < EXP_ZERO)),
+        "subnormal": bool(np.any((arg >= EXP_ZERO) & (arg < -708.3964))),
+        "fast": bool(np.any(arg >= EXP_FAST)),
+    }
+    assert {name for name, hit in found.items() if hit} == lanes
+
+
+@pytest.mark.parametrize("n_cols", [0, 1, 2, 2 * EXPAND_BLOCK + 1])
+@pytest.mark.parametrize("regime", EXP_REGIMES)
+def test_expand_is_byte_identical_to_the_fresh_temporary_oracle(regime, n_cols):
+    specs, rows, cols = exp_regime(regime, n_cols)
+    rng = np.random.default_rng(51)
+    coef = rng.standard_normal(rows.shape[0])
+    theta = rng.uniform(0.1, 1.0, len(specs))
+    if len(specs) > 2:
+        theta[1] = 0.0
+    with np.errstate(over="ignore"):
+        want = oracle_expand(specs, theta, rows, coef, cols)
+    got = expand(specs, theta, rows, coef, cols)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 2 * EXPAND_BLOCK + 1])
+@pytest.mark.parametrize("regime", EXP_REGIMES)
+def test_compute_gram_is_byte_identical_to_the_oracle(regime, n_cols):
+    specs, rows, cols = exp_regime(regime, n_cols)
+    for spec in specs + EXPANSION_SPECS:
+        for other in (cols, rows):
+            with np.errstate(over="ignore"):
+                want = oracle_compute_gram(spec, rows, other)
+            assert compute_gram(spec, rows, other).tobytes() == want.tobytes(), spec.label()
+
+
+def test_build_gram_stack_is_byte_identical_to_the_oracle(tmp_path):
+    rng = np.random.default_rng(52)
+    X = rng.standard_normal((40, 6))
+    specs = default_kernel_dictionary() + EXPANSION_SPECS
+    want = [oracle_compute_gram(spec, X, X).tobytes() for spec in specs]
+    # cold, then with a cache holding every other kernel, then warm
+    assert [g.tobytes() for g in build_gram_stack("t", X, specs).grams] == want
+    build_gram_stack("t", X, specs[::2], cache_dir=tmp_path)
+    assert [g.tobytes() for g in build_gram_stack("t", X, specs, cache_dir=tmp_path).grams] == want
+    assert [g.tobytes() for g in build_gram_stack("t", X, specs, cache_dir=tmp_path).grams] == want
+
+
+def exp_sweep():
+    specials = [-745.2, -745.1332, -745.1332191019412, -708.3964, -707.7032713517042, -0.0, -np.inf]
+    specials += [EXP_ZERO, EXP_FAST, np.nextafter(EXP_ZERO, 0), np.nextafter(EXP_ZERO, -1)]
+    specials += [np.nextafter(EXP_FAST, 0), np.nextafter(EXP_FAST, -1), -800.0]
+    x = np.concatenate([np.linspace(-800.0, 0.0, 80_001), specials])
+    np.random.default_rng(53).shuffle(x)
+    return x
+
+
+@pytest.mark.parametrize("lanes", ["all", "below zero", "slow", "fast", "below fast", "zero and fast"])
+def test_exp_is_numpy_exp_bit_for_bit(lanes):
+    x = exp_sweep()
+    keep = {
+        "all": np.ones(x.size, bool),
+        "below zero": x < EXP_ZERO,
+        "slow": (x >= EXP_ZERO) & (x < EXP_FAST),
+        "fast": x >= EXP_FAST,
+        "below fast": x < EXP_FAST,
+        "zero and fast": (x < EXP_ZERO) | (x >= EXP_FAST),
+    }[lanes]
+    x = x[keep]
+    assert x.size >= EXP_SPLIT_MIN
+    arg = x.reshape(-1, 1 if x.size % 7 else 7)
+    got = _exp(arg.copy(), x.min(), x.max(), np.empty_like(arg))
+    want = np.exp(arg)
+    if got is None:
+        assert lanes == "below zero"
+        got = np.zeros_like(arg)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_exp_keeps_a_nan_lane():
+    arg = exp_sweep()
+    arg[100] = np.nan
+    got = _exp(arg.copy(), arg.min(), arg.max(), np.empty_like(arg))
+    assert got.tobytes() == np.exp(arg).tobytes()
 
 
 def _random_stack(rng, M=3, N=7):
@@ -272,3 +464,31 @@ def test_gaussian_spread_conventions():
         KernelSpec(kind="gaussian", spread=2.0, gaussian_convention="gamma"), x, y
     )[0, 0]
     assert gamma == pytest.approx(np.exp(-2.0 * sq), rel=1e-15)
+
+
+def test_gaussian_scale_uses_only_its_own_convention():
+    # the other conventions' formulas would divide by zero or overflow here
+    tiny = KernelSpec(kind="gaussian", spread=1e-200, gaussian_convention="gamma")
+    huge = KernelSpec(kind="gaussian", spread=1e200, gaussian_convention="sigma_sq")
+    x = np.array([[0.0], [1.0]])
+    assert np.array_equal(compute_gram(tiny, x, x), np.ones((2, 2)))
+    assert np.array_equal(compute_gram(huge, x, x), np.exp(-np.array([[0.0, 1.0], [1.0, 0.0]]) / 2e200))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "gaussian", "spread": np.inf, "gaussian_convention": "gamma"}, "spread=inf"),
+        ({"kind": "gaussian", "spread": np.nan}, "spread=nan"),
+        ({"kind": "gaussian", "spread": -1.0}, "spread=-1.0"),
+        ({"kind": "gaussian", "spread": 1e-200}, "spread=1e-200 has no finite positive scale under convention 'sigma'"),
+        ({"kind": "gaussian", "spread": 1e200}, "spread=1e\\+200 has no finite positive scale"),
+        ({"kind": "gaussian", "spread": 1e154}, "spread=1e\\+154 has no finite positive scale"),
+        ({"kind": "gaussian", "spread": 1e-320, "gaussian_convention": "sigma_sq"}, "convention 'sigma_sq'"),
+        ({"kind": "polynomial", "offset": np.nan}, "offset=nan"),
+        ({"kind": "polynomial", "offset": -np.inf}, "offset=-inf"),
+    ],
+)
+def test_kernel_spec_rejects_unusable_values_by_field(fields, message):
+    with pytest.raises(ValueError, match=message):
+        KernelSpec(**fields)
