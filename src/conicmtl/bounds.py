@@ -11,15 +11,18 @@ closed form,
 so enumeration or Monte Carlo over signs is the only source of error.
 
 This complexity and the budget-split scale constant share one sign engine:
-blocks of signs (all 2^total patterns, or Philox blocks keyed on (tag,
-seed, block)), one contraction to per-task quadratic-form tables (a GEMM
-per task and column chunk), and one mean and std-error accumulator. Only
-the reducer differs: sum the scaled tables over tasks, then the p*-norm;
-or the p*-norm per task, then the max over tasks.
+blocks of signs (all 2^total patterns, or sign bits read from raw Philox
+words keyed on (tag, seed, block)), one contraction to per-task
+quadratic-form tables (a GEMM per task and column chunk; a Gram that is
+the identity in floating point gives the constant n and stays out of the
+GEMM), and one mean and std-error accumulator. Only the reducer differs:
+sum the scaled tables over tasks, then the p*-norm; or the p*-norm per
+task, then the max over tasks.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -77,7 +80,7 @@ class BoundInputs:
 def _dual_norms(U: np.ndarray, p_star: float) -> np.ndarray:
     """p*-norm of each column of a (M, n) table, negative entries clipped to 0."""
     U = np.maximum(U, 0.0)
-    if np.isinf(p_star):
+    if math.isinf(p_star):
         return U.max(axis=0)
     if p_star == 1.0:
         return U.sum(axis=0)
@@ -87,7 +90,7 @@ def _dual_norms(U: np.ndarray, p_star: float) -> np.ndarray:
 def _check_inputs(stacks, R: float, samples: int, **per_task) -> int:
     """Argument checks of both estimators; returns the total sample count.
 
-    Each per_task vector must hold one positive entry per task.
+    Each per_task vector must hold one positive finite entry per task.
     """
     if not stacks:
         raise ValueError("stacks must hold at least one task")
@@ -99,57 +102,125 @@ def _check_inputs(stacks, R: float, samples: int, **per_task) -> int:
             )
         if stack.n_samples < 1:
             raise ValueError(f"task {stack.task_id!r} has no samples")
+        finite = np.isfinite(stack.grams)
+        if np.count_nonzero(finite) < finite.size:
+            m = int(np.argmin(finite.all(axis=(1, 2))))
+            raise ValueError(f"task {stack.task_id!r} kernel {m} has a non-finite Gram entry")
     for name, values in per_task.items():
         if values.shape != (len(stacks),):
             ids = [s.task_id for s in stacks]
             raise ValueError(f"{name} has shape {values.shape}, expected one entry per task {ids}")
-        for stack, value in zip(stacks, values):
-            if not value > 0:
-                raise ValueError(f"{name} of task {stack.task_id!r} must be positive, got {value}")
-    if not R >= 0:
-        raise ValueError("R must be nonnegative")
+        for stack, value in zip(stacks, values.tolist()):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} of task {stack.task_id!r} must be positive and finite, got {value}")
+    if not 0 <= R < math.inf:
+        raise ValueError(f"R must be finite and nonnegative, got {R}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
-        raise ValueError("samples must be positive")
+        raise ValueError(f"samples must be positive, got {samples}")
     return sum(s.n_samples for s in stacks)
 
 
 def _sign_block(total: int, n_patterns: int, block: int, tag: str, seed: int, exhaustive: bool) -> np.ndarray:
     """Block `block` of MC_BLOCK sign vectors as a C-contiguous (total, n_block) array of +-1 columns.
 
-    Exhaustive pattern k has sign (bit j of k) for sample j; a random block
-    is drawn from a Philox generator keyed on (tag, seed, block).
+    Exhaustive pattern k has sign (bit j of k) for sample j. A random block
+    reads raw words of a Philox generator keyed on (tag, seed, block): entry
+    k of the block in (sample, sign) C order is bit 31 of 64-bit word k//2
+    for even k and bit 63 for odd k, +1 where the bit is set. That is the
+    stream of Generator(Philox(key)).integers(0, 2, size=(n_block, total))
+    with the default int64 dtype: one 32-bit draw per entry, the low half
+    of a word first, and its top bit, since Lemire's method rejects no draw
+    for a range of 2.
     """
     start = block * MC_BLOCK
     n_block = min(MC_BLOCK, n_patterns - start)
+    # twice each sign bit, 0 or 2, so that one subtraction gives the sign
     if exhaustive:
-        index = np.arange(start, start + n_block, dtype=np.int64)
-        cols = ((index[None, :] >> np.arange(total)[:, None]) & 1).astype(float)
+        index = np.arange(2 * start, 2 * (start + n_block), 2, dtype=np.int64)
+        twice = (index[None, :] >> np.arange(total)[:, None]) & 2
     else:
-        rng = np.random.Generator(np.random.Philox(key=derive_seed(tag, seed, block)))
-        cols = rng.integers(0, 2, size=(n_block, total)).T.astype(float, order="C")
-    cols *= 2.0
+        count = n_block * total
+        words = np.random.Philox(key=derive_seed(tag, seed, block)).random_raw(-(-count // 2))
+        drawn = np.empty(2 * words.size, dtype=np.uint8)
+        drawn[0::2] = (words >> 30) & 2
+        drawn[1::2] = (words >> 62) & 2
+        twice = drawn[:count].reshape(n_block, total).T
+    cols = twice.astype(float, order="C")
     cols -= 1.0
     return cols
 
 
-def _quadforms(cols: np.ndarray, stacks) -> list:
+def _float_identities(grams: np.ndarray) -> np.ndarray:
+    """Mask of the (K, n, n) Grams with unit diagonal and off-diagonal |row| sums at most 2^-56.
+
+    For such a Gram, sigma' G sigma is exactly n for every sign vector
+    sigma, whatever the summation order of the GEMM and whether it fuses
+    multiply-adds. In (G sigma)_i, the diagonal term is sigma_i = +-1 and
+    any sum of off-diagonal terms stays below 2^-55 in magnitude, rounding
+    included. A partial sum that holds the diagonal term is therefore
+    sigma_i exactly: adding less than 2^-54, half an ulp below 1, to +-1
+    rounds back to +-1. So (G sigma)_i = sigma_i, each product
+    sigma_i (G sigma)_i is 1.0, and their sum is n exactly.
+    """
+    K, n, _ = grams.shape
+    flat = grams.reshape(K, n * n)
+    unit = (flat[:, :: n + 1] == 1.0).all(axis=1)
+    off = np.abs(flat)
+    off[:, :: n + 1] = 0.0
+    return unit & (off.reshape(K, n, n).sum(axis=2) <= 2.0**-56).all(axis=1)
+
+
+def _contraction_plan(stacks) -> list:
+    """Per task (M, n, grams, stacked, keep): all M Grams as (M*n, n), and the K that need the GEMM.
+
+    The Grams that are the identity in floating point (_float_identities;
+    only a trace of n can come from a unit diagonal) stay out of stacked.
+    keep lists the K kernels, or is None when K = M and stacked is grams.
+    """
+    plan = []
+    for stack in stacks:
+        M, n, _ = stack.grams.shape
+        grams = stack.grams.reshape(M * n, n)
+        keep = None
+        if n in stack.traces.tolist():
+            identity = stack.traces == n
+            identity[identity] = _float_identities(stack.grams[identity])
+            if identity.any():
+                keep = np.flatnonzero(~identity)
+        stacked = grams if keep is None else stack.grams[keep].reshape(-1, n)
+        plan.append((M, n, grams, stacked, keep))
+    return plan
+
+
+def _quadforms(cols: np.ndarray, plan) -> list:
     """One (M, n_cols) table of sigma_t' G_t^m sigma_t per task; cols holds the tasks' signs in order.
 
-    Each task makes one GEMM per CONTRACT_CHUNK columns against its grams
-    stacked as (M*n, n), which bounds the size of the product.
+    Each task makes one GEMM per CONTRACT_CHUNK columns, which bounds the
+    size of the product; identity rows hold n. A narrower last chunk
+    contracts all M kernels: OpenBLAS rounds a partial tile of columns
+    differently for different row counts, while full-width chunks gave
+    every row the same bits at every row count tried.
     """
     tables = []
     lo = 0
-    for stack in stacks:
-        M, n, _ = stack.grams.shape
-        stacked = stack.grams.reshape(M * n, n)
+    n_cols = cols.shape[1]
+    full = n_cols - n_cols % CONTRACT_CHUNK
+    for M, n, grams, stacked, keep in plan:
         signs = cols[lo : lo + n]
         lo += n
-        table = np.empty((M, cols.shape[1]))
-        for start in range(0, cols.shape[1], CONTRACT_CHUNK):
-            part = signs[:, start : start + CONTRACT_CHUNK]
-            prod = (stacked @ part).reshape(M, n, part.shape[1])
-            np.einsum("mic,ic->mc", prod, part, out=table[:, start : start + CONTRACT_CHUNK])
+        table = np.empty((M, n_cols)) if keep is None else np.full((M, n_cols), float(n))
+        rows = table if keep is None else np.empty((len(keep), n_cols))
+        for start in range(0, n_cols, CONTRACT_CHUNK):
+            chunk = slice(start, start + CONTRACT_CHUNK)
+            part = signs[:, chunk]
+            gemm, out = (stacked, rows) if start < full else (grams, table)
+            prod = (gemm @ part).reshape(len(out), n, part.shape[1])
+            np.einsum("mic,ic->mc", prod, part, out=out[:, chunk])
+            del prod  # freed before the next GEMM, whose product then reuses its pages
+        if keep is not None:
+            table[keep, :full] = rows[:, :full]
         tables.append(table)
     return tables
 
@@ -158,11 +229,13 @@ def _sign_expectation(stacks, samples, tag, seed, exhaustive, reduce) -> Rademac
     """Mean and standard error of reduce(per-task quadform tables); one sign block is alive at a time."""
     total = sum(s.n_samples for s in stacks)
     n = 1 << total if exhaustive else samples
+    plan = _contraction_plan(stacks)
     acc_sum = acc_sq = 0.0
     for block in range(-(-n // MC_BLOCK)):
-        values = reduce(_quadforms(_sign_block(total, n, block, tag, seed, exhaustive), stacks))
+        values = reduce(_quadforms(_sign_block(total, n, block, tag, seed, exhaustive), plan))
         acc_sum += float(values.sum())
-        acc_sq += float((values**2).sum())
+        if not exhaustive:
+            acc_sq += float((values**2).sum())
     mean = acc_sum / n
     var = max(0.0, (acc_sq - n * mean * mean) / max(n - 1, 1))
     std_error = 0.0 if exhaustive else float(np.sqrt(var / n))
@@ -188,9 +261,13 @@ def rademacher_mc(
     if isinstance(task_weights, TaskWeights):
         task_weights = task_weights.values
     lam = np.asarray(task_weights, dtype=float)
-    gamma = np.ones(lam.shape) if gamma is None else np.asarray(gamma, dtype=float)
-    total = _check_inputs(stacks, R, samples, task_weights=lam, gamma=gamma)
-    scales = gamma**2 / lam
+    if gamma is None:
+        total = _check_inputs(stacks, R, samples, task_weights=lam)
+        scales = 1.0 / lam
+    else:
+        gamma = np.asarray(gamma, dtype=float)
+        total = _check_inputs(stacks, R, samples, task_weights=lam, gamma=gamma)
+        scales = gamma**2 / lam
     prefactor = 2.0 / total
     p_star = conjugate_exponent(p)
 

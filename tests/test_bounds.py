@@ -13,6 +13,9 @@ from conicmtl.bounds import (
     bound_rhs_fixed_lambda,
     erc_upper_bound_lp,
     estimate_scale_constant,
+    _contraction_plan,
+    _quadforms,
+    _sign_block,
     margin_loss,
     model_radius,
     rademacher_mc,
@@ -286,6 +289,188 @@ def test_rejects_task_without_samples():
         rademacher_mc(stacks, [1.0, 1.0], R=1.0, p=2.0)
     with pytest.raises(ValueError, match="task 'empty' has no samples"):
         estimate_scale_constant(stacks, R=1.0, p=2.0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_both_estimators_reject_non_finite_radius(value):
+    stacks = [one_kernel_stack(np.eye(2))]
+    with pytest.raises(ValueError, match=f"R must be finite and nonnegative, got {value}"):
+        rademacher_mc(stacks, [1.0], R=value, p=2.0)
+    with pytest.raises(ValueError, match=f"R must be finite and nonnegative, got {value}"):
+        estimate_scale_constant(stacks, R=value, p=2.0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_rejects_non_finite_task_weight_and_gamma(value):
+    stacks = [one_kernel_stack(np.eye(2), "a"), one_kernel_stack(np.eye(2), "b")]
+    with pytest.raises(ValueError, match=f"task_weights of task 'b' must be positive and finite, got {value}"):
+        rademacher_mc(stacks, [1.0, value], R=1.0, p=2.0)
+    with pytest.raises(ValueError, match=f"gamma of task 'b' must be positive and finite, got {value}"):
+        rademacher_mc(stacks, [1.0, 1.0], R=1.0, p=2.0, gamma=[1.0, value])
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+@pytest.mark.parametrize("exhaustive_limit", [20, 0])
+def test_both_estimators_reject_non_finite_gram_entries(value, exhaustive_limit):
+    grams = np.stack([np.eye(3), np.eye(3), np.eye(3)])
+    grams[2, 0, 1] = value
+    stacks = [GramStack(task_id="a", grams=np.stack([np.eye(3)] * 3)), GramStack(task_id="b", grams=grams)]
+    kwargs = dict(samples=64, exhaustive_limit=exhaustive_limit)
+    with pytest.raises(ValueError, match="task 'b' kernel 2 has a non-finite Gram entry"):
+        rademacher_mc(stacks, [1.0, 1.0], R=1.0, p=2.0, **kwargs)
+    with pytest.raises(ValueError, match="task 'b' kernel 2 has a non-finite Gram entry"):
+        estimate_scale_constant(stacks, R=1.0, p=2.0, **kwargs)
+
+
+@pytest.mark.parametrize("samples", [5000.0, True, "64"])
+def test_both_estimators_reject_samples_that_are_not_integers(samples):
+    stacks = [one_kernel_stack(np.eye(2))]
+    with pytest.raises(ValueError, match=f"samples must be an integer, got {samples!r}"):
+        rademacher_mc(stacks, [1.0], R=1.0, p=2.0, samples=samples)
+    with pytest.raises(ValueError, match=f"samples must be an integer, got {samples!r}"):
+        estimate_scale_constant(stacks, R=1.0, p=2.0, samples=samples, exhaustive_limit=0)
+
+
+def test_numpy_integer_samples_are_accepted():
+    stacks = [one_kernel_stack(np.eye(2))]
+    a = rademacher_mc(stacks, [1.0], R=1.0, p=2.0, samples=np.int64(64), exhaustive_limit=0)
+    b = rademacher_mc(stacks, [1.0], R=1.0, p=2.0, samples=64, exhaustive_limit=0)
+    assert a == b
+
+
+def test_both_estimators_reject_nan_exponent():
+    stacks = [one_kernel_stack(np.eye(2))]
+    with pytest.raises(ValueError, match="exponent must be >= 1, got nan"):
+        conjugate_exponent(float("nan"))
+    with pytest.raises(ValueError, match="exponent must be >= 1, got nan"):
+        rademacher_mc(stacks, [1.0], R=1.0, p=float("nan"))
+    with pytest.raises(ValueError, match="exponent must be >= 1, got nan"):
+        estimate_scale_constant(stacks, R=1.0, p=float("nan"))
+
+
+# ------------------------------------------ sign engine: stream, golden, identity Grams
+
+@pytest.mark.parametrize(
+    "total, samples",
+    [(1, 1), (1, MC_BLOCK + 1), (7, 333), (7, MC_BLOCK + 333), (120, 3), (120, 2 * MC_BLOCK + 5)],
+)
+def test_monte_carlo_sign_blocks_are_the_documented_stream(total, samples):
+    # Generator(Philox(key)).integers(0, 2) is the documented draw; a numpy
+    # change on either side of this comparison must fail here
+    expected = drawn_signs("rademacher", 23, samples, total)
+    for block, start in enumerate(range(0, samples, MC_BLOCK)):
+        cols = _sign_block(total, samples, block, "rademacher", 23, exhaustive=False)
+        assert cols.flags.c_contiguous and cols.dtype == np.float64
+        assert cols.tobytes() == np.ascontiguousarray(expected[start : start + MC_BLOCK].T).tobytes()
+
+
+def golden_stacks(sizes):
+    """A random PSD Gram, the identity, and a unit diagonal with 1e-300 off it, per task."""
+    rng = np.random.default_rng(31)
+    stacks = []
+    for t, n in enumerate(sizes):
+        A = rng.standard_normal((n, n + 2))
+        tiny = np.full((n, n), 1e-300)
+        np.fill_diagonal(tiny, 1.0)
+        stacks.append(GramStack(task_id=f"g{t}", grams=np.stack([A @ A.T / (n + 2), np.eye(n), tiny])))
+    return stacks
+
+
+def test_estimates_match_recorded_golden_bits():
+    # recorded from the engine that drew signs through Generator.integers and
+    # contracted every kernel; any later change must keep these bits
+    lam = np.array([1.3, 2.2, 3.1])
+    gamma = np.array([0.7, 1.4, 1.9])
+    mc = golden_stacks((3, 5, 4))
+    exact = golden_stacks((3, 4))
+    kwargs = dict(samples=4_996, seed=17, exhaustive_limit=0)
+    cases = [
+        (rademacher_mc(mc, lam, R=1.7, p=4 / 3, gamma=gamma, **kwargs), "0x1.91fc05c0d1f7ep-1", "0x1.6ae9bba75fb1ep-12"),
+        (estimate_scale_constant(mc, R=1.7, p=4 / 3, **kwargs), "0x1.adb9b4aebef14p+1", "0x1.b3e9b3592e62dp-9"),
+        (rademacher_mc(exact, lam[:2], R=1.7, p=2.0, gamma=gamma[:2]), "0x1.04f1df8f2b2a3p+0", "0x0.0p+0"),
+        (estimate_scale_constant(exact, R=1.7, p=2.0), "0x1.a6649fae8c8ccp+1", "0x0.0p+0"),
+    ]
+    for est, mean, std_error in cases:
+        assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
+    assert [est.samples for est, _, _ in cases] == [4_996, 4_996, 128, 128]
+    assert [est.exhaustive for est, _, _ in cases] == [False, False, True, True]
+
+
+def full_contraction(cols, stacks):
+    """sigma' G sigma for every kernel through the GEMM, CONTRACT_CHUNK columns at a time, none left out."""
+    tables = []
+    lo = 0
+    for stack in stacks:
+        M, n, _ = stack.grams.shape
+        signs = cols[lo : lo + n]
+        lo += n
+        table = np.empty((M, cols.shape[1]))
+        for start in range(0, cols.shape[1], CONTRACT_CHUNK):
+            part = signs[:, start : start + CONTRACT_CHUNK]
+            prod = (stack.grams.reshape(M * n, n) @ part).reshape(M, n, part.shape[1])
+            np.einsum("mic,ic->mc", prod, part, out=table[:, start : start + CONTRACT_CHUNK])
+        tables.append(table)
+    return tables
+
+
+def unit_diagonal(n, row_sum, rng, spread=True):
+    """Unit diagonal; each row's off-diagonal |entries| sum to row_sum, with random signs."""
+    G = np.eye(n)
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        share = rng.uniform(0.5, 1.0, n - 1) if spread else np.eye(1, n - 1, int(rng.integers(n - 1)))[0]
+        G[i, others] = rng.choice([-1.0, 1.0], n - 1) * (row_sum * share / share.sum())
+    return G
+
+
+KINDS = {
+    "diagonal": (True, lambda n, rng: np.eye(n)),
+    "below, spread": (True, lambda n, rng: unit_diagonal(n, 0.999 * 2.0**-56, rng)),
+    "below, one entry": (True, lambda n, rng: unit_diagonal(n, 0.999 * 2.0**-56, rng, spread=False)),
+    "tiny": (True, lambda n, rng: unit_diagonal(n, 1e-300, rng)),
+    "above": (False, lambda n, rng: unit_diagonal(n, 1.01 * 2.0**-56, rng)),
+    "above, one entry": (False, lambda n, rng: unit_diagonal(n, 2.0**-55, rng, spread=False)),
+    "diagonal 1 - 2^-53": (False, lambda n, rng: np.diag(np.r_[1.0 - 2.0**-53, np.ones(n - 1)])),
+    "psd": (False, lambda n, rng: random_stacks(rng, T=1, N=n, M=1)[0].grams[0]),
+}
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ["diagonal", "below, spread", "below, one entry", "tiny"],
+        ["above", "above, one entry", "diagonal 1 - 2^-53", "psd"],
+        ["psd", "diagonal", "above", "below, spread", "psd", "diagonal 1 - 2^-53", "tiny"],
+    ],
+    ids=["all qualify", "none qualify", "mixed"],
+)
+def test_identity_grams_skip_the_gemm_with_identical_bytes(kinds):
+    rng = np.random.default_rng(37)
+    sizes = (2, 9, 30)
+    stacks = [
+        GramStack(task_id=f"t{t}", grams=np.stack([KINDS[kind][1](n, rng) for kind in kinds]))
+        for t, n in enumerate(sizes)
+    ]
+    expected_keep = [m for m, kind in enumerate(kinds) if not KINDS[kind][0]]
+    plan = _contraction_plan(stacks)
+    for stack, (M, n, grams, stacked, keep) in zip(stacks, plan):
+        assert np.shares_memory(grams, stack.grams)
+        if len(expected_keep) == M:
+            assert keep is None and stacked is grams
+        else:
+            assert keep.tolist() == expected_keep
+            assert stacked.tobytes() == stack.grams[expected_keep].tobytes()
+    # full chunks before a partial one, then every width of a lone partial
+    # chunk: the BLAS rounds some partial widths differently by row count
+    for width in (2 * CONTRACT_CHUNK + 3, *range(1, CONTRACT_CHUNK)):
+        cols = _sign_block(sum(sizes), width, 0, "identity", width, exhaustive=False)
+        tables = _quadforms(cols, plan)
+        for got, want in zip(tables, full_contraction(cols, stacks)):
+            assert got.tobytes() == want.tobytes()
+        for n, table in zip(sizes, tables):
+            for m, kind in enumerate(kinds):
+                if KINDS[kind][0]:
+                    assert (table[m] == n).all()
 
 
 # ------------------------------------------------------------- trace bound
