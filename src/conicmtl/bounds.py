@@ -261,13 +261,9 @@ def rademacher_mc(
     if isinstance(task_weights, TaskWeights):
         task_weights = task_weights.values
     lam = np.asarray(task_weights, dtype=float)
-    if gamma is None:
-        total = _check_inputs(stacks, R, samples, task_weights=lam)
-        scales = 1.0 / lam
-    else:
-        gamma = np.asarray(gamma, dtype=float)
-        total = _check_inputs(stacks, R, samples, task_weights=lam, gamma=gamma)
-        scales = gamma**2 / lam
+    gamma = np.ones(len(stacks)) if gamma is None else np.asarray(gamma, dtype=float)
+    total = _check_inputs(stacks, R, samples, task_weights=lam, gamma=gamma)
+    scales = gamma**2 / lam
     prefactor = 2.0 / total
     p_star = conjugate_exponent(p)
 
@@ -399,44 +395,18 @@ def model_radius(model) -> float:
     return total
 
 
-BOUND_REPORT_FIELDS = (
-    "tasks",
-    "per_task_samples",
-    "kernels",
-    "p",
-    "rho",
-    "delta",
-    "r_ball",
-    "r_max",
-    "r_max_integer",
-    "empirical_weighted_loss",
-    "complexity_mc",
-    "complexity_mc_stderr",
-    "complexity_mc_samples",
-    "complexity_exhaustive",
-    "complexity_upper_bound",
-    "term_empirical",
-    "term_complexity",
-    "term_weight_range",
-    "term_confidence",
-    "total_adaptive",
-    "total_fixed",
-    "test_error",
-)
-
-
 @dataclass
 class BoundReport:
     values: dict
 
     def lines(self):
-        return [f"{key} {self.values[key]!r}" for key in BOUND_REPORT_FIELDS]
+        return [f"{key} {value!r}" for key, value in self.values.items()]
 
     def csv_header(self) -> str:
-        return ",".join(BOUND_REPORT_FIELDS)
+        return ",".join(self.values)
 
     def csv_row(self) -> str:
-        return ",".join(repr(self.values[key]) for key in BOUND_REPORT_FIELDS)
+        return ",".join(repr(value) for value in self.values.values())
 
 
 def bound_report(

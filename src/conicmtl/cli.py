@@ -185,10 +185,9 @@ def cmd_experiment(args):
         r_max=float(_merged(args, cfg_file, "r_max", float, 8.0)),
         use_bias=bool(args.use_bias),
         master_seed=int(_merged(args, cfg_file, "seed", int, 0)),
-        measure_wall=bool(args.measure_wall),
     )
     table = run_experiment(config)
-    write_results_csv(table, args.out, measure_wall=config.measure_wall)
+    write_results_csv(table, args.out, measure_wall=args.measure_wall)
     done = sum(1 for r in table.rows if r.mean_accuracy is not None)
     print(f"wrote {len(table.rows)} rows ({done} successful) to {args.out}")
     return 0

@@ -44,29 +44,31 @@ class ExperimentConfig:
     use_bias: bool = False
     balanced: bool = True
     master_seed: int = 0
-    measure_wall: bool = False
 
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds value {self.cv_folds!r} must be >= 2")
-        if any(not 0.0 < f < 1.0 for f in self.fractions):
-            raise ValueError("fractions must lie in (0, 1)")
-        for name, grid, valid, rule in (
+        if not 1.0 < self.r_max < math.inf:
+            raise ValueError(f"r_max value {self.r_max!r} must be in (1, inf)")
+        for name, values, valid, rule in (
+            ("fractions", self.fractions, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+            ("methods", self.methods, lambda v: v in METHOD_MODES, f"one of {', '.join(METHOD_MODES)}"),
             ("grid_C", self.grid_C, lambda v: v > 0.0, "> 0"),
             ("grid_p", self.grid_p, lambda v: v >= 1.0, ">= 1"),
             ("grid_a_frac", self.grid_a_frac, lambda v: v > 0.0, "> 0"),
             ("grid_p_exp", self.grid_p_exp, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
         ):
-            if len(grid) == 0:
+            if len(values) == 0:
                 raise ValueError(f"{name} must not be empty")
-            for value in grid:
+            for value in values:
                 if not valid(value):
                     raise ValueError(f"{name} value {value!r} must be {rule}")
-        unknown = set(self.methods) - set(METHOD_MODES)
-        if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if "Conic" in self.methods and min(self.grid_a_frac) < 1.0 / self.r_max:
+            raise ValueError(  # the budget a * sum(costs) cannot cover sum(costs) / r_max
+                f"grid_a_frac value {min(self.grid_a_frac)!r} must be >= 1/r_max = {1.0 / self.r_max!r} for Conic"
+            )
 
 
 @dataclass
@@ -178,38 +180,30 @@ def budget_from_fraction(stacks, p: float, frac: float) -> float:
 
 
 def _train_method(method, tasks, stacks, specs, cell, config: ExperimentConfig):
-    """Train method at one grid cell (C, p, a_frac, p_exp) from _grid_cells."""
+    """Models for method at one grid cell from _grid_cells: one per task for SingleTask, else one."""
     C, p, a_frac, p_exp = cell
     base = TrainConfig(
         C=C,
         p=p,
-        budget=budget_from_fraction(stacks, p, a_frac) if method == "Conic" else 1.0,
+        budget=1.0 if a_frac is None else budget_from_fraction(stacks, p, a_frac),
         r_max=config.r_max,
         mode=METHOD_MODES[method],
-        p_exp=p_exp if method == "ParetoPath" else 1.0,
+        p_exp=1.0 if p_exp is None else p_exp,
         use_bias=config.use_bias,
     )
     if method == "SingleTask":
-        return [
-            fit_single_task(task, stack, base, kernel_specs=specs)
-            for task, stack in zip(tasks, stacks)
-        ]
-    return fit(tasks, stacks, base, kernel_specs=specs)
+        return [fit_single_task(task, stack, base, kernel_specs=specs) for task, stack in zip(tasks, stacks)]
+    return [fit(tasks, stacks, base, kernel_specs=specs)]
 
 
-def _method_accuracies(method, trained, tasks, test_tasks):
+def _accuracies(models, test_tasks):
+    """Test accuracy per task, the models' tasks in order, and whether every model converged."""
+    pairs = [(model, task.task_id) for model in models for task in model.tasks]
     accs = []
-    if method == "SingleTask":
-        for model, task, test in zip(trained, tasks, test_tasks):
-            labels, _ = predict(model, task.task_id, test.X)
-            accs.append(float((labels == test.y).mean()))
-        converged = all(m.converged for m in trained)
-    else:
-        for task, test in zip(tasks, test_tasks):
-            labels, _ = predict(trained, task.task_id, test.X)
-            accs.append(float((labels == test.y).mean()))
-        converged = trained.converged
-    return accs, converged
+    for (model, task_id), test in zip(pairs, test_tasks, strict=True):
+        labels, _ = predict(model, task_id, test.X)
+        accs.append(float((labels == test.y).mean()))
+    return accs, all(model.converged for model in models)
 
 
 def _grid_cells(method, config: ExperimentConfig):
@@ -218,8 +212,8 @@ def _grid_cells(method, config: ExperimentConfig):
     pexp_grid = config.grid_p_exp if method == "ParetoPath" else (None,)
     for C in sorted(config.grid_C):
         for p in sorted(config.grid_p):
-            for a in sorted(a_grid, key=lambda v: (v is None, v)):
-                for pe in sorted(pexp_grid, key=lambda v: (v is None, v)):
+            for a in sorted(a_grid):
+                for pe in sorted(pexp_grid):
                     yield C, p, a, pe
 
 
@@ -254,8 +248,8 @@ def cross_validate(tasks, stacks, method, config: ExperimentConfig, seed: int, s
     for cell in cells:
         fold_scores = []
         for sub_tasks, sub_stacks, held in folds:
-            trained = _train_method(method, sub_tasks, sub_stacks, specs, cell, config)
-            accs, _ = _method_accuracies(method, trained, sub_tasks, held)
+            models = _train_method(method, sub_tasks, sub_stacks, specs, cell, config)
+            accs, _ = _accuracies(models, held)
             fold_scores.append(float(np.mean(accs)))
         score = float(np.mean(fold_scores))
         if score > best_score + 1e-12:
@@ -284,8 +278,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 try:
                     cell = cross_validate(train_tasks, stacks, method, config, run_seed, specs)
                     C, p, a_frac, p_exp = cell
-                    trained = _train_method(method, train_tasks, stacks, specs, cell, config)
-                    accs, converged = _method_accuracies(method, trained, train_tasks, test_tasks)
+                    models = _train_method(method, train_tasks, stacks, specs, cell, config)
+                    accs, converged = _accuracies(models, test_tasks)
                     row = ResultRow(
                         dataset=label,
                         fraction=fraction,
@@ -294,8 +288,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                         mean_accuracy=float(np.mean(accs)),
                         C=C,
                         p=p,
-                        a=budget_from_fraction(stacks, p, a_frac) if method == "Conic" else None,
-                        p_exp=p_exp if method == "ParetoPath" else None,
+                        a=None if a_frac is None else models[0].config.budget,
+                        p_exp=p_exp,
                         wall_ms=(time.perf_counter() - started) * 1e3,
                         converged="1" if converged else "0",
                     )

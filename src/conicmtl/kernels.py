@@ -304,18 +304,13 @@ class GramStack:
 
     task_id: str
     grams: np.ndarray
-    traces: np.ndarray = field(default=None)
+    traces: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.grams = np.asarray(self.grams, dtype=np.float64)
         if self.grams.ndim != 3 or self.grams.shape[1] != self.grams.shape[2]:
             raise ValueError(f"grams must have shape (M, N, N), got {self.grams.shape}")
-        if self.traces is None:
-            self.traces = trace_vector(self)
-        else:
-            self.traces = np.asarray(self.traces, dtype=np.float64)
-            if self.traces.shape != (self.grams.shape[0],):
-                raise ValueError("traces length must match kernel count")
+        self.traces = trace_vector(self)
 
     @property
     def n_kernels(self) -> int:

@@ -665,6 +665,20 @@ def test_bound_report_fields_and_consistency():
     assert "complexity_mc" in header
 
 
+def test_bound_report_keeps_its_field_order():
+    model, tasks, stacks = trained_model(seed=8)
+    report = bound_report(model, tasks, mc_samples=50, seed=3, stacks=stacks)
+    names = (
+        "tasks,per_task_samples,kernels,p,rho,delta,r_ball,r_max,r_max_integer,"
+        "empirical_weighted_loss,complexity_mc,complexity_mc_stderr,complexity_mc_samples,"
+        "complexity_exhaustive,complexity_upper_bound,term_empirical,term_complexity,"
+        "term_weight_range,term_confidence,total_adaptive,total_fixed,test_error"
+    )
+    assert report.csv_header() == names
+    assert [line.split(" ")[0] for line in report.lines()] == names.split(",")
+    assert report.csv_row().split(",") == [line.split(" ")[1] for line in report.lines()]
+
+
 def test_verification_suite_all_pass():
     results = run_verification_suite(seed=1, n_instances=8)
     for result in results:

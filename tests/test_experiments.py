@@ -142,8 +142,52 @@ def test_experiment_rejects_fraction_without_test_samples():
 
 
 def test_config_accepts_grid_edges():
-    cfg = small_config(grid_p=(1.0,), grid_a_frac=(1e-3, 2.0), grid_p_exp=(1.0,))
+    cfg = small_config(grid_p=(1.0,), grid_a_frac=(1.0 / 8.0, 2.0), grid_p_exp=(1.0,), r_max=8.0)
     assert cfg.grid_p_exp == (1.0,)
+
+
+@pytest.mark.parametrize("r_max", [1.0, 0.5, float("inf"), float("nan")])
+def test_config_rejects_r_max_outside_open_interval(r_max):
+    with pytest.raises(ValueError, match=rf"r_max value {r_max!r} must be in \(1, inf\)"):
+        small_config(r_max=r_max)
+
+
+def test_config_rejects_conic_budget_fraction_below_inverse_r_max():
+    with pytest.raises(ValueError, match=r"grid_a_frac value 0.1 must be >= 1/r_max = 0.125 for Conic"):
+        small_config(grid_a_frac=(0.1, 0.5), r_max=8.0)
+    # only Conic searches the budget axis
+    assert small_config(methods=("Average",), grid_a_frac=(0.1,)).grid_a_frac == (0.1,)
+
+
+@pytest.mark.parametrize("name", ["methods", "fractions"])
+def test_config_rejects_empty_methods_and_fractions(name):
+    with pytest.raises(ValueError, match=f"{name} must not be empty"):
+        small_config(**{name: ()})
+
+
+ALL_METHODS_CSV = (
+    "dataset,fraction,method,seed,mean_accuracy,C,p,a,p_exp,wall_ms,converged\n"
+    "synth:T=3;N=30;d=5;sim=0.3;noise=1.0;seed=2,0.5,Conic,0,0.8333333333333334,2.0,2.0,79.5989949685296,,0,1\n"
+    "synth:T=3;N=30;d=5;sim=0.3;noise=1.0;seed=2,0.5,Average,0,0.8333333333333334,2.0,2.0,,,0,1\n"
+    "synth:T=3;N=30;d=5;sim=0.3;noise=1.0;seed=2,0.5,ParetoPath,0,0.8333333333333334,2.0,2.0,,0.5,0,1\n"
+    "synth:T=3;N=30;d=5;sim=0.3;noise=1.0;seed=2,0.5,SingleTask,0,{single}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "use_bias, single",
+    [(False, "0.8333333333333334,0.5,2.0,,,0,1"), (True, "0.8571428571428572,2.0,2.0,,,0,1")],
+)
+def test_run_experiment_csv_pinned_for_all_four_methods(use_bias, single):
+    cfg = small_config(
+        dataset="synth:T=3,N=30,d=5,sim=0.3,noise=1.0,seed=2",
+        methods=("Conic", "Average", "ParetoPath", "SingleTask"),
+        grid_C=(0.5, 2.0),
+        grid_a_frac=(0.5, 1.0),
+        grid_p_exp=(0.5, 1.0),
+        use_bias=use_bias,
+    )
+    assert run_experiment(cfg).to_csv_text() == ALL_METHODS_CSV.format(single=single)
 
 
 def test_cv_single_cell_short_circuits():
