@@ -297,21 +297,17 @@ def estimate_scale_constant(
     return _sign_expectation(stacks, samples, "scale-const", seed, total <= exhaustive_limit, reduce)
 
 
-def erc_upper_bound_lp(inputs: BoundInputs, p1_smoothing: bool = False) -> float:
+def erc_upper_bound_lp(inputs: BoundInputs) -> float:
     """Trace-norm complexity bound (2 sqrt(2 R p*) / (TN)) sqrt(sum_t ||v_t||_{p*} / lam_t).
 
     For p = 1 the conjugate exponent is infinite and the sqrt(p*) factor
-    diverges, so the bound does not apply; the default returns nan as a
-    not-applicable marker. With p1_smoothing the conjugate exponent is
-    replaced by max(ln M, 1), a standard softening of the max norm.
+    diverges, so the bound does not apply; it returns nan as a
+    not-applicable marker.
     """
-    lam = inputs.task_weights.values
     if inputs.p == 1.0:
-        if not p1_smoothing:
-            return float("nan")
-        p_star = max(float(np.log(inputs.M)), 1.0)
-    else:
-        p_star = conjugate_exponent(inputs.p)
+        return float("nan")
+    lam = inputs.task_weights.values
+    p_star = conjugate_exponent(inputs.p)
     total = inputs.T * inputs.N
     norms = np.array([lp_norm(v, p_star) for v in inputs.traces])
     return float(2.0 * np.sqrt(2.0 * inputs.R * p_star) / total * np.sqrt((norms / lam).sum()))

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gram, train, predict, bound, radcheck, experiment, report.
+Subcommands: train, predict, bound, radcheck, experiment, report.
 Options may come from an INI-style config file (key/value in sections,
 dotted section names for nesting); explicit flags override config keys.
 """
@@ -67,17 +67,6 @@ def _names(text):
     return tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
 
 
-def cmd_gram(args):
-    _, dataset = resolve_dataset(args.data)
-    specs = default_kernel_dictionary()
-    count = 0
-    for task in dataset:
-        build_gram_stack(task.task_id, task.X, specs, cache_dir=args.cache_dir)
-        count += len(specs)
-    print(f"cached {count} gram matrices for {len(dataset)} tasks in {args.cache_dir}")
-    return 0
-
-
 def cmd_train(args):
     cfg_file = _load_config_section(args.config, "train", ("fraction", "seed", "mode"))
     fraction = _merged(args, cfg_file, "fraction", float, None)
@@ -86,7 +75,7 @@ def cmd_train(args):
     _, dataset = resolve_dataset(args.data)
     train_tasks, _, scaler = data_io.prepare_run(dataset, fraction, seed, args.balanced)
     specs = default_kernel_dictionary()
-    stacks = [build_gram_stack(t.task_id, t.X, specs, cache_dir=args.cache_dir) for t in train_tasks]
+    stacks = [build_gram_stack(t.task_id, t.X, specs) for t in train_tasks]
 
     budget = args.budget
     if budget is None:
@@ -206,11 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="conicmtl")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gram", help="precompute and cache gram matrices")
-    p.add_argument("--data", required=True)
-    p.add_argument("--cache-dir", required=True)
-    p.set_defaults(func=cmd_gram)
-
     p = sub.add_parser("train", help="train a model and save it with its training split")
     p.add_argument("--data", required=True)
     p.add_argument("--config")
@@ -225,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-exp", dest="p_exp", type=float, default=0.5)
     p.add_argument("--use-bias", action="store_true")
     p.add_argument("--no-balance", dest="balanced", action="store_false")
-    p.add_argument("--cache-dir")
     p.add_argument("--out", required=True)
     p.add_argument("--split-out")
     p.set_defaults(func=cmd_train)

@@ -42,7 +42,6 @@ class ExperimentConfig:
     grid_p_exp: tuple = (0.25, 0.5, 0.75, 1.0)
     r_max: float = 8.0
     use_bias: bool = False
-    balanced: bool = True
     master_seed: int = 0
 
     def __post_init__(self):
@@ -271,7 +270,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     for fraction in config.fractions:
         for run in range(config.runs):
             run_seed = derive_seed(config.master_seed, "run", fraction, run)
-            train_tasks, test_tasks, _ = data_io.prepare_run(dataset, fraction, run_seed, config.balanced)
+            train_tasks, test_tasks, _ = data_io.prepare_run(dataset, fraction, run_seed, balanced=True)
             stacks = [build_gram_stack(t.task_id, t.X, specs) for t in train_tasks]
             for method in config.methods:
                 started = time.perf_counter()

@@ -511,8 +511,6 @@ def test_trace_bound_p1_not_applicable_by_default():
         rho=1.0, delta=0.5, R=1.0, p=1.0, traces=np.ones((1, 3)),
     )
     assert np.isnan(erc_upper_bound_lp(inputs))
-    smoothed = erc_upper_bound_lp(inputs, p1_smoothing=True)
-    assert np.isfinite(smoothed) and smoothed > 0
 
 
 def test_exhaustive_complexity_below_trace_bound():

@@ -1,10 +1,15 @@
-"""End-to-end checks of the `train`, `predict` and `bound` subcommands."""
+"""End-to-end checks of the `train`, `predict` and `bound` subcommands, and of
+the command set the README documents."""
+
+import argparse
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conicmtl.bounds import bound_report
-from conicmtl.cli import main
+from conicmtl.cli import build_parser, main
 from conicmtl.data import TaskDataset, load_sparse_text, load_task_directory, sample_mtl_path
 from conicmtl.experiments import resolve_dataset
 from conicmtl.training import decision_values, load_model
@@ -104,3 +109,23 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError, match=r"unknown key 'use_bias' in \[experiment\]"):
         main(["experiment", "--config", config, "--out", str(out)])
     assert not out.exists()
+
+
+def test_readme_command_line_block_lists_exactly_the_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n+```bash\n(.*?)^```", readme, re.S | re.M).group(1)
+    documented = set(re.findall(r"^conicmtl (\S+)", block, re.M))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gram", "--data", "sample:mtl", "--cache-dir"], ["train", "--data", "sample:mtl", "--out", "m.txt", "--cache-dir"]],
+    ids=["gram", "train-cache-dir"],
+)
+def test_removed_gram_command_and_train_cache_flag_are_usage_errors(tmp_path, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [str(tmp_path / "cache")])
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "cache").exists()

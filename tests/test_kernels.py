@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,6 @@ from conicmtl.kernels import (
     cosine_normalize,
     default_kernel_dictionary,
     expand,
-    gram_cache_key,
-    load_cached_gram,
-    save_cached_gram,
     trace_vector,
 )
 from conicmtl.kernels import _exp, _gaussian_scale
@@ -285,16 +284,12 @@ def test_compute_gram_is_byte_identical_to_the_oracle(regime, n_cols):
             assert compute_gram(spec, rows, other).tobytes() == want.tobytes(), spec.label()
 
 
-def test_build_gram_stack_is_byte_identical_to_the_oracle(tmp_path):
+def test_build_gram_stack_is_byte_identical_to_the_oracle():
     rng = np.random.default_rng(52)
     X = rng.standard_normal((40, 6))
     specs = default_kernel_dictionary() + EXPANSION_SPECS
     want = [oracle_compute_gram(spec, X, X).tobytes() for spec in specs]
-    # cold, then with a cache holding every other kernel, then warm
     assert [g.tobytes() for g in build_gram_stack("t", X, specs).grams] == want
-    build_gram_stack("t", X, specs[::2], cache_dir=tmp_path)
-    assert [g.tobytes() for g in build_gram_stack("t", X, specs, cache_dir=tmp_path).grams] == want
-    assert [g.tobytes() for g in build_gram_stack("t", X, specs, cache_dir=tmp_path).grams] == want
 
 
 def exp_sweep():
@@ -409,33 +404,6 @@ def test_trace_vector_zero_and_diagonal_cases():
     assert stack.traces[1] == 5.0
 
 
-def test_gram_cache_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    X = rng.standard_normal((9, 4))
-    spec = KernelSpec(kind="gaussian", spread=0.5)
-    gram = compute_gram(spec, X, X)
-    path = save_cached_gram(spec, X, gram, tmp_path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"GRAM"
-    assert len(raw) == 16 + 9 * 9 * 8
-    loaded = load_cached_gram(spec, X, tmp_path)
-    assert np.array_equal(loaded, gram)
-    # distinct spec or data gives a distinct key
-    other = KernelSpec(kind="gaussian", spread=1.0)
-    assert gram_cache_key(spec, X) != gram_cache_key(other, X)
-    assert load_cached_gram(other, X, tmp_path) is None
-
-
-def test_build_stack_uses_cache(tmp_path):
-    rng = np.random.default_rng(10)
-    X = rng.standard_normal((6, 3))
-    specs = default_kernel_dictionary()
-    first = build_gram_stack("t", X, specs, cache_dir=tmp_path)
-    second = build_gram_stack("t", X, specs, cache_dir=tmp_path)
-    assert np.array_equal(first.grams, second.grams)
-    assert len(list(tmp_path.glob("*.gram"))) == len(specs)
-
-
 def test_kernel_weights_validation():
     with pytest.raises(ValueError, match="ball"):
         KernelWeights(np.array([1.0, 1.0]), p=1.0)
@@ -444,10 +412,18 @@ def test_kernel_weights_validation():
 
 
 def test_kernel_spec_label_roundtrip():
-    for spec in default_kernel_dictionary():
-        assert KernelSpec.from_label(spec.label()) == spec
     custom = KernelSpec(kind="gaussian", spread=0.25, gaussian_convention="gamma")
-    assert KernelSpec.from_label(custom.label()) == custom
+    for spec in default_kernel_dictionary() + EXPANSION_SPECS + [custom]:
+        assert KernelSpec.from_label(spec.label()) == spec, spec.label()
+
+
+@pytest.mark.parametrize(
+    "label, key",
+    [("gauss:sx=0.5:norm=0", "sx"), ("linear:norm=1:size=3", "size"), ("poly:d=2::norm=1", "")],
+)
+def test_kernel_spec_from_label_rejects_an_unknown_field_key(label, key):
+    with pytest.raises(ValueError, match=re.escape(f"unknown field {key!r} in kernel label {label!r}")):
+        KernelSpec.from_label(label)
 
 
 def test_gaussian_spread_conventions():
