@@ -75,7 +75,8 @@ class KernelSpec:
 
     @staticmethod
     def from_label(label: str) -> "KernelSpec":
-        """The spec that `label` names; a field key it does not know is an error."""
+        """The spec that `label` names. A field key it does not know is an error,
+        and so is any label that is not the one `label()` writes for the spec."""
         parts = label.split(":")
         norm = False
         fields = {}
@@ -95,7 +96,10 @@ class KernelSpec:
             else:
                 raise ValueError(f"unknown field {key!r} in kernel label {label!r}")
         kind = {"poly": "polynomial", "gauss": "gaussian"}.get(kind, kind)
-        return KernelSpec(kind=kind, normalize=norm, **fields)
+        spec = KernelSpec(kind=kind, normalize=norm, **fields)
+        if spec.label() != label:
+            raise ValueError(f"kernel label {label!r} is not canonical: its spec writes {spec.label()!r}")
+        return spec
 
 
 def default_kernel_dictionary() -> list[KernelSpec]:
@@ -349,7 +353,7 @@ class KernelWeights:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.p < 1.0:
             raise ValueError(f"p must be >= 1, got {self.p}")
-        if np.any(self.values < -1e-12):
+        if (self.values < -1e-12).any():
             raise ValueError("kernel weights must be nonnegative")
         if lp_norm(self.values, self.p) > 1.0 + 1e-9:
             raise ValueError("kernel weights exceed the unit Lp ball")
@@ -362,8 +366,8 @@ class KernelWeights:
 def combine(stack: GramStack, weights: KernelWeights) -> np.ndarray:
     """Weighted Gram sum_m theta_m G_m; the training kernel of one task."""
     theta = weights.values
-    if theta.shape[0] != stack.n_kernels:
-        raise ValueError(
-            f"weight length {theta.shape[0]} does not match kernel count {stack.n_kernels}"
-        )
-    return np.tensordot(theta, stack.grams, axes=(0, 0))
+    M, n = stack.grams.shape[:2]
+    if theta.shape[0] != M:
+        raise ValueError(f"weight length {theta.shape[0]} does not match kernel count {M}")
+    # the (1, M) @ (M, n*n) product that np.tensordot(theta, grams, axes=(0, 0)) makes
+    return np.dot(theta.reshape(1, M), stack.grams.reshape(M, n * n)).reshape(n, n)

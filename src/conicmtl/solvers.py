@@ -91,7 +91,7 @@ def _newton_direction(Q, y, g, r, alpha, C, use_bias):
     """
     free = ~(((alpha <= 0.0) & (r < 0.0)) | ((alpha >= C) & (r > 0.0)))
     while True:
-        idx = np.flatnonzero(free)
+        idx = free.nonzero()[0]
         if idx.size <= int(use_bias):
             # nothing free, or one variable that the equality pins
             return idx, np.zeros(idx.size), 0.0
@@ -103,17 +103,21 @@ def _newton_direction(Q, y, g, r, alpha, C, use_bias):
         else:
             H, rhs = Q_FF, g[idx]
         w, V = np.linalg.eigh(H)
-        top = float(np.abs(w).max())
+        top = float(max(w[-1], -w[0]))  # the largest |w|: eigh sorts w ascending
         if w[0] < -1e-8 * max(1.0, top):
             raise ValueError("kernel matrix is not positive semidefinite")
         c = V.T @ rhs
-        null = w <= 1e-12 * top
-        if np.abs(c[null]).max(initial=0.0) > 1e-9 * max(1.0, float(np.abs(rhs).max())):
-            basis, step = V[:, null], c[null]  # flat: the objective rises linearly to the box
+        if w[0] > 1e-12 * top:  # no null direction: w ascends
+            basis, step = V, c / w
         else:
-            basis, step = V[:, ~null], c[~null] / w[~null]
-        # a C-ordered basis keeps the summation order of the product
-        d = (Z @ basis if use_bias else np.ascontiguousarray(basis)) @ step
+            null = w <= 1e-12 * top
+            if np.abs(c[null]).max(initial=0.0) > 1e-9 * max(1.0, float(np.abs(rhs).max())):
+                basis, step = V[:, null], c[null]  # flat: the objective rises linearly to the box
+            else:
+                basis, step = V[:, ~null], c[~null] / w[~null]
+        # the basis's memory order fixes the summation order of the product:
+        # C order without the bias, with it the Fortran order of a column gather
+        d = (Z @ np.asfortranarray(basis) if use_bias else np.ascontiguousarray(basis)) @ step
         a = alpha[idx]
         out = ((a <= 0.0) & (d < 0.0)) | ((a >= C) & (d > 0.0))
         if not out.any():
@@ -125,8 +129,9 @@ def _newton_direction(Q, y, g, r, alpha, C, use_bias):
 
 
 def _symmetric(K: np.ndarray) -> bool:
-    """np.allclose(K, K.T, atol=1e-10), written out for finite K."""
-    return bool((np.abs(K - K.T) <= 1e-10 + 1e-5 * np.abs(K.T)).all())
+    """np.allclose(K, K.T, atol=1e-10), written out for finite K; an exactly
+    symmetric K, the usual case, is decided by one comparison."""
+    return bool((K == K.T).all() or (np.abs(K - K.T) <= 1e-10 + 1e-5 * np.abs(K.T)).all())
 
 
 def solve_svm_dual(
@@ -171,7 +176,7 @@ def solve_svm_dual(
     if use_bias and abs(float(alpha @ y)) > 1e-9 * C * n:
         raise ValueError("warm start violates sum_i alpha_i y_i = 0")
 
-    Q = K * np.outer(y, y)
+    Q = K * (y[:, None] * y)  # np.outer(y, y), without its set-up
     g = 1.0 - Q @ alpha  # gradient of the dual objective
 
     def gap_terms():
@@ -187,8 +192,9 @@ def solve_svm_dual(
 
     iterations = 0
     best, stalled = -np.inf, 0
+    terms = None  # gap_terms() at the current alpha, once computed
     for iterations in range(1, max_iter + 1):
-        dual, _, gap, bias = gap_terms()
+        terms = dual, _, gap, bias = gap_terms()
         if gap <= tol:
             break
         # n + 1 steps without a higher dual value: rounding stops the ascent short of tol
@@ -196,11 +202,16 @@ def solve_svm_dual(
         best = max(best, dual)
         if stalled > n:
             break
-        inside = (alpha > 0.0) & (alpha < C)
-        if use_bias and inside.any():
-            # the equality multiplier, exact at a free-set optimum
-            bias = float(np.mean((y * g)[inside]))
-        idx, d, curvature = _newton_direction(Q, y, g, g - y * bias, alpha, C, use_bias)
+        # the reduced gradient g - y * bias; without the bias (0.0) it is g up
+        # to the sign of a zero, which the sign tests that read r cannot see
+        r = g
+        if use_bias:
+            inside = (alpha > 0.0) & (alpha < C)
+            if inside.any():
+                # the equality multiplier, exact at a free-set optimum
+                bias = float(np.mean((y * g)[inside]))
+            r = g - y * bias
+        idx, d, curvature = _newton_direction(Q, y, g, r, alpha, C, use_bias)
         slope = float(g[idx] @ d)
         if not slope > 0.0:
             break
@@ -212,8 +223,10 @@ def solve_svm_dual(
         snap = 1e-14 * C
         alpha[idx] = np.where(moved <= snap, 0.0, np.where(moved >= C - snap, C, moved))
         g = 1.0 - Q @ alpha
+        terms = None
 
-    dual, primal, gap, bias = gap_terms()
+    # every exit but the iteration cap leaves alpha where gap_terms() last saw it
+    dual, primal, gap, bias = gap_terms() if terms is None else terms
     margins = 1.0 - g  # y_i * (decision value without bias)
     return DualSolution(
         alpha=alpha,
@@ -251,9 +264,9 @@ def theta_step(u, p: float) -> KernelWeights:
     weights in that case).
     """
     u = np.asarray(u, dtype=np.float64)
-    if np.any(u < 0):
+    if (u < 0).any():
         raise ValueError("weight vector must be nonnegative")
-    if not np.any(u > 0):
+    if not (u > 0).any():
         raise ValueError("weight vector is all zero")
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -304,7 +317,7 @@ def lambda_step(J, c, budget: float, r_max: float) -> TaskWeights:
     b = np.sqrt(J[pos] / c[pos])
     points = np.sort(np.concatenate([b, r_max * b]))
     lam_at = np.repeat(lam[None], points.size, axis=0)
-    lam_at[:, pos] = np.clip(points[:, None] / b, 1.0, r_max)
+    lam_at[:, pos] = (points[:, None] / b).clip(1.0, r_max)
     usage = (c / lam_at).sum(axis=1)
     j = int(np.argmax(usage <= budget))  # row 0 is the lower corner, so j >= 1 when met
     if usage[j] > budget:
@@ -315,5 +328,5 @@ def lambda_step(J, c, budget: float, r_max: float) -> TaskWeights:
     lo, hi = float(points[j - 1]), float(points[j])
     w = float(budget - usage[j]) / float(usage[j - 1] - usage[j])
     s = 1.0 / (w / lo + (1.0 - w) / hi)
-    lam[pos] = np.clip(s / b, 1.0, r_max)
+    lam[pos] = (s / b).clip(1.0, r_max)
     return TaskWeights(lam, r_max, budget)

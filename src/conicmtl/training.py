@@ -118,14 +118,13 @@ def pareto_lambda(f, p_exp: float) -> np.ndarray:
 
 
 def _hinge_total(dual: DualSolution, y: np.ndarray, C: float, use_bias: bool) -> float:
-    margins = dual.margins + (y * dual.bias if use_bias else 0.0)
+    margins = dual.margins + y * dual.bias if use_bias else dual.margins
     return float(C * np.maximum(0.0, 1.0 - margins).sum())
 
 
 def _regularizer(comp: np.ndarray, theta: np.ndarray):
     """sum_m comp_m / (2 theta_m) with 0/0 treated as 0, per row of comp."""
-    out = np.divide(comp, 2.0 * theta, out=np.zeros_like(comp), where=theta > 0)
-    return out.sum(axis=-1)
+    return np.divide(comp, 2.0 * theta, out=np.zeros(comp.shape), where=theta > 0).sum(axis=-1)
 
 
 def _validate_fit_inputs(tasks, stacks):
@@ -205,7 +204,7 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
         # theta-step: closed form on u_m = sum_t lam_t ||w_t^m||^2, kept
         # only if it does not lose to the current weights numerically. The
         # sum runs in task order and, like a sum started at +0, has no -0.
-        u = np.cumsum(lam[:, None] * comps, axis=0)[-1] + 0.0
+        u = (lam[:, None] * comps).cumsum(axis=0)[-1] + 0.0
         if (u > 0).any():
             theta_new = theta_step(u, config.p)
             if _regularizer(u, theta_new.values) <= _regularizer(u, theta.values):

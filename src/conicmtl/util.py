@@ -18,13 +18,14 @@ def conjugate_exponent(p: float) -> float:
 
 def lp_norm(v, p: float) -> float:
     """Lp norm of a vector; p may be inf (max norm)."""
-    v = np.abs(np.asarray(v, dtype=float))
+    v = np.asarray(v, dtype=float)
+    if p == 2.0:
+        return float(np.sqrt((v * v).sum()))  # v * v needs no abs
+    v = np.abs(v)
     if np.isinf(p):
         return float(v.max()) if v.size else 0.0
     if p == 1.0:
         return float(v.sum())
-    if p == 2.0:
-        return float(np.sqrt((v * v).sum()))
     return float((v**p).sum() ** (1.0 / p))
 
 

@@ -375,6 +375,19 @@ def test_combine_psd_spot_check():
         assert sigma @ K @ sigma >= -1e-8 * (sigma @ sigma)
 
 
+@pytest.mark.parametrize("M", [1, 11])
+def test_combine_is_the_tensordot_of_weights_and_stack_bit_for_bit(M):
+    rng = np.random.default_rng(40 + M)
+    stack = build_gram_stack("t", rng.standard_normal((14, 5)), default_kernel_dictionary()[:M])
+    idx = np.array([0, 2, 3, 6, 7, 9, 12, 13])
+    # the fancy-indexed sub-stack of a cross-validation fold: kernel axis innermost
+    sub = GramStack(task_id="t", grams=stack.grams[:, idx[:, None], idx[None, :]])
+    theta = KernelWeights(rng.uniform(0.05, 1.0, M) / M, p=2.0)
+    for s in (stack, sub):
+        want = np.tensordot(theta.values, s.grams, axes=(0, 0))
+        assert combine(s, theta).tobytes() == want.tobytes()
+
+
 def test_combine_length_mismatch():
     rng = np.random.default_rng(6)
     stack = _random_stack(rng, M=3)
@@ -423,6 +436,15 @@ def test_kernel_spec_label_roundtrip():
 )
 def test_kernel_spec_from_label_rejects_an_unknown_field_key(label, key):
     with pytest.raises(ValueError, match=re.escape(f"unknown field {key!r} in kernel label {label!r}")):
+        KernelSpec.from_label(label)
+
+
+@pytest.mark.parametrize(
+    "label", ["linear:d=3:norm=5", "gauss:s=0.5:s=2.0:norm=0", "poly:d=2:off=1.0:norm=1:norm=0"]
+)
+def test_kernel_spec_from_label_rejects_a_label_that_label_never_writes(label):
+    # an ignored field, a repeated key and a repeated norm would load silently
+    with pytest.raises(ValueError, match=re.escape(f"kernel label {label!r} is not canonical")):
         KernelSpec.from_label(label)
 
 

@@ -1,7 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from conicmtl.kernels import GramStack, KernelSpec, KernelWeights, compute_gram
+from conicmtl import training
+from conicmtl.data import prepare_run
+from conicmtl.experiments import budget_from_fraction, resolve_dataset
+from conicmtl.kernels import GramStack, KernelSpec, KernelWeights, build_gram_stack, compute_gram, default_kernel_dictionary
 from conicmtl.solvers import TaskWeights, _symmetric, component_sq_norms, lambda_step, solve_svm_dual, theta_step
 from conicmtl.util import lp_norm
 
@@ -283,6 +288,85 @@ def test_bias_mode_certifies_singular_and_nearly_constant_kernels():
         tol = 1e-10 * C * n  # relative to the scale of the objective
         sol = solve_svm_dual(K, y, C=C, use_bias=True, tol=tol, max_iter=200)
         assert sol.converged, f"seed {seed}: gap {sol.duality_gap} above {tol}"
+
+
+# ------------------------------------------- recorded warm calls of fit
+
+def recorded_warm_calls(monkeypatch, use_bias, **config):
+    """The warm-started solve_svm_dual calls of one Conic fit on sample:mtl
+    (balanced halves, seed 7, C=1, p=2, a=0.5), as (arguments, result)
+    pairs in call order."""
+    _, dataset = resolve_dataset("sample:mtl")
+    train, _, _ = prepare_run(dataset, 0.5, 7, True)
+    specs = default_kernel_dictionary()
+    stacks = [build_gram_stack(t.task_id, t.X, specs) for t in train]
+    calls = []
+
+    def recording(K, y, C, **kwargs):
+        result = solve_svm_dual(K, y, C, **kwargs)
+        calls.append((dict(K=K, y=y, C=C, **kwargs), result))
+        return result
+
+    monkeypatch.setattr(training, "solve_svm_dual", recording)
+    budget = budget_from_fraction(stacks, 2.0, 0.5)
+    cfg = training.TrainConfig(C=1.0, p=2.0, budget=budget, use_bias=use_bias, **config)
+    training.fit(train, stacks, cfg, kernel_specs=specs)
+    return [(args, result) for args, result in calls if args["alpha0"] is not None]
+
+
+def result_digest(result) -> str:
+    h = hashlib.sha256()
+    for values in (result.alpha, result.margins):
+        h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    scalars = (result.bias, result.objective, result.duality_gap, result.dual_objective)
+    h.update(repr((*(float(v).hex() for v in scalars), int(result.iterations), bool(result.converged))).encode())
+    return h.hexdigest()
+
+
+# (use_bias, fit config, index among the fit's warm calls, how the solve ends):
+# "gap" certifies the gap; "cap" takes a step at max_iter=1, so the gap terms
+# are recomputed after it; "stall" stops on the no-progress rule under a gap
+# tolerance that rounding cannot meet (found by instrumenting the loop)
+WARM_CALLS = {
+    "nobias-gap-1": (False, {}, 1, "gap"),
+    "nobias-gap-9": (False, {}, 9, "gap"),
+    "nobias-gap-17": (False, {}, 17, "gap"),
+    "nobias-cap": (False, {"svm_max_iter": 1}, 3, "cap"),
+    "nobias-stall": (False, {"svm_tol": 1e-300}, 7, "stall"),
+    "bias-gap-1": (True, {}, 1, "gap"),
+    "bias-gap-9": (True, {}, 9, "gap"),
+    "bias-gap-17": (True, {}, 17, "gap"),
+    "bias-cap": (True, {"svm_max_iter": 1}, 3, "cap"),
+    "bias-stall": (True, {"svm_tol": 1e-300}, 16, "stall"),
+}
+
+WARM_CALL_DIGESTS = {  # result_digest of each call: the solver must reproduce every bit
+    "bias-cap": "aeb3851d362424447d5d7266a8a869544f496945631ea373b979e112e072d410",
+    "bias-gap-1": "06b4d81c6b947f8e0a96a3409f57eb95568e5e277e4abd655ec857fb242b887a",
+    "bias-gap-17": "f45c33f35a719bce0d4a00e9b50d4ec7f26e239720c227544930c74f9f7c54a9",
+    "bias-gap-9": "497ccb87ae4303f3fe9c6781ca3ca4c3710c5d2e32f7e7fbc1465ce2837cb2b8",
+    "bias-stall": "02256f6412b7e4d3ba7b13d34569aa27d9570279e54a56c40033aff83b90ed33",
+    "nobias-cap": "1344c2267ebfbfbeb4e068190fb6cad8131477e5f4e52281f0db2e04a804661c",
+    "nobias-gap-1": "55217443323ffbade55ecc5d8dbec11e8879afe0ae1bbf75927dbbbca3772636",
+    "nobias-gap-17": "e9af0ce2f3d29a1ca7d6f8cbff411a2f52b5712fd31813faa191d3893722a250",
+    "nobias-gap-9": "a1976fc448e5de16cf8c79944c57134199d1c933bcce30fe43fbd1a68418dca9",
+    "nobias-stall": "1408983eb264524c6db265d9ac968891cce7fd85763e15b625779a693ee550e7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WARM_CALLS))
+def test_recorded_warm_calls_are_bit_identical(monkeypatch, case):
+    use_bias, config, index, end = WARM_CALLS[case]
+    args, result = recorded_warm_calls(monkeypatch, use_bias, **config)[index]
+    n = args["y"].size
+    if end == "gap":
+        assert result.converged
+    elif end == "cap":
+        assert result.iterations == args["max_iter"] == 1
+        assert not np.array_equal(result.alpha, args["alpha0"])  # a step, then the cap
+    else:
+        assert not result.converged and n < result.iterations < args["max_iter"]
+    assert result_digest(result) == WARM_CALL_DIGESTS[case]
 
 
 # ------------------------------------------------------ component norms

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conicmtl import training
-from conicmtl.data import Scaler, TaskDataset, synth_multitask
+from conicmtl.data import Scaler, TaskDataset, prepare_run, synth_multitask
+from conicmtl.experiments import budget_from_fraction, resolve_dataset
 from conicmtl.kernels import (
     EXPAND_BLOCK,
     GramStack,
@@ -169,6 +170,28 @@ def test_solver_cap_hit_clears_converged():
 
 
 # ---------------------------------------------------------- pareto weights
+
+def test_conic_fit_combines_and_solves_once_per_task_and_outer_iteration(monkeypatch):
+    # the benchmark's tracer counts the w-step through these two names; a
+    # path around them would read as a w-step that never runs
+    _, dataset = resolve_dataset("sample:mtl")
+    tasks, _, _ = prepare_run(dataset, 0.5, 7, True)
+    specs = default_kernel_dictionary()
+    stacks = make_stacks(tasks, specs)
+    counts = {"combine": 0, "solve_svm_dual": 0}
+    for name in counts:
+
+        def counting(*args, _name=name, _original=getattr(training, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(training, name, counting)
+    config = TrainConfig(C=1.0, p=2.0, budget=budget_from_fraction(stacks, 2.0, 0.5))
+    model = fit(tasks, stacks, config, kernel_specs=specs)
+    outer = (len(model.objective_trace) - 1) // 3
+    assert outer > 1
+    assert counts == {"combine": outer * len(tasks), "solve_svm_dual": outer * len(tasks)}
+
 
 def test_pareto_lambda_examples():
     assert np.array_equal(pareto_lambda(np.array([0.3, 7.0, 2.0]), 1.0), np.ones(3))
