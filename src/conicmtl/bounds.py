@@ -416,9 +416,9 @@ def bound_report(
 ) -> BoundReport:
     """Assemble every bound term for a trained model plus its test error.
 
-    test_tasks pairs with the model's tasks by task_id; pass stacks to
-    reuse precomputed training Grams, otherwise they are rebuilt from the
-    model's training data.
+    test_tasks, any iterable of TaskDataset, pairs with the model's tasks
+    by task_id; pass stacks to reuse precomputed training Grams, otherwise
+    they are rebuilt from the model's training data.
     """
     from .kernels import build_gram_stack
     from .training import decision_values, weighted_empirical_loss
@@ -455,8 +455,6 @@ def bound_report(
         terms = bound_rhs_any_lambda(inputs, emp, est.mean)
     fixed_total = bound_rhs_fixed_lambda(inputs, emp, est.mean)
 
-    if hasattr(test_tasks, "tasks"):
-        test_tasks = test_tasks.tasks
     by_id = {t.task_id: t for t in test_tasks}
     errors = []
     for task in model.tasks:

@@ -3,6 +3,7 @@
 Subcommands: train, predict, bound, radcheck, experiment, report.
 Options may come from an INI-style config file (key/value in sections,
 dotted section names for nesting); explicit flags override config keys.
+An option left unset is not passed on, so the library's default applies.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +29,33 @@ from .experiments import (
     write_results_csv,
 )
 from .kernels import build_gram_stack, default_kernel_dictionary
-from .training import TrainConfig, fit, load_model, predict, save_model
+from .training import MODES, TrainConfig, fit, load_model, predict, save_model
 from .verification import run_verification_suite
+
+
+def _floats(text):
+    return tuple(float(tok) for tok in str(text).split(",") if tok)
+
+
+def _names(text):
+    return tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
+
+
+# Config-file key (also the flag's dest) -> (keyword it sets, parser of its text).
+TRAIN_KEYS = {"fraction": ("fraction", float), "seed": ("seed", int), "mode": ("mode", str)}
+EXPERIMENT_KEYS = {
+    "data": ("dataset", str),
+    "fractions": ("fractions", _floats),
+    "methods": ("methods", _names),
+    "runs": ("runs", int),
+    "folds": ("cv_folds", int),
+    "seed": ("master_seed", int),
+    "r_max": ("r_max", float),
+    "grid_c": ("grid_C", _floats),
+    "grid_p": ("grid_p", _floats),
+    "grid_a_frac": ("grid_a_frac", _floats),
+    "grid_p_exp": ("grid_p_exp", _floats),
+}
 
 
 def _load_config_section(path, section, keys):
@@ -49,47 +76,34 @@ def _load_config_section(path, section, keys):
     return values
 
 
-def _merged(args, config_values, key, cast, default):
-    """Flag > config file > default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config_values:
-        return cast(config_values[key])
-    return default
+def _set(args, *names):
+    """The named options the user set; an unset one is left out, so the callee's default applies."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _floats(text):
-    return tuple(float(tok) for tok in str(text).split(",") if tok)
-
-
-def _names(text):
-    return tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
+def _given(args, table, section):
+    """Keyword arguments for the table's options the user set: a flag beats a config key."""
+    values = _load_config_section(args.config, section, table)
+    given = {}
+    for key, (keyword, parse) in table.items():
+        value = getattr(args, key)
+        if value is None:
+            value = values.get(key)
+        if value is not None:
+            given[keyword] = parse(value)
+    return given
 
 
 def cmd_train(args):
-    cfg_file = _load_config_section(args.config, "train", ("fraction", "seed", "mode"))
-    fraction = _merged(args, cfg_file, "fraction", float, None)
-    seed = int(_merged(args, cfg_file, "seed", int, 0))
-    mode = _merged(args, cfg_file, "mode", str, "conic")
+    given = _given(args, TRAIN_KEYS, "train")
+    fraction = given.pop("fraction", None)  # None keeps whole tasks
+    config = TrainConfig(**given, **_set(args, "C", "p", "budget", "r_max", "p_exp"), use_bias=args.use_bias)
     _, dataset = resolve_dataset(args.data)
-    train_tasks, _, scaler = data_io.prepare_run(dataset, fraction, seed, args.balanced)
+    train_tasks, _, scaler = data_io.prepare_run(dataset, fraction, config.seed, args.balanced)
     specs = default_kernel_dictionary()
     stacks = [build_gram_stack(t.task_id, t.X, specs) for t in train_tasks]
-
-    budget = args.budget
-    if budget is None:
-        budget = budget_from_fraction(stacks, args.p, args.budget_frac)
-    config = TrainConfig(
-        C=args.C,
-        p=args.p,
-        budget=budget,
-        r_max=args.r_max,
-        mode=mode,
-        p_exp=args.p_exp,
-        use_bias=args.use_bias,
-        seed=seed,
-    )
+    if args.budget is None:
+        config = replace(config, budget=budget_from_fraction(stacks, config.p, args.budget_frac))
     model = fit(train_tasks, stacks, config, kernel_specs=specs)
     model.scaler = scaler
 
@@ -98,7 +112,7 @@ def cmd_train(args):
     split_dir = Path(args.split_out) if args.split_out else out.with_suffix(".train")
     data_io.save_task_directory(data_io.MultiTaskDataset(train_tasks), split_dir)
     status = "converged" if model.converged else "NOT converged"
-    print(f"trained {mode} model on {len(train_tasks)} tasks ({status})")
+    print(f"trained {config.mode} model on {len(train_tasks)} tasks ({status})")
     print(f"model: {out}")
     print(f"training split: {split_dir}")
     print(f"final objective: {model.objective_trace[-1]!r}")
@@ -127,18 +141,10 @@ def cmd_predict(args):
 def cmd_bound(args):
     train_tasks = data_io.load_task_directory(args.train_data)
     model = load_model(args.model, train_tasks)
-    _, test_dataset = resolve_dataset(args.test_data)
-    test_tasks = list(test_dataset)
+    _, test_tasks = resolve_dataset(args.test_data)
     if model.scaler is not None:
         test_tasks = model.scaler.transform_tasks(test_tasks)
-    report = bound_report(
-        model,
-        test_tasks,
-        delta=args.delta,
-        rho=args.rho,
-        mc_samples=args.samples,
-        seed=args.seed,
-    )
+    report = bound_report(model, test_tasks, **_set(args, "delta", "rho", "mc_samples", "seed"))
     for line in report.lines():
         print(line)
     if args.out:
@@ -148,33 +154,16 @@ def cmd_bound(args):
 
 
 def cmd_radcheck(args):
-    results = run_verification_suite(seed=args.seed, n_instances=args.instances)
+    results = run_verification_suite(**_set(args, "seed", "n_instances"))
     for result in results:
         print(result.line())
     return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_experiment(args):
-    cfg_file = _load_config_section(
-        args.config,
-        "experiment",
-        ("data", "fractions", "methods", "runs", "folds", "seed", "r_max",
-         "grid_c", "grid_p", "grid_a_frac", "grid_p_exp"),
-    )
-    config = ExperimentConfig(
-        dataset=_merged(args, cfg_file, "data", str, "sample:mtl"),
-        fractions=_floats(_merged(args, cfg_file, "fractions", str, "0.5")),
-        methods=_names(_merged(args, cfg_file, "methods", str, "Conic,Average")),
-        runs=int(_merged(args, cfg_file, "runs", int, 20)),
-        cv_folds=int(_merged(args, cfg_file, "folds", int, 5)),
-        grid_C=_floats(_merged(args, cfg_file, "grid_c", str, "0.125,0.25,0.5,1,2,4,8")),
-        grid_p=_floats(_merged(args, cfg_file, "grid_p", str, "1,1.3333333333333333,2,4")),
-        grid_a_frac=_floats(_merged(args, cfg_file, "grid_a_frac", str, "0.25,0.5,0.75,1.0")),
-        grid_p_exp=_floats(_merged(args, cfg_file, "grid_p_exp", str, "0.25,0.5,0.75,1.0")),
-        r_max=float(_merged(args, cfg_file, "r_max", float, 8.0)),
-        use_bias=bool(args.use_bias),
-        master_seed=int(_merged(args, cfg_file, "seed", int, 0)),
-    )
+    given = _given(args, EXPERIMENT_KEYS, "experiment")
+    given.setdefault("dataset", "sample:mtl")
+    config = ExperimentConfig(**given, use_bias=args.use_bias)
     table = run_experiment(config)
     write_results_csv(table, args.out, measure_wall=args.measure_wall)
     done = sum(1 for r in table.rows if r.mean_accuracy is not None)
@@ -184,10 +173,7 @@ def cmd_experiment(args):
 
 def cmd_report(args):
     rows = read_results_csv(args.results)
-    print(
-        summarize_results(rows, alpha=args.alpha, reference=args.reference, paired=args.paired),
-        end="",
-    )
+    print(summarize_results(rows, **_set(args, "alpha", "reference"), paired=args.paired), end="")
     return 0
 
 
@@ -198,15 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model and save it with its training split")
     p.add_argument("--data", required=True)
     p.add_argument("--config")
-    p.add_argument("--mode", choices=("conic", "average", "pareto"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--fraction", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--C", type=float)
+    p.add_argument("--p", type=float)
     p.add_argument("--budget", type=float, help="absolute task-weight budget")
     p.add_argument("--budget-frac", type=float, default=0.5, help="budget as a fraction of the unit-weight cost")
-    p.add_argument("--r-max", dest="r_max", type=float, default=8.0)
-    p.add_argument("--p-exp", dest="p_exp", type=float, default=0.5)
+    p.add_argument("--r-max", dest="r_max", type=float)
+    p.add_argument("--p-exp", dest="p_exp", type=float)
     p.add_argument("--use-bias", action="store_true")
     p.add_argument("--no-balance", dest="balanced", action="store_false")
     p.add_argument("--out", required=True)
@@ -235,16 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--train-data", required=True)
     p.add_argument("--test-data", required=True)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--samples", dest="mc_samples", metavar="SAMPLES", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("radcheck", help="run the numeric verification suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=50)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--instances", dest="n_instances", metavar="INSTANCES", type=int)
     p.set_defaults(func=cmd_radcheck)
 
     p = sub.add_parser("experiment", help="resampled multi-method comparison; writes CSV")
@@ -271,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="summary table with significance stars from a results CSV")
     p.add_argument("--results", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--reference", default="Conic")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--reference")
     p.add_argument("--paired", action="store_true", help="pair runs by seed instead of the two-sample test")
     p.set_defaults(func=cmd_report)
 

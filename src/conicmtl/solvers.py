@@ -171,7 +171,7 @@ def solve_svm_dual(
     if not _symmetric(K):
         raise ValueError("kernel matrix is not symmetric")
     alpha = np.zeros(n) if alpha0 is None else np.array(alpha0, dtype=np.float64)
-    if alpha.shape != (n,) or (alpha < 0.0).any() or (alpha > C).any():
+    if alpha.shape != (n,) or not ((alpha >= 0.0).all() and (alpha <= C).all()):  # NaN fails both
         raise ValueError("warm start must be a vector in the box [0, C]")
     if use_bias and abs(float(alpha @ y)) > 1e-9 * C * n:
         raise ValueError("warm start violates sum_i alpha_i y_i = 0")

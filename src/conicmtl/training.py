@@ -386,12 +386,9 @@ def save_model(model: MtlModel, path) -> None:
 def load_model(path, tasks) -> MtlModel:
     """Rebuild a model from its document plus the original training tasks.
 
-    tasks may be a list of TaskDataset or anything with a .tasks attribute.
-    Each referenced task must be present and hash-identical to what was
-    trained on.
+    tasks may be any iterable of TaskDataset. Each referenced task must be
+    present and hash-identical to what was trained on.
     """
-    if hasattr(tasks, "tasks"):
-        tasks = tasks.tasks
     by_id = {t.task_id: t for t in tasks}
 
     with open(path, "r", encoding="utf-8") as fh:

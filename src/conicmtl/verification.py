@@ -30,12 +30,15 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-def random_stacks(rng, T=None, N=None, M=None, max_total=12):
+_MAX_TOTAL = 12  # T * N stays small enough for exhaustive enumeration
+
+
+def random_stacks(rng, T=None, N=None, M=None):
     """Random PSD gram stacks small enough for exhaustive enumeration."""
     T = T if T is not None else int(rng.integers(1, 4))
     M = M if M is not None else int(rng.integers(1, 4))
     if N is None:
-        N = max(1, max_total // T // 2)
+        N = max(1, _MAX_TOTAL // T // 2)
     stacks = []
     for t in range(T):
         grams = np.empty((M, N, N))
@@ -47,10 +50,9 @@ def random_stacks(rng, T=None, N=None, M=None, max_total=12):
     return stacks
 
 
-def _weights(values, r_max=None):
+def _weights(values):
     values = np.asarray(values, dtype=float)
-    r = r_max if r_max is not None else float(values.max()) * 4.0 + 2.0
-    return TaskWeights(values, r, float("inf"))
+    return TaskWeights(values, float(values.max()) * 4.0 + 2.0, float("inf"))
 
 
 def check_complexity_monotone_in_task_weights(n_instances=50, seed=0) -> CheckResult:

@@ -1,18 +1,21 @@
-"""End-to-end checks of the `train`, `predict` and `bound` subcommands, and of
-the command set the README documents."""
+"""End-to-end checks of the `train`, `predict` and `bound` subcommands, of the
+defaults the CLI leaves to the library, and of the commands and config keys
+the README documents."""
 
 import argparse
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conicmtl import cli
 from conicmtl.bounds import bound_report
-from conicmtl.cli import build_parser, main
-from conicmtl.data import TaskDataset, load_sparse_text, load_task_directory, sample_mtl_path
-from conicmtl.experiments import resolve_dataset
-from conicmtl.training import decision_values, load_model
+from conicmtl.cli import EXPERIMENT_KEYS, TRAIN_KEYS, build_parser, main
+from conicmtl.data import MultiTaskDataset, TaskDataset, load_sparse_text, load_task_directory, sample_mtl_path
+from conicmtl.experiments import ExperimentConfig, ResultTable, resolve_dataset
+from conicmtl.training import TrainConfig, decision_values, load_model
 
 
 def train(tmp_path, name, *extra):
@@ -84,6 +87,8 @@ def test_bound_prints_the_report_of_the_loaded_model(tmp_path, capsys):
     scaled = [TaskDataset(t.task_id, model.scaler.transform(t.X), t.y, t.provenance) for t in test]
     report = bound_report(model, scaled, delta=0.05, rho=0.5, mc_samples=300, seed=4)
     assert capsys.readouterr().out.splitlines() == report.lines()
+    dataset_report = bound_report(model, MultiTaskDataset(scaled), delta=0.05, rho=0.5, mc_samples=300, seed=4)
+    assert dataset_report.lines() == report.lines()
 
 
 def write_config(tmp_path, text):
@@ -111,8 +116,36 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
     assert not out.exists()
 
 
+def test_unset_options_take_the_library_defaults(tmp_path, monkeypatch):
+    calls = []
+
+    def capture(result):
+        return lambda *args, **kwargs: calls.append((args, kwargs)) or result
+
+    monkeypatch.setattr(cli, "run_experiment", capture(ResultTable()))
+    monkeypatch.setattr(cli, "run_verification_suite", capture([]))
+    assert main(["experiment", "--out", str(tmp_path / "r.csv")]) == 0
+    assert main(["radcheck"]) == 0
+    assert calls == [((ExperimentConfig(dataset="sample:mtl"),), {}), ((), {})]
+
+    model = tmp_path / "m.txt"
+    assert main(["train", "--data", "sample:mtl", "--out", str(model)]) == 0
+    config = load_model(model, load_task_directory(tmp_path / "m.train")).config
+    assert config == replace(TrainConfig(), budget=config.budget)
+
+
+def readme_text():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_config_keys_are_the_keys_each_section_accepts():
+    for section, table in (("train", TRAIN_KEYS), ("experiment", EXPERIMENT_KEYS)):
+        sentence = re.search(rf"`\[{section}\]` accepts\s+(.*?)\.", readme_text(), re.S).group(1)
+        assert set(re.findall(r"`(\w+)`", sentence)) == set(table)
+
+
 def test_readme_command_line_block_lists_exactly_the_subcommands():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = readme_text()
     block = re.search(r"^## Command line\n+```bash\n(.*?)^```", readme, re.S | re.M).group(1)
     documented = set(re.findall(r"^conicmtl (\S+)", block, re.M))
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -182,6 +182,8 @@ def test_solver_input_validation():
         solve_svm_dual(np.array([[1.0, 0.5], [0.5, np.nan]]), np.array([1.0, -1.0]), C=1.0)
     with pytest.raises(ValueError, match="warm start"):
         solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=1.0, alpha0=np.array([2.0, 0.0]))
+    with pytest.raises(ValueError, match=r"warm start must be a vector in the box \[0, C\]"):
+        solve_svm_dual(np.eye(3), np.array([1.0, -1.0, 1.0]), C=1.0, alpha0=np.array([np.nan, 0.2, 0.1]))
     with pytest.raises(ValueError, match="warm start"):
         solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C=1.0, use_bias=True, alpha0=np.array([0.5, 0.0]))
 
