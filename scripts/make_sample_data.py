@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conicmtl.data import MultiTaskDataset, TaskDataset, save_task_directory, synth_multitask, write_sparse_text
+from conicmtl.data import TaskDataset, save_task_directory, synth_multitask, write_sparse_text
 
 ASSETS = Path(__file__).resolve().parent.parent / "src" / "conicmtl" / "assets"
 
@@ -30,9 +30,7 @@ def multiclass(path):
 
 def mtl_directory(path):
     dataset = synth_multitask(T=2, N=40, d=5, task_similarity=0.8, noise=0.6, seed=7)
-    rounded = MultiTaskDataset(
-        [TaskDataset(t.task_id, np.round(t.X, 4), t.y, t.provenance) for t in dataset]
-    )
+    rounded = [TaskDataset(t.task_id, np.round(t.X, 4), t.y) for t in dataset]
     save_task_directory(rounded, path)
 
 

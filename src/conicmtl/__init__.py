@@ -14,7 +14,6 @@ from .bounds import (
     rademacher_mc,
 )
 from .data import (
-    MultiTaskDataset,
     Scaler,
     TaskDataset,
     balanced_resample,
@@ -54,7 +53,6 @@ from .training import (
     MtlModel,
     TrainConfig,
     fit,
-    fit_single_task,
     load_model,
     pareto_lambda,
     predict,

@@ -25,7 +25,6 @@ from .experiments import (
     resolve_dataset,
     run_experiment,
     summarize_results,
-    write_bound_csv,
     write_results_csv,
 )
 from .kernels import build_gram_stack, default_kernel_dictionary
@@ -33,28 +32,29 @@ from .training import MODES, TrainConfig, fit, load_model, predict, save_model
 from .verification import run_verification_suite
 
 
-def _floats(text):
+def float_list(text):
     return tuple(float(tok) for tok in str(text).split(",") if tok)
 
 
-def _names(text):
+def name_list(text):
     return tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
 
 
 # Config-file key (also the flag's dest) -> (keyword it sets, parser of its text).
+# Each parser is also its flag's argparse type, so a bad flag is a usage error.
 TRAIN_KEYS = {"fraction": ("fraction", float), "seed": ("seed", int), "mode": ("mode", str)}
 EXPERIMENT_KEYS = {
     "data": ("dataset", str),
-    "fractions": ("fractions", _floats),
-    "methods": ("methods", _names),
+    "fractions": ("fractions", float_list),
+    "methods": ("methods", name_list),
     "runs": ("runs", int),
     "folds": ("cv_folds", int),
     "seed": ("master_seed", int),
     "r_max": ("r_max", float),
-    "grid_c": ("grid_C", _floats),
-    "grid_p": ("grid_p", _floats),
-    "grid_a_frac": ("grid_a_frac", _floats),
-    "grid_p_exp": ("grid_p_exp", _floats),
+    "grid_c": ("grid_C", float_list),
+    "grid_p": ("grid_p", float_list),
+    "grid_a_frac": ("grid_a_frac", float_list),
+    "grid_p_exp": ("grid_p_exp", float_list),
 }
 
 
@@ -82,15 +82,22 @@ def _set(args, *names):
 
 
 def _given(args, table, section):
-    """Keyword arguments for the table's options the user set: a flag beats a config key."""
+    """Keyword arguments for the table's options the user set: a flag beats a config key.
+
+    Flags arrive parsed by argparse; a config value is parsed here, and one
+    that does not parse is an error naming the file, section and key.
+    """
     values = _load_config_section(args.config, section, table)
     given = {}
     for key, (keyword, parse) in table.items():
         value = getattr(args, key)
-        if value is None:
-            value = values.get(key)
+        if value is None and key in values:
+            try:
+                value = parse(values[key])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: bad value for key {key!r} in [{section}]: {exc}") from exc
         if value is not None:
-            given[keyword] = parse(value)
+            given[keyword] = value
     return given
 
 
@@ -110,7 +117,7 @@ def cmd_train(args):
     out = Path(args.out)
     save_model(model, out)
     split_dir = Path(args.split_out) if args.split_out else out.with_suffix(".train")
-    data_io.save_task_directory(data_io.MultiTaskDataset(train_tasks), split_dir)
+    data_io.save_task_directory(train_tasks, split_dir)
     status = "converged" if model.converged else "NOT converged"
     print(f"trained {config.mode} model on {len(train_tasks)} tasks ({status})")
     print(f"model: {out}")
@@ -122,7 +129,7 @@ def cmd_train(args):
 def cmd_predict(args):
     tasks = data_io.load_task_directory(args.train_data)
     model = load_model(args.model, tasks)
-    X, y = data_io.load_sparse_text(args.input, n_features=tasks.d)
+    X, y = data_io.load_sparse_text(args.input, n_features=tasks[0].X.shape[1])
     if model.scaler is not None and not args.pre_scaled:
         X = model.scaler.transform(X)
     labels, values = predict(model, args.task, X)
@@ -148,7 +155,7 @@ def cmd_bound(args):
     for line in report.lines():
         print(line)
     if args.out:
-        write_bound_csv([report], args.out)
+        Path(args.out).write_text(report.csv_header() + "\n" + report.csv_row() + "\n", encoding="utf-8")
         print(f"wrote bound csv: {args.out}")
     return 0
 
@@ -236,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="resampled multi-method comparison; writes CSV")
     p.add_argument("--config")
     p.add_argument("--data")
-    p.add_argument("--fractions")
-    p.add_argument("--methods")
+    p.add_argument("--fractions", type=float_list)
+    p.add_argument("--methods", type=name_list)
     p.add_argument("--runs", type=int)
     p.add_argument("--folds", type=int)
-    p.add_argument("--grid-C", dest="grid_c")
-    p.add_argument("--grid-p", dest="grid_p")
-    p.add_argument("--grid-a-frac", dest="grid_a_frac")
-    p.add_argument("--grid-p-exp", dest="grid_p_exp")
+    p.add_argument("--grid-C", dest="grid_c", type=float_list)
+    p.add_argument("--grid-p", dest="grid_p", type=float_list)
+    p.add_argument("--grid-a-frac", dest="grid_a_frac", type=float_list)
+    p.add_argument("--grid-p-exp", dest="grid_p_exp", type=float_list)
     p.add_argument("--r-max", dest="r_max", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--use-bias", action="store_true")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +18,6 @@ class TaskDataset:
     task_id: str
     X: np.ndarray
     y: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -34,36 +33,8 @@ class TaskDataset:
     def n(self) -> int:
         return self.y.size
 
-    def subset(self, idx, provenance=None) -> "TaskDataset":
-        return TaskDataset(
-            self.task_id,
-            self.X[idx],
-            self.y[idx],
-            provenance if provenance is not None else self.provenance,
-        )
-
-
-@dataclass
-class MultiTaskDataset:
-    tasks: list = field(default_factory=list)
-
-    def __post_init__(self):
-        ids = [t.task_id for t in self.tasks]
-        if len(set(ids)) != len(ids):
-            raise ValueError("task ids must be unique")
-        dims = {t.X.shape[1] for t in self.tasks}
-        if len(dims) > 1:
-            raise ValueError(f"tasks disagree on feature dimension: {sorted(dims)}")
-
-    @property
-    def d(self) -> int:
-        return self.tasks[0].X.shape[1] if self.tasks else 0
-
-    def __iter__(self):
-        return iter(self.tasks)
-
-    def __len__(self):
-        return len(self.tasks)
+    def subset(self, idx) -> "TaskDataset":
+        return TaskDataset(self.task_id, self.X[idx], self.y[idx])
 
 
 class Scaler:
@@ -87,8 +58,8 @@ class Scaler:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.scale
 
     def transform_tasks(self, tasks) -> list:
-        """The tasks with standardized features; ids, labels and provenance kept."""
-        return [TaskDataset(t.task_id, self.transform(t.X), t.y, t.provenance) for t in tasks]
+        """The tasks with standardized features; ids and labels kept."""
+        return [TaskDataset(t.task_id, self.transform(t.X), t.y) for t in tasks]
 
 
 def load_sparse_text(path, n_features=None):
@@ -155,7 +126,7 @@ def write_sparse_text(path, X, labels) -> None:
             fh.write(" ".join(toks) + "\n")
 
 
-def build_ovo_tasks(X, labels, provenance="") -> MultiTaskDataset:
+def build_ovo_tasks(X, labels) -> list[TaskDataset]:
     """One task per unordered class pair; K classes give K(K-1)/2 tasks.
 
     Classes are paired in sorted order and the lower class maps to +1.
@@ -175,10 +146,8 @@ def build_ovo_tasks(X, labels, provenance="") -> MultiTaskDataset:
             y = np.where(labels[mask] == a, 1.0, -1.0)
             name_a = int(a) if float(a).is_integer() else a
             name_b = int(b) if float(b).is_integer() else b
-            tasks.append(
-                TaskDataset(f"{name_a}_vs_{name_b}", X[mask], y, provenance=provenance)
-            )
-    return MultiTaskDataset(tasks)
+            tasks.append(TaskDataset(f"{name_a}_vs_{name_b}", X[mask], y))
+    return tasks
 
 
 def balanced_resample(task: TaskDataset, seed: int) -> TaskDataset:
@@ -193,7 +162,7 @@ def balanced_resample(task: TaskDataset, seed: int) -> TaskDataset:
     elif neg.size > pos.size:
         neg = np.sort(rng.choice(neg, size=pos.size, replace=False))
     keep = np.sort(np.concatenate([pos, neg]))
-    return task.subset(keep, provenance=f"{task.provenance}|balanced(seed={seed})")
+    return task.subset(keep)
 
 
 def stratified_split(task: TaskDataset, fraction: float, seed: int):
@@ -217,11 +186,7 @@ def stratified_split(task: TaskDataset, fraction: float, seed: int):
     train_idx = np.sort(np.concatenate(train_idx))
     mask = np.zeros(task.n, dtype=bool)
     mask[train_idx] = True
-    tag = f"|split(frac={fraction},seed={seed})"
-    return (
-        task.subset(np.flatnonzero(mask), provenance=task.provenance + tag + ":train"),
-        task.subset(np.flatnonzero(~mask), provenance=task.provenance + tag + ":test"),
-    )
+    return task.subset(np.flatnonzero(mask)), task.subset(np.flatnonzero(~mask))
 
 
 def prepare_run(dataset, fraction, seed, balanced):
@@ -254,7 +219,7 @@ def synth_multitask(
     task_similarity: float = 0.7,
     noise: float = 0.5,
     seed: int = 0,
-) -> MultiTaskDataset:
+) -> list[TaskDataset]:
     """Synthetic related binary tasks.
 
     Each task gets a unit direction mu_t mixing a shared direction with a
@@ -288,18 +253,11 @@ def synth_multitask(
         )
         y = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
         order = rng.permutation(N)
-        tasks.append(
-            TaskDataset(
-                f"synth{t}",
-                X[order],
-                y[order],
-                provenance=f"synth(T={T},N={N},d={d},sim={task_similarity},noise={noise},seed={seed})",
-            )
-        )
-    return MultiTaskDataset(tasks)
+        tasks.append(TaskDataset(f"synth{t}", X[order], y[order]))
+    return tasks
 
 
-def synthetic_benchmark(seed: int = 0) -> MultiTaskDataset:
+def synthetic_benchmark(seed: int = 0) -> list[TaskDataset]:
     """The bundled 4-task benchmark used by the comparison checks."""
     return synth_multitask(T=4, N=90, d=6, task_similarity=0.75, noise=0.85, seed=seed)
 
@@ -307,18 +265,19 @@ def synthetic_benchmark(seed: int = 0) -> MultiTaskDataset:
 MANIFEST_NAME = "manifest.txt"
 
 
-def save_task_directory(dataset: MultiTaskDataset, directory) -> None:
+def save_task_directory(tasks, directory) -> None:
     """Write one sparse text file per task plus a manifest (ids and d)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = [f"d = {dataset.d}"]
-    for task in dataset:
+    lines = [f"d = {tasks[0].X.shape[1]}"]
+    for task in tasks:
         write_sparse_text(directory / f"task_{task.task_id}.txt", task.X, task.y)
         lines.append(f"task = {task.task_id}")
     (directory / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_task_directory(directory) -> MultiTaskDataset:
+def load_task_directory(directory) -> list[TaskDataset]:
+    """The tasks a manifest lists, in its order; an id listed twice is an error."""
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
@@ -334,6 +293,8 @@ def load_task_directory(directory) -> MultiTaskDataset:
         if key == "d":
             d = int(value)
         elif key == "task":
+            if value in ids:
+                raise ValueError(f"{manifest}:{lineno}: task {value!r} listed twice")
             ids.append(value)
         else:
             raise ValueError(f"{manifest}:{lineno}: unknown manifest key {key!r}")
@@ -342,8 +303,8 @@ def load_task_directory(directory) -> MultiTaskDataset:
     tasks = []
     for task_id in ids:
         X, y = load_sparse_text(directory / f"task_{task_id}.txt", n_features=d)
-        tasks.append(TaskDataset(task_id, X, y, provenance=str(directory)))
-    return MultiTaskDataset(tasks)
+        tasks.append(TaskDataset(task_id, X, y))
+    return tasks
 
 
 def sample_multiclass_path() -> Path:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data as data_io
 from .kernels import GramStack, build_gram_stack, default_kernel_dictionary
-from .training import TrainConfig, fit, fit_single_task, predict
+from .training import TrainConfig, fit, predict
 from .util import conjugate_exponent, derive_seed, float_text
 
 RESULT_HEADER = "dataset,fraction,method,seed,mean_accuracy,C,p,a,p_exp,wall_ms,converged"
@@ -112,7 +112,7 @@ class ResultTable:
         return "\n".join(out) + "\n"
 
 
-def resolve_dataset(text: str) -> tuple[str, data_io.MultiTaskDataset]:
+def resolve_dataset(text: str) -> tuple[str, list[data_io.TaskDataset]]:
     """Turn a dataset argument into tasks.
 
     Accepts "synth:key=value,..." generator specs, the bundled samples
@@ -137,7 +137,7 @@ def resolve_dataset(text: str) -> tuple[str, data_io.MultiTaskDataset]:
         return text.replace(",", ";"), dataset  # keep the CSV dataset column comma-free
     if text == "sample:multiclass":
         X, labels = data_io.load_sparse_text(data_io.sample_multiclass_path())
-        return text, data_io.build_ovo_tasks(X, labels, provenance=text)
+        return text, data_io.build_ovo_tasks(X, labels)
     if text == "sample:mtl":
         return text, data_io.load_task_directory(data_io.sample_mtl_path())
     path = Path(text)
@@ -146,11 +146,9 @@ def resolve_dataset(text: str) -> tuple[str, data_io.MultiTaskDataset]:
     if path.is_file():
         X, labels = data_io.load_sparse_text(path)
         if np.unique(labels).size > 2:
-            return path.stem, data_io.build_ovo_tasks(X, labels, provenance=str(path))
+            return path.stem, data_io.build_ovo_tasks(X, labels)
         mapped = np.where(labels == np.unique(labels).max(), 1.0, -1.0)
-        return path.stem, data_io.MultiTaskDataset(
-            [data_io.TaskDataset(path.stem, X, mapped, provenance=str(path))]
-        )
+        return path.stem, [data_io.TaskDataset(path.stem, X, mapped)]
     raise FileNotFoundError(f"cannot resolve dataset {text!r}")
 
 
@@ -191,7 +189,7 @@ def _train_method(method, tasks, stacks, specs, cell, config: ExperimentConfig):
         use_bias=config.use_bias,
     )
     if method == "SingleTask":
-        return [fit_single_task(task, stack, base, kernel_specs=specs) for task, stack in zip(tasks, stacks)]
+        return [fit([task], [stack], base, kernel_specs=specs) for task, stack in zip(tasks, stacks)]
     return [fit(tasks, stacks, base, kernel_specs=specs)]
 
 
@@ -469,9 +467,3 @@ def summarize_results(rows, alpha: float = 0.05, reference: str = "Conic", paire
             )
         out.write("\n")
     return out.getvalue()
-
-
-def write_bound_csv(reports, path) -> None:
-    lines = [reports[0].csv_header()]
-    lines += [r.csv_row() for r in reports]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -251,12 +251,6 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
     )
 
 
-def fit_single_task(task, stack, config: TrainConfig, kernel_specs=None) -> MtlModel:
-    """Train one task on its own: the T=1 average-mode special case."""
-    cfg = replace(config, mode="average")
-    return fit([task], [stack], cfg, kernel_specs=kernel_specs)
-
-
 def decision_values(model: MtlModel, task_id: str, X_test) -> np.ndarray:
     """Kernel-expansion decision values f(x) = sum_i alpha_i y_i k_theta(x_i, x) + bias.
 

@@ -13,7 +13,7 @@ import pytest
 from conicmtl import cli
 from conicmtl.bounds import bound_report
 from conicmtl.cli import EXPERIMENT_KEYS, TRAIN_KEYS, build_parser, main
-from conicmtl.data import MultiTaskDataset, TaskDataset, load_sparse_text, load_task_directory, sample_mtl_path
+from conicmtl.data import TaskDataset, load_sparse_text, load_task_directory, sample_mtl_path
 from conicmtl.experiments import ExperimentConfig, ResultTable, resolve_dataset
 from conicmtl.training import TrainConfig, decision_values, load_model
 
@@ -56,7 +56,7 @@ def test_predict_pre_scaled_prints_the_models_decision_values(tmp_path, capsys):
     args = ["predict", "--model", str(model_path), "--train-data", str(split), "--input", str(task_file)]
     assert main(args + ["--task", "synth1", "--pre-scaled"]) == 0
     tasks = load_task_directory(split)
-    X, y = load_sparse_text(task_file, n_features=tasks.d)
+    X, y = load_sparse_text(task_file, n_features=tasks[0].X.shape[1])
     expected = decision_values(load_model(model_path, tasks), "synth1", X)
     labels = np.where(expected >= 0.0, 1.0, -1.0)
     lines = capsys.readouterr().out.splitlines()
@@ -72,7 +72,7 @@ def test_predict_on_raw_features_applies_the_models_scaler(tmp_path, capsys):
     assert main(args + ["--task", "synth0"]) == 0
     tasks = load_task_directory(split)
     model = load_model(model_path, tasks)
-    X, _ = load_sparse_text(raw_file, n_features=tasks.d)
+    X, _ = load_sparse_text(raw_file, n_features=tasks[0].X.shape[1])
     expected = decision_values(model, "synth0", model.scaler.transform(X))
     np.testing.assert_array_equal(printed_values(capsys.readouterr().out), expected)
 
@@ -84,11 +84,9 @@ def test_bound_prints_the_report_of_the_loaded_model(tmp_path, capsys):
     assert main(args + ["--samples", "300", "--seed", "4", "--rho", "0.5"]) == 0
     model = load_model(model_path, load_task_directory(split))
     _, test = resolve_dataset("sample:mtl")
-    scaled = [TaskDataset(t.task_id, model.scaler.transform(t.X), t.y, t.provenance) for t in test]
+    scaled = [TaskDataset(t.task_id, model.scaler.transform(t.X), t.y) for t in test]
     report = bound_report(model, scaled, delta=0.05, rho=0.5, mc_samples=300, seed=4)
     assert capsys.readouterr().out.splitlines() == report.lines()
-    dataset_report = bound_report(model, MultiTaskDataset(scaled), delta=0.05, rho=0.5, mc_samples=300, seed=4)
-    assert dataset_report.lines() == report.lines()
 
 
 def write_config(tmp_path, text):
@@ -114,6 +112,41 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError, match=r"unknown key 'use_bias' in \[experiment\]"):
         main(["experiment", "--config", config, "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("experiment", "[experiment]\nruns = 1.5\n", r"bad value for key 'runs' in \[experiment\]: .*'1\.5'"),
+        ("experiment", "[experiment]\ngrid_c = 1,abc\n", r"bad value for key 'grid_c' in \[experiment\]: .*'abc'"),
+        ("train", "[train]\nseed = x\n", r"bad value for key 'seed' in \[train\]: .*'x'"),
+    ],
+    ids=["runs", "grid_c", "seed"],
+)
+def test_config_value_that_does_not_parse_names_file_section_and_key(tmp_path, command, text, message):
+    config = write_config(tmp_path, text)
+    out = tmp_path / "out.txt"
+    argv = [command, "--config", config, "--out", str(out)]
+    with pytest.raises(ValueError, match=rf"^{re.escape(config)}: {message}$"):
+        main(argv + (["--data", "sample:mtl"] if command == "train" else []))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--fractions", "--grid-C", "--grid-p", "--grid-a-frac", "--grid-p-exp"])
+def test_list_flag_that_does_not_parse_is_a_usage_error(tmp_path, capsys, flag):
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["experiment", flag, "1,abc", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_config_backed_flag_parses_with_its_table_parser():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, table in (("train", TRAIN_KEYS), ("experiment", EXPERIMENT_KEYS)):
+        types = {a.dest: a.type or str for a in sub.choices[command]._actions}
+        assert {key: types[key] for key in table} == {key: parse for key, (_, parse) in table.items()}
 
 
 def test_unset_options_take_the_library_defaults(tmp_path, monkeypatch):

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,7 +97,7 @@ def test_ovo_lower_class_maps_to_positive_and_partitions_pairs():
     tasks = build_ovo_tasks(X, labels)
     ids = [t.task_id for t in tasks]
     assert ids == ["0_vs_1", "0_vs_2", "1_vs_2"]
-    t01 = tasks.tasks[0]
+    t01 = tasks[0]
     assert np.array_equal(t01.y, [1.0, 1.0, -1.0, -1.0])
     # every sample of a pair lands in exactly one task
     total = sum(t.n for t in tasks)
@@ -221,8 +224,8 @@ def test_synth_uncorrelated_directions_at_zero_similarity():
     cors = []
     for seed in range(100):
         data = synth_multitask(T=2, N=10, d=6, task_similarity=0.0, noise=0.0, seed=seed)
-        m0 = data.tasks[0].X[data.tasks[0].y > 0].mean(axis=0)
-        m1 = data.tasks[1].X[data.tasks[1].y > 0].mean(axis=0)
+        m0 = data[0].X[data[0].y > 0].mean(axis=0)
+        m1 = data[1].X[data[1].y > 0].mean(axis=0)
         cors.append(float(m0 @ m1 / (np.linalg.norm(m0) * np.linalg.norm(m1))))
     assert abs(np.mean(cors)) < 0.15
 
@@ -244,14 +247,22 @@ def test_task_directory_requires_manifest(tmp_path):
         load_task_directory(tmp_path)
 
 
+def test_task_directory_rejects_a_task_listed_twice(tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("d = 2\ntask = a\ntask = a\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_task_directory(tmp_path)
+    assert str(err.value) == f"{manifest}:3: task 'a' listed twice"
+
+
 # ------------------------------------------------------------- prepare_run
 
 def unbalanced_tasks():
     a = make_unbalanced(n_pos=30, n_neg=10, seed=0)
     b = make_unbalanced(n_pos=7, n_neg=19, seed=1)
     return [
-        TaskDataset("a", a.X, a.y, provenance="src-a"),
-        TaskDataset("b", b.X + 4.0, b.y, provenance="src-b"),
+        TaskDataset("a", a.X, a.y),
+        TaskDataset("b", b.X + 4.0, b.y),
     ]
 
 
@@ -260,17 +271,17 @@ def standardized(train, parts):
     pooled = np.vstack([t.X for t in train])
     mean, scale = pooled.mean(axis=0), pooled.std(axis=0)
     scale[scale == 0.0] = 1.0
-    return [(t.task_id, (t.X - mean) / scale, t.y, t.provenance) for t in parts]
+    return [(t.task_id, (t.X - mean) / scale, t.y) for t in parts]
 
 
 def as_tuples(tasks):
-    return [(t.task_id, t.X, t.y, t.provenance) for t in tasks]
+    return [(t.task_id, t.X, t.y) for t in tasks]
 
 
 def assert_same_tasks(got, expected):
     assert len(got) == len(expected)
-    for (gid, gX, gy, gprov), (eid, eX, ey, eprov) in zip(as_tuples(got), expected):
-        assert (gid, gprov) == (eid, eprov)
+    for (gid, gX, gy), (eid, eX, ey) in zip(as_tuples(got), expected):
+        assert gid == eid
         np.testing.assert_array_equal(gX, eX)
         np.testing.assert_array_equal(gy, ey)
 
@@ -290,8 +301,6 @@ def test_prepare_run_balances_splits_and_standardizes_on_train():
     assert_same_tasks(test, standardized(ref_train, ref_test))
     pooled = np.vstack([t.X for t in ref_train])
     np.testing.assert_array_equal(scaler.mean, pooled.mean(axis=0))
-    assert train[0].provenance.startswith("src-a|balanced(seed=")
-    assert test[1].provenance.endswith(":test")
 
 
 def test_prepare_run_without_fraction_trains_on_whole_tasks():
@@ -336,4 +345,15 @@ def test_bundled_samples_load():
     assert len(tasks) == 3
     mtl = load_task_directory(sample_mtl_path())
     assert len(mtl) == 2
-    assert mtl.d == 5
+    assert mtl[0].X.shape[1] == 5
+
+
+def test_sample_data_script_reproduces_the_bundled_samples(tmp_path):
+    script = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "make_sample_data.py"))
+    script["multiclass"](tmp_path / "multiclass.txt")
+    assert (tmp_path / "multiclass.txt").read_bytes() == sample_multiclass_path().read_bytes()
+    script["mtl_directory"](tmp_path / "mtl")
+    bundled = sorted(path.name for path in sample_mtl_path().iterdir())
+    assert sorted(path.name for path in (tmp_path / "mtl").iterdir()) == bundled
+    for name in bundled:
+        assert (tmp_path / "mtl" / name).read_bytes() == (sample_mtl_path() / name).read_bytes()

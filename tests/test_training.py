@@ -21,7 +21,6 @@ from conicmtl.training import (
     TrainConfig,
     decision_values,
     fit,
-    fit_single_task,
     load_model,
     pareto_lambda,
     predict,
@@ -382,16 +381,6 @@ def test_weighted_empirical_loss_rejects_bad_rho_and_misaligned_stacks():
 
 # -------------------------------------------------------------- single task
 
-def test_single_task_equals_average_with_one_task():
-    tasks = make_tasks(T=1, N=16, seed=15)
-    stacks = make_stacks(tasks, SPECS)
-    cfg = TrainConfig(C=1.0, p=2.0, mode="conic", budget=1e9, r_max=8.0)
-    st = fit_single_task(tasks[0], stacks[0], cfg, kernel_specs=SPECS)
-    avg = fit(tasks, stacks, TrainConfig(C=1.0, p=2.0, mode="average"), SPECS)
-    assert st.objective_trace == avg.objective_trace
-    assert np.array_equal(st.theta.values, avg.theta.values)
-
-
 def test_single_task_concentrates_weight_on_informative_kernel(monkeypatch):
     rng = np.random.default_rng(16)
     X_signal = np.zeros((24, 4))
@@ -421,7 +410,7 @@ def test_single_task_concentrates_weight_on_informative_kernel(monkeypatch):
         return solves[-1]
 
     monkeypatch.setattr(training, "solve_svm_dual", recording_solve)
-    model = fit_single_task(task, stack, TrainConfig(C=1.0, p=2.0), kernel_specs=[spec, spec])
+    model = fit([task], [stack], TrainConfig(C=1.0, p=2.0, mode="average"), kernel_specs=[spec, spec])
     assert model.theta.values[0] > model.theta.values[1]
     # every w-step certifies its (tight) gap well inside the iteration cap
     assert solves and all(s.converged for s in solves)
