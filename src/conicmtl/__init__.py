@@ -40,7 +40,6 @@ from .experiments import (
 from .kernels import (
     GramStack,
     KernelSpec,
-    KernelWeights,
     build_gram_stack,
     combine,
     compute_gram,
@@ -48,7 +47,7 @@ from .kernels import (
     default_kernel_dictionary,
     trace_vector,
 )
-from .solvers import DualSolution, TaskWeights, component_sq_norms, lambda_step, solve_svm_dual, theta_step
+from .solvers import DualSolution, component_sq_norms, lambda_step, solve_svm_dual, theta_step
 from .training import (
     MtlModel,
     TrainConfig,

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import TaskWeights
 from .util import conjugate_exponent, derive_seed, lp_norm
 
 EXHAUSTIVE_LIMIT = 20
@@ -58,7 +57,8 @@ class BoundInputs:
     T: int
     N: int
     M: int
-    task_weights: TaskWeights
+    task_weights: np.ndarray  # lambda_t, one per task
+    r_max: float  # the cap of the task weights' box
     rho: float
     delta: float
     R: float
@@ -67,6 +67,11 @@ class BoundInputs:
 
     def __post_init__(self):
         self.traces = np.atleast_2d(np.asarray(self.traces, dtype=float))
+        self.task_weights = np.asarray(self.task_weights, dtype=float)
+        if not np.isfinite(self.task_weights).all():
+            raise ValueError(f"task weights must be finite, got {self.task_weights}")
+        if not self.r_max > 1.0:
+            raise ValueError(f"r_max must exceed 1, got {self.r_max}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not self.rho > 0:
@@ -258,8 +263,6 @@ def rademacher_mc(
     sign patterns are enumerated and the result is exact (std_error 0);
     otherwise the Monte Carlo estimate is reproducible from the seed alone.
     """
-    if isinstance(task_weights, TaskWeights):
-        task_weights = task_weights.values
     lam = np.asarray(task_weights, dtype=float)
     gamma = np.ones(len(stacks)) if gamma is None else np.asarray(gamma, dtype=float)
     total = _check_inputs(stacks, R, samples, task_weights=lam, gamma=gamma)
@@ -306,7 +309,7 @@ def erc_upper_bound_lp(inputs: BoundInputs) -> float:
     """
     if inputs.p == 1.0:
         return float("nan")
-    lam = inputs.task_weights.values
+    lam = inputs.task_weights
     p_star = conjugate_exponent(inputs.p)
     total = inputs.T * inputs.N
     norms = np.array([lp_norm(v, p_star) for v in inputs.traces])
@@ -337,8 +340,8 @@ def bound_rhs_any_lambda(inputs: BoundInputs, emp_loss: float, erc: float) -> Bo
     boundary draw a warning, not an error; a nonpositive log argument
     clamps the third term at zero with a warning.
     """
-    lam = inputs.task_weights.values
-    r_given = float(inputs.task_weights.r_max)
+    lam = inputs.task_weights
+    r_given = float(inputs.r_max)
     r_used = float(np.ceil(r_given))
     if np.any(lam <= 1.0) or np.any(lam >= r_given):
         warnings.warn(
@@ -374,20 +377,19 @@ def bound_rhs_fixed_lambda(inputs: BoundInputs, emp_loss: float, erc: float) -> 
     total = inputs.T * inputs.N
     return float(
         emp_loss
-        + inputs.task_weights.r_max / inputs.rho * erc
+        + inputs.r_max / inputs.rho * erc
         + np.sqrt(9.0 * np.log(1.0 / inputs.delta) / (2.0 * total))
     )
 
 
 def model_radius(model) -> float:
     """Tightest weighted ball containing the trained model: sum_t lam_t ||w_t||^2."""
-    theta = model.theta.values
-    lam = model.task_weights.values
+    theta = model.theta
     total = 0.0
-    for t, dual in enumerate(model.duals):
+    for lam, dual in zip(model.task_weights, model.duals):
         comp = np.asarray(dual.component_sq_norms, dtype=float)
         norm_sq = np.divide(comp, theta, out=np.zeros_like(comp), where=theta > 0).sum()
-        total += lam[t] * float(norm_sq)
+        total += lam * float(norm_sq)
     return total
 
 
@@ -428,7 +430,7 @@ def bound_report(
         raise ValueError("bound reporting requires all tasks to have the same sample count")
     N = sizes.pop()
     T = len(model.tasks)
-    M = len(model.theta.values)
+    M = len(model.theta)
     if stacks is None:
         stacks = [
             build_gram_stack(task.task_id, task.X, model.kernel_specs) for task in model.tasks
@@ -441,6 +443,7 @@ def bound_report(
         N=N,
         M=M,
         task_weights=model.task_weights,
+        r_max=model.config.r_max,
         rho=rho,
         delta=delta,
         R=max(R, 1e-300),

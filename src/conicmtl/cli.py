@@ -274,7 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # input the library rejects by name: one line, no traceback
+        print(f"conicmtl: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

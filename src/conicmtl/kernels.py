@@ -342,30 +342,9 @@ def build_gram_stack(task_id: str, X, specs) -> GramStack:
     return GramStack(task_id=task_id, grams=grams)
 
 
-@dataclass(frozen=True)
-class KernelWeights:
-    """Nonnegative kernel-combination weights constrained to the Lp ball."""
-
-    values: np.ndarray
-    p: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.p < 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if (self.values < -1e-12).any():
-            raise ValueError("kernel weights must be nonnegative")
-        if lp_norm(self.values, self.p) > 1.0 + 1e-9:
-            raise ValueError("kernel weights exceed the unit Lp ball")
-
-    @staticmethod
-    def uniform(n_kernels: int, p: float) -> "KernelWeights":
-        return KernelWeights(np.full(n_kernels, n_kernels ** (-1.0 / p)), p)
-
-
-def combine(stack: GramStack, weights: KernelWeights) -> np.ndarray:
+def combine(stack: GramStack, theta) -> np.ndarray:
     """Weighted Gram sum_m theta_m G_m; the training kernel of one task."""
-    theta = weights.values
+    theta = np.asarray(theta, dtype=np.float64)
     M, n = stack.grams.shape[:2]
     if theta.shape[0] != M:
         raise ValueError(f"weight length {theta.shape[0]} does not match kernel count {M}")

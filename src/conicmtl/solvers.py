@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GramStack, KernelWeights
+from .kernels import GramStack
 from .util import lp_norm
 
 
@@ -41,32 +41,6 @@ class DualSolution:
     iterations: int
     converged: bool
     margins: np.ndarray
-
-
-@dataclass(frozen=True)
-class TaskWeights:
-    """Per-task weights in the box [1, r_max] under sum_t cost_t / w_t <= budget.
-
-    enforce_box=False admits out-of-box values for callers that only use
-    the weights descriptively (path-tracing weights, exploratory bound
-    evaluations); optimization outputs always stay validated.
-    """
-
-    values: np.ndarray
-    r_max: float
-    budget: float
-    enforce_box: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if not self.r_max > 1.0:
-            raise ValueError(f"r_max must exceed 1, got {self.r_max}")
-        if not np.isfinite(self.values).all():
-            raise ValueError(f"task weights must be finite, got {self.values}")
-        if self.enforce_box and (
-            (self.values < 1.0 - 1e-9).any() or (self.values > self.r_max + 1e-9).any()
-        ):
-            raise ValueError("task weights outside the [1, r_max] box")
 
 
 def _optimal_bias(g: np.ndarray, y: np.ndarray, C: float) -> tuple[float, float]:
@@ -241,9 +215,7 @@ def solve_svm_dual(
     )
 
 
-def component_sq_norms(
-    alpha: np.ndarray, y: np.ndarray, stack: GramStack, weights: KernelWeights
-) -> np.ndarray:
+def component_sq_norms(alpha: np.ndarray, y: np.ndarray, stack: GramStack, theta: np.ndarray) -> np.ndarray:
     """Per-kernel squared norms ||w^m||^2 = theta_m^2 (a*y)' G_m (a*y).
 
     These live in the separated coordinates, so dividing by theta_m and
@@ -252,10 +224,10 @@ def component_sq_norms(
     """
     coef = np.asarray(alpha, dtype=float) * np.asarray(y, dtype=float)
     quad = np.einsum("i,mij,j->m", coef, stack.grams, coef)
-    return weights.values**2 * quad
+    return theta**2 * quad
 
 
-def theta_step(u, p: float) -> KernelWeights:
+def theta_step(u, p: float) -> np.ndarray:
     """Exact minimizer of sum_m u_m / (2 theta_m) on the unit Lp ball.
 
     The stationarity condition gives theta_m proportional to u_m^(1/(p+1)),
@@ -271,11 +243,10 @@ def theta_step(u, p: float) -> KernelWeights:
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     raw = u ** (1.0 / (p + 1.0))
-    theta = raw / lp_norm(raw, p)
-    return KernelWeights(theta, p)
+    return raw / lp_norm(raw, p)
 
 
-def lambda_step(J, c, budget: float, r_max: float) -> TaskWeights:
+def lambda_step(J, c, budget: float, r_max: float) -> np.ndarray:
     """Minimize sum_t lambda_t J_t over the box [1, r_max]^T with
     sum_t c_t / lambda_t <= budget.
 
@@ -312,7 +283,7 @@ def lambda_step(J, c, budget: float, r_max: float) -> TaskWeights:
     pos = J > 0
     lam = np.where(pos, 1.0, r_max)
     if float((c / lam).sum()) <= budget:
-        return TaskWeights(lam, r_max, budget)
+        return lam
 
     b = np.sqrt(J[pos] / c[pos])
     points = np.sort(np.concatenate([b, r_max * b]))
@@ -322,11 +293,11 @@ def lambda_step(J, c, budget: float, r_max: float) -> TaskWeights:
     j = int(np.argmax(usage <= budget))  # row 0 is the lower corner, so j >= 1 when met
     if usage[j] > budget:
         # budget attainable only in the limit; everything at the upper box edge
-        return TaskWeights(np.full_like(J, r_max), r_max, budget)
+        return np.full_like(J, r_max)
     # between the bracketing breakpoints lo < hi the usage A + B / s is
     # affine in 1 / s, so s = B / (budget - A) interpolates 1 / s
     lo, hi = float(points[j - 1]), float(points[j])
     w = float(budget - usage[j]) / float(usage[j - 1] - usage[j])
     s = 1.0 / (w / lo + (1.0 - w) / hi)
     lam[pos] = (s / b).clip(1.0, r_max)
-    return TaskWeights(lam, r_max, budget)
+    return lam

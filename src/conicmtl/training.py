@@ -21,9 +21,9 @@ import numpy as np
 
 from .bounds import margin_loss
 from .data import Scaler, TaskDataset
-from .kernels import KernelSpec, KernelWeights, combine, expand
-from .solvers import DualSolution, TaskWeights, component_sq_norms, lambda_step, solve_svm_dual, theta_step
-from .util import conjugate_exponent
+from .kernels import KernelSpec, combine, expand
+from .solvers import DualSolution, component_sq_norms, lambda_step, solve_svm_dual, theta_step
+from .util import conjugate_exponent, lp_norm
 
 MODEL_FORMAT_VERSION = 1
 
@@ -70,7 +70,7 @@ class TrainConfig:
 
 @dataclass
 class MtlModel:
-    """Trained state: kernel weights, task weights, per-task duals, trace.
+    """Trained state: kernel and task weight arrays (config holds their bounds), duals, trace.
 
     converged: the outer loop met tol_rel_obj and every accepted w-step met its gap.
     scaler: the standardization applied to the training features, if any.
@@ -78,8 +78,8 @@ class MtlModel:
 
     config: TrainConfig
     kernel_specs: list
-    theta: KernelWeights
-    task_weights: TaskWeights
+    theta: np.ndarray
+    task_weights: np.ndarray
     duals: list
     objective_trace: list
     tasks: list
@@ -127,12 +127,14 @@ def _regularizer(comp: np.ndarray, theta: np.ndarray):
     return np.divide(comp, 2.0 * theta, out=np.zeros(comp.shape), where=theta > 0).sum(axis=-1)
 
 
-def _validate_fit_inputs(tasks, stacks):
+def _validate_fit_inputs(tasks, stacks, kernel_specs):
     if len(tasks) == 0:
         raise ValueError("no tasks to train")
     if len(tasks) != len(stacks):
         raise ValueError("tasks and gram stacks must align")
     n_kernels = stacks[0].n_kernels
+    if len(kernel_specs) != n_kernels:
+        raise ValueError(f"{len(kernel_specs)} kernel specs for gram stacks of {n_kernels} kernels")
     for task, stack in zip(tasks, stacks):
         if stack.n_kernels != n_kernels:
             raise ValueError("all tasks must share the kernel dictionary")
@@ -142,14 +144,14 @@ def _validate_fit_inputs(tasks, stacks):
             raise ValueError(f"degenerate task {task.task_id!r}: one class only")
 
 
-def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
+def fit(tasks, stacks, config: TrainConfig, kernel_specs) -> MtlModel:
     """Train by block-coordinate descent.
 
-    tasks and stacks are parallel lists (one entry per task). kernel_specs
-    is carried into the model for prediction-time kernel evaluation; pass
-    the dictionary the stacks were built with.
+    tasks and stacks are parallel lists (one entry per task). kernel_specs,
+    the dictionary the stacks were built with, is carried into the model
+    for prediction-time kernel evaluation.
     """
-    _validate_fit_inputs(tasks, stacks)
+    _validate_fit_inputs(tasks, stacks, kernel_specs)
     T = len(tasks)
     M = stacks[0].n_kernels
     p_star = conjugate_exponent(config.p)
@@ -161,7 +163,7 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
                 "infeasible budget/r_max pair: the task-weight subproblem has no feasible point"
             )
 
-    theta = KernelWeights.uniform(M, config.p)
+    theta = np.full(M, M ** (-1.0 / config.p))
     lam = np.ones(T)
     if config.mode == "conic":
         # start at the feasible uniform point closest to all-ones, so the
@@ -207,14 +209,14 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
         u = (lam[:, None] * comps).cumsum(axis=0)[-1] + 0.0
         if (u > 0).any():
             theta_new = theta_step(u, config.p)
-            if _regularizer(u, theta_new.values) <= _regularizer(u, theta.values):
+            if _regularizer(u, theta_new) <= _regularizer(u, theta):
                 theta = theta_new
-        J = _regularizer(comps, theta.values) + hinges
+        J = _regularizer(comps, theta) + hinges
         trace.append(float((lam * J).sum()))
 
         # lambda-step (identity in average mode so traces stay comparable)
         if config.mode == "conic":
-            lam_new = lambda_step(J, costs, config.budget, config.r_max).values
+            lam_new = lambda_step(J, costs, config.budget, config.r_max)
             if float((lam_new * J).sum()) <= trace[-1]:  # trace[-1] is the value at lam
                 lam = lam_new
         elif config.mode == "pareto":
@@ -233,17 +235,14 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs=None) -> MtlModel:
         for d, task, stack in zip(duals, tasks, stacks)
     ]
 
-    if config.mode != "pareto":
-        weights = TaskWeights(lam, config.r_max, config.budget)  # all ones in average mode
-    else:
-        # path-tracing weights are not box constrained
-        weights = TaskWeights(lam, config.r_max, float("inf"), enforce_box=False)
+    if not np.isfinite(lam).all():  # pareto weights follow J, which can overflow
+        raise ValueError(f"task weights must be finite, got {lam}")
 
     return MtlModel(
         config=config,
-        kernel_specs=list(kernel_specs) if kernel_specs is not None else [],
+        kernel_specs=list(kernel_specs),
         theta=theta,
-        task_weights=weights,
+        task_weights=lam,
         duals=final_duals,
         objective_trace=trace,
         tasks=list(tasks),
@@ -264,11 +263,9 @@ def decision_values(model: MtlModel, task_id: str, X_test) -> np.ndarray:
         raise ValueError(
             f"test features must be 2-d with {task.X.shape[1]} columns, got {X_test.shape}"
         )
-    if not model.kernel_specs:
-        raise ValueError("model carries no kernel specs; cannot evaluate kernels")
     coef = dual.alpha * task.y
     sv = np.flatnonzero(coef)
-    out = expand(model.kernel_specs, model.theta.values, task.X[sv], coef[sv], X_test)
+    out = expand(model.kernel_specs, model.theta, task.X[sv], coef[sv], X_test)
     if model.config.use_bias:
         out += dual.bias
     return out
@@ -288,20 +285,19 @@ def weighted_empirical_loss(model: MtlModel, rho: float, stacks) -> float:
     where ramp is 0 above rho, 1 below 0 and linear between. The training
     decision values come from stacks, the tasks' training Gram stacks.
     """
-    theta = model.theta.values
-    lam = model.task_weights.values
+    theta = model.theta
     total = 0.0
     count = 0
-    for t, (task, stack) in enumerate(zip(model.tasks, stacks, strict=True)):
+    for lam, task, dual, stack in zip(model.task_weights, model.tasks, model.duals, stacks, strict=True):
         if stack.grams.shape != (theta.size, task.y.size, task.y.size):
             raise ValueError(f"stack of task {task.task_id!r} has shape {stack.grams.shape}")
-        coef = model.duals[t].alpha * task.y
+        coef = dual.alpha * task.y
         values = np.zeros(task.y.size)
         for m in np.flatnonzero(theta):
             values += theta[m] * (coef @ stack.grams[m])
         if model.config.use_bias:
-            values += model.duals[t].bias
-        total += lam[t] * float(margin_loss(task.y * values, rho).sum())
+            values += dual.bias
+        total += lam * float(margin_loss(task.y * values, rho).sum())
         count += task.y.size
     return total / count
 
@@ -319,10 +315,7 @@ def _hex_vector(values) -> str:
 
 
 def _unhex_vector(text: str) -> np.ndarray:
-    text = text.strip()
-    if not text:
-        return np.zeros(0)
-    return np.array([float.fromhex(tok) for tok in text.split()])
+    return np.array([float.fromhex(tok) for tok in text.split()], dtype=np.float64)
 
 
 # the stored TrainConfig fields, in document order: (name, encode, decode)
@@ -335,6 +328,13 @@ _CONFIG_KEYS = (
     ("use_bias", lambda flag: str(int(flag)), lambda text: bool(int(text))),
     *((name, str, int) for name in ("max_outer_iters", "svm_max_iter", "seed")),
 )
+_DUAL_SCALARS = ("bias", "objective", "duality_gap")  # the floats of a [task] section, in document order
+
+
+def _config_copies(config: TrainConfig):
+    """The ([section], key, value) lines that repeat the config; pareto weights have budget inf."""
+    budget = float("inf") if config.mode == "pareto" else config.budget
+    return (("theta", "p", config.p), ("lambda", "r_max", config.r_max), ("lambda", "budget", budget))
 
 
 def save_model(model: MtlModel, path) -> None:
@@ -352,13 +352,10 @@ def save_model(model: MtlModel, path) -> None:
     lines.append("[kernels]")
     for spec in model.kernel_specs:
         lines.append(f"spec = {spec.label()}")
-    lines.append("[theta]")
-    lines.append(f"p = {float(model.theta.p).hex()}")
-    lines.append(f"values = {_hex_vector(model.theta.values)}")
-    lines.append("[lambda]")
-    lines.append(f"r_max = {float(model.task_weights.r_max).hex()}")
-    lines.append(f"budget = {float(model.task_weights.budget).hex()}")
-    lines.append(f"values = {_hex_vector(model.task_weights.values)}")
+    for section, values in (("theta", model.theta), ("lambda", model.task_weights)):
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {float(value).hex()}" for name, key, value in _config_copies(cfg) if name == section)
+        lines.append(f"values = {_hex_vector(values)}")
     lines.append("[trace]")
     lines.append(f"values = {_hex_vector(model.objective_trace)}")
     if model.scaler is not None:
@@ -368,9 +365,7 @@ def save_model(model: MtlModel, path) -> None:
     for task, dual in zip(model.tasks, model.duals):
         lines.append(f"[task {task.task_id}]")
         lines.append(f"hash = {task_data_hash(task)}")
-        lines.append(f"bias = {float(dual.bias).hex()}")
-        lines.append(f"objective = {float(dual.objective).hex()}")
-        lines.append(f"duality_gap = {float(dual.duality_gap).hex()}")
+        lines.extend(f"{key} = {float(getattr(dual, key)).hex()}" for key in _DUAL_SCALARS)
         lines.append(f"alpha = {_hex_vector(dual.alpha)}")
         lines.append(f"component_sq_norms = {_hex_vector(dual.component_sq_norms)}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -381,7 +376,7 @@ def load_model(path, tasks) -> MtlModel:
     """Rebuild a model from its document plus the original training tasks.
 
     tasks may be any iterable of TaskDataset. Each referenced task must be
-    present and hash-identical to what was trained on.
+    present and hash-identical to what was trained on. A missing key or a bad weight names the file.
     """
     by_id = {t.task_id: t for t in tasks}
 
@@ -393,77 +388,88 @@ def load_model(path, tasks) -> MtlModel:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model version {version}")
 
-    section = None
-    data: dict = {"tasks": [], "kernel_labels": []}
-    for line in content[1:]:
-        line = line.strip()
+    sections: dict = {"": {}}  # section name -> {key: text}, in document order; "" holds any line before the first
+    labels = []  # the spec lines of [kernels], in order
+    section = ""
+    for line in map(str.strip, content[1:]):
         if not line:
             continue
+        key, _, value = line.partition(" = ")
         if line.startswith("["):
             section = line[1:-1]
-            if section.startswith("task "):
-                data["tasks"].append({"id": section[5:]})
-                section = "task"
-            elif section != "kernels":
-                data[section] = {}
-            continue
-        key, _, value = line.partition(" = ")
-        if section == "task":
-            data["tasks"][-1][key] = value
+            sections[section] = {}
         elif section == "kernels":
-            data["kernel_labels"].append(value)
+            labels.append(value)
         else:
-            data[section][key] = value
+            sections[section][key] = value
 
-    cfg_raw = data["config"]
-    config = TrainConfig(**{name: decode(cfg_raw[name]) for name, _, decode in _CONFIG_KEYS})
-    specs = [KernelSpec.from_label(label) for label in data["kernel_labels"]]
+    def field(section, key):
+        if key not in sections.get(section, {}):
+            raise ValueError(f"{path}: no key {key!r} in section [{section}]")
+        return sections[section][key]
 
-    theta = KernelWeights(_unhex_vector(data["theta"]["values"]), float.fromhex(data["theta"]["p"]))
-    weights = TaskWeights(
-        _unhex_vector(data["lambda"]["values"]),
-        float.fromhex(data["lambda"]["r_max"]),
-        float.fromhex(data["lambda"]["budget"]),
-        enforce_box=config.mode != "pareto",  # path-tracing weights may sit outside the box
-    )
+    config = TrainConfig(**{name: decode(field("config", name)) for name, _, decode in _CONFIG_KEYS})
+    converged = bool(int(field("config", "converged")))
+    specs = [KernelSpec.from_label(label) for label in labels]
+    for section, key, value in _config_copies(config):
+        if float.fromhex(field(section, key)) != value:
+            raise ValueError(f"{path}: [{section}] {key} = {field(section, key)} disagrees with [config]")
 
-    model_tasks = []
-    duals = []
-    for entry in data["tasks"]:
-        task_id = entry["id"]
+    theta = _unhex_vector(field("theta", "values"))
+    if theta.shape != (len(specs),):
+        raise ValueError(f"{path}: [theta] has {theta.size} values for {len(specs)} [kernels] specs")
+    if not ((theta >= -1e-12).all() and lp_norm(theta, config.p) <= 1.0 + 1e-9):
+        raise ValueError(f"{path}: kernel weights {theta.tolist()} must be nonnegative and in the unit L{config.p!r} ball")
+    task_sections = [name for name in sections if name.startswith("task ")]
+    lam = _unhex_vector(field("lambda", "values"))
+    if lam.shape != (len(task_sections),):
+        raise ValueError(f"{path}: [lambda] has {lam.size} values for {len(task_sections)} tasks")
+    if not np.isfinite(lam).all():
+        raise ValueError(f"{path}: task weights must be finite, got {lam.tolist()}")
+    # path-tracing (pareto) weights are not box constrained
+    if config.mode != "pareto" and not ((lam >= 1.0 - 1e-9).all() and (lam <= config.r_max + 1e-9).all()):
+        raise ValueError(f"{path}: task weights {lam.tolist()} lie outside the box [1, r_max = {config.r_max!r}]")
+
+    model_tasks, duals = [], []
+    for section in task_sections:
+        task_id = section[5:]
         if task_id not in by_id:
             raise ValueError(f"training task {task_id!r} not supplied to load_model")
         task = by_id[task_id]
-        if task_data_hash(task) != entry["hash"]:
+        if task_data_hash(task) != field(section, "hash"):
             raise ValueError(f"training data hash mismatch for task {task_id!r}")
         model_tasks.append(task)
-        alpha = _unhex_vector(entry["alpha"])
+        alpha = _unhex_vector(field(section, "alpha"))
+        comp = _unhex_vector(field(section, "component_sq_norms"))
+        if alpha.shape != task.y.shape or comp.shape != theta.shape:
+            raise ValueError(
+                f"{path}: [{section}] has {alpha.size} alpha for {task.y.size} samples and "
+                f"{comp.size} component_sq_norms for {theta.size} kernels"
+            )
         duals.append(
             DualSolution(
                 alpha=alpha,
-                bias=float.fromhex(entry["bias"]),
-                objective=float.fromhex(entry["objective"]),
-                component_sq_norms=_unhex_vector(entry["component_sq_norms"]),
-                duality_gap=float.fromhex(entry["duality_gap"]),
+                component_sq_norms=comp,
                 dual_objective=float("nan"),
                 iterations=0,
-                converged=bool(int(cfg_raw["converged"])),  # set only if every solve certified
+                converged=converged,  # set only if every solve certified
                 margins=np.full(alpha.size, np.nan),
+                **{key: float.fromhex(field(section, key)) for key in _DUAL_SCALARS},
             )
         )
 
     scaler = None
-    if "scaler" in data:
-        scaler = Scaler(_unhex_vector(data["scaler"]["mean"]), _unhex_vector(data["scaler"]["scale"]))
+    if "scaler" in sections:
+        scaler = Scaler(_unhex_vector(field("scaler", "mean")), _unhex_vector(field("scaler", "scale")))
 
     return MtlModel(
         config=config,
         kernel_specs=specs,
         theta=theta,
-        task_weights=weights,
+        task_weights=lam,
         duals=duals,
-        objective_trace=list(_unhex_vector(data["trace"]["values"])),
+        objective_trace=list(_unhex_vector(field("trace", "values"))),
         tasks=model_tasks,
-        converged=bool(int(cfg_raw["converged"])),
+        converged=converged,
         scaler=scaler,
     )

@@ -14,7 +14,6 @@ import numpy as np
 
 from .bounds import BoundInputs, bound_rhs_any_lambda, bound_rhs_fixed_lambda, erc_upper_bound_lp, estimate_scale_constant, rademacher_mc
 from .kernels import GramStack
-from .solvers import TaskWeights
 from .training import pareto_lambda
 from .util import derive_seed
 
@@ -50,11 +49,6 @@ def random_stacks(rng, T=None, N=None, M=None):
     return stacks
 
 
-def _weights(values):
-    values = np.asarray(values, dtype=float)
-    return TaskWeights(values, float(values.max()) * 4.0 + 2.0, float("inf"))
-
-
 def check_complexity_monotone_in_task_weights(n_instances=50, seed=0) -> CheckResult:
     violations = 0
     tried = 0
@@ -64,11 +58,11 @@ def check_complexity_monotone_in_task_weights(n_instances=50, seed=0) -> CheckRe
         T = len(stacks)
         p = float(rng.choice([1.0, 4.0 / 3.0, 2.0, 4.0]))
         lam = rng.uniform(1.0, 3.0, size=T)
-        base = rademacher_mc(stacks, _weights(lam), R=1.0, p=p).mean
+        base = rademacher_mc(stacks, lam, R=1.0, p=p).mean
         for t in range(T):
             bumped = lam.copy()
             bumped[t] *= 1.5
-            value = rademacher_mc(stacks, _weights(bumped), R=1.0, p=p).mean
+            value = rademacher_mc(stacks, bumped, R=1.0, p=p).mean
             tried += 1
             if not value < base:  # kernels are nonzero, so strictly smaller
                 violations += 1
@@ -89,11 +83,11 @@ def check_complexity_monotone_in_sign_scales(n_instances=50, seed=0) -> CheckRes
         p = float(rng.choice([1.0, 2.0, 4.0]))
         lam = rng.uniform(1.0, 3.0, size=T)
         gamma = rng.uniform(0.5, 2.0, size=T)
-        base = rademacher_mc(stacks, _weights(lam), R=1.0, p=p, gamma=gamma).mean
+        base = rademacher_mc(stacks, lam, R=1.0, p=p, gamma=gamma).mean
         for t in range(T):
             bumped = gamma.copy()
             bumped[t] *= 1.5
-            value = rademacher_mc(stacks, _weights(lam), R=1.0, p=p, gamma=bumped).mean
+            value = rademacher_mc(stacks, lam, R=1.0, p=p, gamma=bumped).mean
             tried += 1
             if value < base:
                 violations += 1
@@ -111,8 +105,8 @@ def check_complexity_halves_at_doubled_weights(n_instances=25, seed=0) -> CheckR
         stacks = random_stacks(rng)
         lam = rng.uniform(1.0, 3.0, size=len(stacks))
         p = float(rng.choice([1.0, 2.0, 4.0]))
-        a = rademacher_mc(stacks, _weights(lam), R=1.0, p=p).mean
-        b = rademacher_mc(stacks, _weights(2.0 * lam), R=1.0, p=p).mean
+        a = rademacher_mc(stacks, lam, R=1.0, p=p).mean
+        b = rademacher_mc(stacks, 2.0 * lam, R=1.0, p=p).mean
         worst = max(worst, abs(b - a / np.sqrt(2.0)) / a)
     return CheckResult(
         "doubling all task weights divides complexity by sqrt(2)",
@@ -132,12 +126,13 @@ def check_trace_norm_bound(n_instances=100, seed=0) -> CheckResult:
         p = float(rng.choice([4.0 / 3.0, 2.0, 4.0]))
         lam = rng.uniform(1.0, 4.0, size=T)
         R = float(rng.uniform(0.5, 3.0))
-        mc = rademacher_mc(stacks, _weights(lam), R=R, p=p).mean
+        mc = rademacher_mc(stacks, lam, R=R, p=p).mean
         inputs = BoundInputs(
             T=T,
             N=N,
             M=M,
-            task_weights=_weights(lam),
+            task_weights=lam,
+            r_max=4.0,
             rho=1.0,
             delta=0.5,
             R=R,
@@ -163,7 +158,7 @@ def check_budget_split_bound(n_instances=50, seed=0) -> CheckResult:
         lam = rng.uniform(1.0, 4.0, size=T)
         R = float(rng.uniform(0.5, 2.0))
         total = sum(s.n_samples for s in stacks)
-        mc = rademacher_mc(stacks, _weights(lam), R=R, p=p).mean
+        mc = rademacher_mc(stacks, lam, R=R, p=p).mean
         scale = estimate_scale_constant(stacks, R=R, p=p).mean
         rhs = 2.0 / total * np.sqrt(float((1.0 / lam).sum())) * scale
         if mc > rhs + 1e-12:
@@ -209,7 +204,8 @@ def check_fixed_below_adaptive(n_instances=25, seed=0) -> CheckResult:
             T=T,
             N=int(rng.integers(2, 30)),
             M=2,
-            task_weights=TaskWeights(lam, 4.0, float("inf")),
+            task_weights=lam,
+            r_max=4.0,
             rho=1.0,
             delta=float(rng.uniform(0.01, 0.5)),
             R=1.0,

@@ -13,7 +13,7 @@ from conicmtl.bounds import BoundInputs, bound_report, erc_upper_bound_lp, radem
 from conicmtl.data import Scaler, TaskDataset, stratified_split, synth_multitask, synthetic_benchmark
 from conicmtl.experiments import RESULT_HEADER
 from conicmtl.kernels import build_gram_stack, default_kernel_dictionary
-from conicmtl.solvers import TaskWeights, lambda_step, solve_svm_dual, theta_step
+from conicmtl.solvers import lambda_step, solve_svm_dual, theta_step
 from conicmtl.training import TrainConfig, fit, pareto_lambda, predict
 from conicmtl.util import conjugate_exponent, derive_seed, lp_norm
 from conicmtl.verification import (
@@ -39,8 +39,8 @@ def test_01_theta_step_matches_random_search_oracle():
         if not np.any(u > 0):
             u[0] = 1.0
         w = theta_step(u, p)
-        assert abs(lp_norm(w.values, p) - 1.0) <= 1e-10
-        ours = float(np.divide(u, 2 * w.values, out=np.zeros_like(u), where=w.values > 0).sum())
+        assert abs(lp_norm(w, p) - 1.0) <= 1e-10
+        ours = float(np.divide(u, 2 * w, out=np.zeros_like(u), where=w > 0).sum())
         pts = rng.uniform(1e-12, 1.0, size=(100_000, M))
         pts /= ((pts**p).sum(axis=1) ** (1.0 / p))[:, None]
         best = float((u[None, :] / (2.0 * pts)).sum(axis=1).min())
@@ -81,8 +81,7 @@ def test_02_lambda_step_matches_grid_and_nlp_oracles():
         c = rng.uniform(0.3, 3.0, T)
         r = float(rng.uniform(2.0, 8.0))
         budget = float((c / r).sum()) * float(rng.uniform(1.02, 4.0))
-        w = lambda_step(J, c, budget, r)
-        lam = w.values
+        lam = lambda_step(J, c, budget, r)
         assert np.all(lam >= 1.0 - 1e-9) and np.all(lam <= r + 1e-9)
         assert float((c / lam).sum()) <= budget + 1e-9
         ours = float(lam @ J)
@@ -203,8 +202,8 @@ def test_04_bcd_descends_and_slack_budget_reproduces_average():
 
         avg = fit(tasks, stacks, replace(cfg, mode="average"), kernel_specs=specs)
         assert conic.objective_trace == avg.objective_trace
-        assert np.array_equal(conic.theta.values, avg.theta.values)
-        assert np.array_equal(conic.task_weights.values, avg.task_weights.values)
+        assert np.array_equal(conic.theta, avg.theta)
+        assert np.array_equal(conic.task_weights, avg.task_weights)
         for dc, da in zip(conic.duals, avg.duals):
             assert dc.alpha.tobytes() == da.alpha.tobytes()
     report(4, "block descent is monotone; slack budget reproduces the unweighted run bit-exactly")
@@ -232,10 +231,9 @@ def test_06_trace_norm_bound_dominates_exhaustive_complexity():
         p = float(rng.choice([4.0 / 3.0, 2.0, 4.0]))
         lam = rng.uniform(1.0, 5.0, T)
         R = float(rng.uniform(0.3, 3.0))
-        weights = TaskWeights(lam, float(lam.max()) + 1.0, float("inf"))
-        mc = rademacher_mc(stacks, weights, R=R, p=p).mean
+        mc = rademacher_mc(stacks, lam, R=R, p=p).mean
         inputs = BoundInputs(
-            T=T, N=N, M=M, task_weights=weights, rho=1.0, delta=0.5, R=R, p=p,
+            T=T, N=N, M=M, task_weights=lam, r_max=float(lam.max()) + 1.0, rho=1.0, delta=0.5, R=R, p=p,
             traces=np.vstack([s.traces for s in stacks]),
         )
         assert mc <= erc_upper_bound_lp(inputs) + 1e-12
@@ -276,10 +274,8 @@ def test_08_doubling_weights_scales_complexity_by_inverse_root_two():
         lam = rng.uniform(1.0, 4.0, T)
         p = float(rng.choice([1.0, 4.0 / 3.0, 2.0, 4.0]))
         R = float(rng.uniform(0.5, 2.0))
-        weights = TaskWeights(lam, float(lam.max()) * 3.0, float("inf"))
-        doubled = TaskWeights(2.0 * lam, float(lam.max()) * 6.0, float("inf"))
-        a = rademacher_mc(stacks, weights, R=R, p=p).mean
-        b = rademacher_mc(stacks, doubled, R=R, p=p).mean
+        a = rademacher_mc(stacks, lam, R=R, p=p).mean
+        b = rademacher_mc(stacks, 2.0 * lam, R=R, p=p).mean
         worst = max(worst, abs(b - a / np.sqrt(2.0)) / a)
     assert worst <= 1e-13, f"worst relative deviation {worst:.2e}"
     report(8, "doubled weights divide exhaustive complexity by sqrt(2) to float precision")

@@ -22,16 +22,15 @@ from conicmtl.bounds import (
 )
 from conicmtl.data import Scaler, TaskDataset, synth_multitask
 from conicmtl.kernels import GramStack, build_gram_stack, default_kernel_dictionary
-from conicmtl.solvers import TaskWeights
 from conicmtl.training import TrainConfig, fit
 from conicmtl.util import conjugate_exponent, derive_seed, lp_norm
 from conicmtl.verification import random_stacks, run_verification_suite
 
 
-def weights(values, r_max=None):
+def weights(values):
+    """BoundInputs keywords for task weights `values` under a cap well above them."""
     values = np.asarray(values, dtype=float)
-    r = r_max if r_max is not None else float(values.max()) * 4 + 2
-    return TaskWeights(values, r, float("inf"))
+    return {"task_weights": values, "r_max": float(values.max()) * 4 + 2}
 
 
 # ------------------------------------------------------------- margin loss
@@ -66,13 +65,13 @@ def one_kernel_stack(K, task_id="t"):
 
 
 def test_single_sample_instance_value_two():
-    est = rademacher_mc([one_kernel_stack([[1.0]])], weights([1.0]), R=1.0, p=2.0)
+    est = rademacher_mc([one_kernel_stack([[1.0]])], [1.0], R=1.0, p=2.0)
     assert est.exhaustive and est.std_error == 0.0
     assert est.mean == 2.0
 
 
 def test_two_sample_identity_instance():
-    est = rademacher_mc([one_kernel_stack(np.eye(2))], weights([1.0]), R=1.0, p=1.0)
+    est = rademacher_mc([one_kernel_stack(np.eye(2))], [1.0], R=1.0, p=1.0)
     assert est.mean == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
 
@@ -80,17 +79,17 @@ def test_weight_scaling_is_exact_homogeneity():
     rng = np.random.default_rng(1)
     stacks = random_stacks(rng, T=2, N=3, M=2)
     lam = np.array([1.3, 2.1])
-    base = rademacher_mc(stacks, weights(lam), R=1.0, p=2.0).mean
-    quartered = rademacher_mc(stacks, weights(4.0 * lam), R=1.0, p=2.0).mean
+    base = rademacher_mc(stacks, lam, R=1.0, p=2.0).mean
+    quartered = rademacher_mc(stacks, 4.0 * lam, R=1.0, p=2.0).mean
     assert quartered == pytest.approx(base / 2.0, rel=1e-14)
-    doubled = rademacher_mc(stacks, weights(2.0 * lam), R=1.0, p=2.0).mean
+    doubled = rademacher_mc(stacks, 2.0 * lam, R=1.0, p=2.0).mean
     assert doubled == pytest.approx(base / np.sqrt(2.0), rel=1e-13)
 
 
 def test_gamma_one_matches_no_gamma():
     rng = np.random.default_rng(2)
     stacks = random_stacks(rng, T=2, N=3, M=2)
-    lam = weights([1.5, 2.5])
+    lam = np.array([1.5, 2.5])
     a = rademacher_mc(stacks, lam, R=1.0, p=2.0).mean
     b = rademacher_mc(stacks, lam, R=1.0, p=2.0, gamma=np.ones(2)).mean
     assert a == b
@@ -117,7 +116,7 @@ def test_closed_form_supremum_against_kernel_weight_grid():
 def test_monte_carlo_reproducible_and_near_exhaustive():
     rng = np.random.default_rng(4)
     stacks = random_stacks(rng, T=2, N=4, M=2)
-    lam = weights([1.2, 2.0])
+    lam = np.array([1.2, 2.0])
     exact = rademacher_mc(stacks, lam, R=1.0, p=2.0).mean
     a = rademacher_mc(stacks, lam, R=1.0, p=2.0, samples=4000, seed=9, exhaustive_limit=0)
     b = rademacher_mc(stacks, lam, R=1.0, p=2.0, samples=4000, seed=9, exhaustive_limit=0)
@@ -152,7 +151,7 @@ def test_scale_constant_single_task_matches_complexity():
     stacks = random_stacks(rng, T=1, N=4, M=2)
     total = stacks[0].n_samples
     est = estimate_scale_constant(stacks, R=1.0, p=2.0)
-    mc = rademacher_mc(stacks, weights([1.0]), R=1.0, p=2.0)
+    mc = rademacher_mc(stacks, [1.0], R=1.0, p=2.0)
     assert mc.mean == pytest.approx(2.0 / total * est.mean, rel=1e-12)
 
 
@@ -478,7 +477,7 @@ def test_identity_grams_skip_the_gemm_with_identical_bytes(kinds):
 def test_trace_bound_plugin_value():
     inputs = BoundInputs(
         T=1, N=1, M=1,
-        task_weights=weights([1.0]),
+        **weights([1.0]),
         rho=1.0, delta=0.5, R=1.0, p=2.0,
         traces=np.array([[1.0]]),
     )
@@ -488,18 +487,18 @@ def test_trace_bound_plugin_value():
 def test_trace_bound_homogeneity_and_weight_decay():
     base = BoundInputs(
         T=2, N=3, M=2,
-        task_weights=weights([1.0, 1.0]),
+        **weights([1.0, 1.0]),
         rho=1.0, delta=0.5, R=1.0, p=2.0,
         traces=np.ones((2, 2)),
     )
     value = erc_upper_bound_lp(base)
     doubled_R = BoundInputs(
-        T=2, N=3, M=2, task_weights=weights([1.0, 1.0]),
+        T=2, N=3, M=2, **weights([1.0, 1.0]),
         rho=1.0, delta=0.5, R=2.0, p=2.0, traces=np.ones((2, 2)),
     )
     assert erc_upper_bound_lp(doubled_R) == pytest.approx(np.sqrt(2) * value, rel=1e-12)
     huge = BoundInputs(
-        T=2, N=3, M=2, task_weights=weights([1e9, 1e9]),
+        T=2, N=3, M=2, **weights([1e9, 1e9]),
         rho=1.0, delta=0.5, R=1.0, p=2.0, traces=np.ones((2, 2)),
     )
     assert erc_upper_bound_lp(huge) < 1e-3 * value
@@ -507,7 +506,7 @@ def test_trace_bound_homogeneity_and_weight_decay():
 
 def test_trace_bound_p1_not_applicable_by_default():
     inputs = BoundInputs(
-        T=1, N=2, M=3, task_weights=weights([1.0]),
+        T=1, N=2, M=3, **weights([1.0]),
         rho=1.0, delta=0.5, R=1.0, p=1.0, traces=np.ones((1, 3)),
     )
     assert np.isnan(erc_upper_bound_lp(inputs))
@@ -523,9 +522,9 @@ def test_exhaustive_complexity_below_trace_bound():
         p = float(rng.choice([4 / 3, 2.0, 4.0]))
         lam = rng.uniform(1.0, 4.0, T)
         R = float(rng.uniform(0.5, 2.0))
-        mc = rademacher_mc(stacks, weights(lam), R=R, p=p).mean
+        mc = rademacher_mc(stacks, lam, R=R, p=p).mean
         inputs = BoundInputs(
-            T=T, N=N, M=M, task_weights=weights(lam), rho=1.0, delta=0.5,
+            T=T, N=N, M=M, **weights(lam), rho=1.0, delta=0.5,
             R=R, p=p, traces=np.vstack([s.traces for s in stacks]),
         )
         assert mc <= erc_upper_bound_lp(inputs) + 1e-12
@@ -538,10 +537,25 @@ def make_inputs(lam, r_max, T=None, N=5, delta=0.5, rho=1.0, R=1.0):
     T = T or lam.size
     return BoundInputs(
         T=T, N=N, M=2,
-        task_weights=TaskWeights(lam, r_max, float("inf")),
+        task_weights=lam, r_max=r_max,
         rho=rho, delta=delta, R=R, p=2.0,
         traces=np.ones((T, 2)),
     )
+
+
+@pytest.mark.parametrize(
+    "lam, r_max, message",
+    [
+        ([1.0, float("nan")], 4.0, r"task weights must be finite, got \[ 1. nan\]"),
+        ([float("inf"), 1.0], 4.0, r"task weights must be finite, got \[inf  1.\]"),
+        ([1.0, 1.0], 1.0, "r_max must exceed 1, got 1.0"),
+        ([1.0, 1.0], float("nan"), "r_max must exceed 1, got nan"),
+    ],
+    ids=["nan-weight", "inf-weight", "cap-one", "cap-nan"],
+)
+def test_bound_inputs_reject_non_finite_weights_and_a_cap_not_above_one(lam, r_max, message):
+    with pytest.raises(ValueError, match=message):
+        make_inputs(lam, r_max=r_max)
 
 
 def test_adaptive_bound_third_term_example():
@@ -572,7 +586,7 @@ def test_log_argument_exceeds_one_for_any_in_box_weights():
 def test_adaptive_bound_clamps_nonpositive_log_for_out_of_box_weights():
     inputs = BoundInputs(
         T=4, N=5, M=2,
-        task_weights=TaskWeights(np.full(4, 30.0), 4.0, float("inf"), enforce_box=False),
+        task_weights=np.full(4, 30.0), r_max=4.0,
         rho=1.0, delta=0.5, R=1.0, p=2.0, traces=np.ones((4, 2)),
     )
     with pytest.warns(UserWarning, match="clamped"):
@@ -610,7 +624,7 @@ def test_fixed_bound_examples_and_comparison():
     # delta = e^-2 with TN = 9 makes the confidence term exactly 1
     inputs9 = BoundInputs(
         T=3, N=3, M=1,
-        task_weights=TaskWeights(np.array([1.0, 1.0, 1.0]), 2.0, float("inf")),
+        task_weights=np.array([1.0, 1.0, 1.0]), r_max=2.0,
         rho=1.0, delta=float(np.exp(-2.0)), R=1.0, p=2.0, traces=np.ones((3, 1)),
     )
     assert bound_rhs_fixed_lambda(inputs9, 0.3, 0.05) == pytest.approx(
@@ -639,7 +653,7 @@ def test_model_radius_matches_combined_kernel_norm():
         from conicmtl.kernels import combine
 
         K = combine(stacks[t], model.theta)
-        total += model.task_weights.values[t] * float(coef @ K @ coef)
+        total += model.task_weights[t] * float(coef @ K @ coef)
     assert model_radius(model) == pytest.approx(total, rel=1e-9)
 
 

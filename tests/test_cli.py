@@ -3,7 +3,10 @@ defaults the CLI leaves to the library, and of the commands and config keys
 the README documents."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +27,16 @@ def train(tmp_path, name, *extra):
     args = ["train", "--data", "sample:mtl", "--seed", "3", "--C", "2", "--p", "1.5"]
     assert main(args + list(extra) + ["--out", str(model), "--split-out", str(split)]) == 0
     return model, split
+
+
+def error_message(capsys, argv):
+    """The message of a command the library rejects: exit 1, one `conicmtl: error:` line, no output."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("conicmtl: error: ") and captured.err.count("\n") == 1
+    return captured.err[len("conicmtl: error: ") : -1]
 
 
 def directory_bytes(directory):
@@ -95,22 +108,24 @@ def write_config(tmp_path, text):
     return str(path)
 
 
-def test_train_config_reads_its_keys_and_rejects_others(tmp_path):
+def test_train_config_reads_its_keys_and_rejects_others(tmp_path, capsys):
     config = write_config(tmp_path, "[train]\nfraction = 0.5\nseed = 3\nmode = average\n")
     model_a, split_a = train(tmp_path, "a", "--config", config)
     model_b, split_b = train(tmp_path, "b", "--fraction", "0.5", "--mode", "average")
     assert model_a.read_bytes() == model_b.read_bytes()
     assert directory_bytes(split_a) == directory_bytes(split_b)
     config = write_config(tmp_path, "[train]\nseed = 3\nC = 4\np = 4\n")
-    with pytest.raises(ValueError, match=r"unknown key 'c' in \[train\].*fraction, mode, seed"):
-        train(tmp_path, "c", "--config", config)
+    argv = ["train", "--data", "sample:mtl", "--config", config, "--out", str(tmp_path / "c.txt")]
+    message = error_message(capsys, argv)
+    assert re.search(r"unknown key 'c' in \[train\].*fraction, mode, seed", message)
+    assert not (tmp_path / "c.txt").exists()
 
 
-def test_experiment_config_rejects_unknown_keys(tmp_path):
+def test_experiment_config_rejects_unknown_keys(tmp_path, capsys):
     config = write_config(tmp_path, "[experiment]\nruns = 1\nuse_bias = 1\n")
     out = tmp_path / "r.csv"
-    with pytest.raises(ValueError, match=r"unknown key 'use_bias' in \[experiment\]"):
-        main(["experiment", "--config", config, "--out", str(out)])
+    message = error_message(capsys, ["experiment", "--config", config, "--out", str(out)])
+    assert re.search(r"unknown key 'use_bias' in \[experiment\]", message)
     assert not out.exists()
 
 
@@ -123,13 +138,33 @@ def test_experiment_config_rejects_unknown_keys(tmp_path):
     ],
     ids=["runs", "grid_c", "seed"],
 )
-def test_config_value_that_does_not_parse_names_file_section_and_key(tmp_path, command, text, message):
+def test_config_value_that_does_not_parse_names_file_section_and_key(tmp_path, capsys, command, text, message):
     config = write_config(tmp_path, text)
     out = tmp_path / "out.txt"
     argv = [command, "--config", config, "--out", str(out)]
-    with pytest.raises(ValueError, match=rf"^{re.escape(config)}: {message}$"):
-        main(argv + (["--data", "sample:mtl"] if command == "train" else []))
+    got = error_message(capsys, argv + (["--data", "sample:mtl"] if command == "train" else []))
+    assert re.fullmatch(rf"{re.escape(config)}: {message}", got)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["experiment", "--config", "bad.ini"], "bad.ini: bad value for key 'runs' in [experiment]: "
+         "invalid literal for int() with base 10: '1.5'"),
+        (["train", "--data", "/nonexistent"], "cannot resolve dataset '/nonexistent'"),
+        (["train", "--data", "sample:mtl", "--C", "-1"], "C must be positive and finite, got -1.0"),
+    ],
+    ids=["experiment-bad-config", "train-missing-data", "train-negative-C"],
+)
+def test_rejected_input_prints_one_error_line_without_a_traceback(tmp_path, argv, message):
+    (tmp_path / "bad.ini").write_text("[experiment]\nruns = 1.5\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys; from conicmtl.cli import main; sys.exit(main())"
+    argv = [sys.executable, "-c", code, *argv, "--out", "out.txt"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"conicmtl: error: {message}\n")
+    assert not (tmp_path / "out.txt").exists()
 
 
 @pytest.mark.parametrize("flag", ["--fractions", "--grid-C", "--grid-p", "--grid-a-frac", "--grid-p-exp"])

@@ -10,7 +10,6 @@ from conicmtl.kernels import (
     EXPAND_BLOCK,
     GramStack,
     KernelSpec,
-    KernelWeights,
     build_gram_stack,
     combine,
     compute_gram,
@@ -341,16 +340,16 @@ def _random_stack(rng, M=3, N=7):
 def test_combine_selects_and_zeroes():
     rng = np.random.default_rng(3)
     stack = _random_stack(rng)
-    e1 = KernelWeights(np.array([1.0, 0.0, 0.0]), p=1.0)
+    e1 = np.array([1.0, 0.0, 0.0])
     assert np.array_equal(combine(stack, e1), stack.grams[0])
-    zero = KernelWeights(np.zeros(3), p=1.0)
+    zero = np.zeros(3)
     assert np.array_equal(combine(stack, zero), np.zeros((7, 7)))
 
 
 def test_combine_hand_sum():
     grams = np.stack([np.eye(2), np.ones((2, 2))])
     stack = GramStack(task_id="t", grams=grams)
-    out = combine(stack, KernelWeights(np.array([0.5, 0.5]), p=1.0))
+    out = combine(stack, np.array([0.5, 0.5]))
     assert np.array_equal(out, np.array([[1.0, 0.5], [0.5, 1.0]]))
 
 
@@ -360,8 +359,8 @@ def test_combine_is_linear_in_weights():
     t1 = rng.uniform(0, 0.4, 3)
     t2 = rng.uniform(0, 0.4, 3)
     a, b = 0.3, 0.6
-    lhs = combine(stack, KernelWeights(a * t1 + b * t2, p=1.0))
-    rhs = a * combine(stack, KernelWeights(t1, p=1.0)) + b * combine(stack, KernelWeights(t2, p=1.0))
+    lhs = combine(stack, a * t1 + b * t2)
+    rhs = a * combine(stack, t1) + b * combine(stack, t2)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -369,7 +368,7 @@ def test_combine_psd_spot_check():
     rng = np.random.default_rng(5)
     stack = _random_stack(rng, M=4, N=10)
     theta = rng.uniform(0, 0.4, 4)
-    K = combine(stack, KernelWeights(theta, p=1.0))
+    K = combine(stack, theta)
     for _ in range(100):
         sigma = rng.choice([-1.0, 1.0], size=10)
         assert sigma @ K @ sigma >= -1e-8 * (sigma @ sigma)
@@ -382,9 +381,9 @@ def test_combine_is_the_tensordot_of_weights_and_stack_bit_for_bit(M):
     idx = np.array([0, 2, 3, 6, 7, 9, 12, 13])
     # the fancy-indexed sub-stack of a cross-validation fold: kernel axis innermost
     sub = GramStack(task_id="t", grams=stack.grams[:, idx[:, None], idx[None, :]])
-    theta = KernelWeights(rng.uniform(0.05, 1.0, M) / M, p=2.0)
+    theta = rng.uniform(0.05, 1.0, M) / M
     for s in (stack, sub):
-        want = np.tensordot(theta.values, s.grams, axes=(0, 0))
+        want = np.tensordot(theta, s.grams, axes=(0, 0))
         assert combine(s, theta).tobytes() == want.tobytes()
 
 
@@ -392,7 +391,7 @@ def test_combine_length_mismatch():
     rng = np.random.default_rng(6)
     stack = _random_stack(rng, M=3)
     with pytest.raises(ValueError, match="kernel count"):
-        combine(stack, KernelWeights(np.array([0.5, 0.5]), p=1.0))
+        combine(stack, np.array([0.5, 0.5]))
 
 
 def test_trace_vector_matches_diagonals():
@@ -415,13 +414,6 @@ def test_trace_vector_zero_and_diagonal_cases():
     stack = GramStack(task_id="t", grams=grams)
     assert stack.traces[0] == 0.0
     assert stack.traces[1] == 5.0
-
-
-def test_kernel_weights_validation():
-    with pytest.raises(ValueError, match="ball"):
-        KernelWeights(np.array([1.0, 1.0]), p=1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        KernelWeights(np.array([-0.5, 0.5]), p=2.0)
 
 
 def test_kernel_spec_label_roundtrip():

@@ -6,8 +6,8 @@ import pytest
 from conicmtl import training
 from conicmtl.data import prepare_run
 from conicmtl.experiments import budget_from_fraction, resolve_dataset
-from conicmtl.kernels import GramStack, KernelSpec, KernelWeights, build_gram_stack, compute_gram, default_kernel_dictionary
-from conicmtl.solvers import TaskWeights, _symmetric, component_sq_norms, lambda_step, solve_svm_dual, theta_step
+from conicmtl.kernels import GramStack, KernelSpec, build_gram_stack, compute_gram, default_kernel_dictionary
+from conicmtl.solvers import _symmetric, component_sq_norms, lambda_step, solve_svm_dual, theta_step
 from conicmtl.util import lp_norm
 
 
@@ -379,7 +379,7 @@ def test_component_norms_single_kernel_is_plain_quadratic_form():
     stack = GramStack(task_id="t", grams=K[None])
     y = rng.choice([-1.0, 1.0], size=5)
     alpha = rng.uniform(0, 1, 5)
-    got = component_sq_norms(alpha, y, stack, KernelWeights(np.array([1.0]), p=2.0))
+    got = component_sq_norms(alpha, y, stack, np.array([1.0]))
     coef = alpha * y
     assert got[0] == pytest.approx(coef @ K @ coef, rel=1e-12)
 
@@ -387,7 +387,7 @@ def test_component_norms_single_kernel_is_plain_quadratic_form():
 def test_component_norms_zero_alpha_and_hand_case():
     grams = np.stack([np.eye(2), np.ones((2, 2))])
     stack = GramStack(task_id="t", grams=grams)
-    w = KernelWeights(np.array([0.5, 0.5]), p=1.0)
+    w = np.array([0.5, 0.5])
     zero = component_sq_norms(np.zeros(2), np.array([1.0, -1.0]), stack, w)
     assert np.array_equal(zero, np.zeros(2))
     # alpha*y = (1, -1): quadratic forms are 2 under I and 0 under ones
@@ -399,36 +399,36 @@ def test_component_norms_sum_recovers_combined_norm():
     rng = np.random.default_rng(5)
     grams = np.stack([random_psd(rng, 6) for _ in range(3)])
     stack = GramStack(task_id="t", grams=grams)
-    theta = KernelWeights(np.array([0.2, 0.5, 0.3]), p=1.0)
+    theta = np.array([0.2, 0.5, 0.3])
     y = rng.choice([-1.0, 1.0], size=6)
     alpha = rng.uniform(0, 2, 6)
     comp = component_sq_norms(alpha, y, stack, theta)
     coef = alpha * y
-    K = np.tensordot(theta.values, grams, axes=(0, 0))
-    assert (comp / theta.values).sum() == pytest.approx(coef @ K @ coef, rel=1e-12)
+    K = np.tensordot(theta, grams, axes=(0, 0))
+    assert (comp / theta).sum() == pytest.approx(coef @ K @ coef, rel=1e-12)
 
 
 # ------------------------------------------------------------ theta step
 
 def test_theta_uniform_under_symmetry():
     w = theta_step(np.ones(4), p=1.0)
-    assert w.values == pytest.approx(np.full(4, 0.25), abs=1e-15)
+    assert w == pytest.approx(np.full(4, 0.25), abs=1e-15)
 
 
 def test_theta_hand_example_and_grid_oracle():
     w = theta_step(np.array([4.0, 1.0]), p=1.0)
-    assert w.values == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-12)
+    assert w == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-12)
     # 2-d grid search over the simplex boundary
     grid = np.linspace(1e-6, 1 - 1e-6, 20001)
     objs = 4.0 / (2 * grid) + 1.0 / (2 * (1 - grid))
     best = objs.min()
-    ours = 4.0 / (2 * w.values[0]) + 1.0 / (2 * w.values[1])
+    ours = 4.0 / (2 * w[0]) + 1.0 / (2 * w[1])
     assert ours <= best + 1e-9
 
 
 def test_theta_all_mass_on_single_active_kernel():
     w = theta_step(np.array([1.0, 0.0]), p=2.0)
-    assert np.array_equal(w.values, np.array([1.0, 0.0]))
+    assert np.array_equal(w, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 4.0])
@@ -440,8 +440,8 @@ def test_theta_unit_norm_and_beats_random_feasible_points(p):
         if not np.any(u > 0):
             u[0] = 1.0
         w = theta_step(u, p)
-        assert abs(lp_norm(w.values, p) - 1.0) <= 1e-10
-        ours = np.divide(u, 2 * w.values, out=np.zeros_like(u), where=w.values > 0).sum()
+        assert abs(lp_norm(w, p) - 1.0) <= 1e-10
+        ours = np.divide(u, 2 * w, out=np.zeros_like(u), where=w > 0).sum()
         pts = rng.uniform(0, 1, size=(1000, M)) + 1e-9
         norms = (pts**p).sum(axis=1) ** (1 / p)
         pts = pts / norms[:, None]
@@ -458,28 +458,28 @@ def test_theta_rejects_zero_vector():
 
 def test_lambda_symmetric_tight_budget():
     w = lambda_step(np.array([1.0, 1.0]), np.array([1.0, 1.0]), budget=1.0, r_max=10.0)
-    assert w.values == pytest.approx([2.0, 2.0], abs=1e-9)
+    assert w == pytest.approx([2.0, 2.0], abs=1e-9)
 
 
 def test_lambda_asymmetric_kkt_solution():
     J = np.array([1.0, 4.0])
     w = lambda_step(J, np.array([1.0, 1.0]), budget=1.0, r_max=10.0)
-    assert w.values == pytest.approx([3.0, 1.5], abs=1e-8)
-    assert float(w.values @ J) == pytest.approx(9.0, abs=1e-7)
+    assert w == pytest.approx([3.0, 1.5], abs=1e-8)
+    assert float(w @ J) == pytest.approx(9.0, abs=1e-7)
 
 
 def test_lambda_slack_budget_returns_ones():
     J = np.array([0.3, 2.0, 1.0])
     c = np.array([1.0, 1.0, 1.0])
     w = lambda_step(J, c, budget=3.5, r_max=8.0)
-    assert np.array_equal(w.values, np.ones(3))
+    assert np.array_equal(w, np.ones(3))
 
 
 def test_lambda_zero_objective_takes_upper_edge():
     w = lambda_step(np.array([0.0, 1.0]), np.array([1.0, 1.0]), budget=1.0, r_max=4.0)
-    assert w.values[0] == 4.0
+    assert w[0] == 4.0
     # remaining budget for the active task: 1 - 1/4 = 0.75 -> lambda = 1/0.75
-    assert w.values[1] == pytest.approx(4.0 / 3.0, abs=1e-8)
+    assert w[1] == pytest.approx(4.0 / 3.0, abs=1e-8)
 
 
 def test_lambda_errors():
@@ -497,13 +497,13 @@ def test_lambda_constraints_and_grid_oracle_t2():
         r = float(rng.uniform(2.0, 4.0))
         budget = float((c / r).sum() * rng.uniform(1.05, 3.0))
         w = lambda_step(J, c, budget, r)
-        assert np.all(w.values >= 1.0 - 1e-9) and np.all(w.values <= r + 1e-9)
-        assert float((c / w.values).sum()) <= budget + 1e-9
+        assert np.all(w >= 1.0 - 1e-9) and np.all(w <= r + 1e-9)
+        assert float((c / w).sum()) <= budget + 1e-9
         grid = np.arange(1.0, r + 1e-9, 1e-3)
         l1, l2 = np.meshgrid(grid, grid, indexing="ij")
         feasible = c[0] / l1 + c[1] / l2 <= budget
         objs = np.where(feasible, J[0] * l1 + J[1] * l2, np.inf)
-        assert float(w.values @ J) <= objs.min() + 1e-6
+        assert float(w @ J) <= objs.min() + 1e-6
 
 
 def test_lambda_objective_monotone_in_budget():
@@ -515,7 +515,7 @@ def test_lambda_objective_monotone_in_budget():
         r = 6.0
         lo = float((c / r).sum()) * 1.01
         budgets = np.sort(rng.uniform(lo, float(c.sum()) * 1.5, 4))
-        objs = [float(lambda_step(J, c, float(b), r).values @ J) for b in budgets]
+        objs = [float(lambda_step(J, c, float(b), r) @ J) for b in budgets]
         assert all(objs[i + 1] <= objs[i] + 1e-9 for i in range(len(objs) - 1))
 
 
@@ -528,7 +528,7 @@ def test_lambda_breakpoint_step_matches_bisection_oracle():
         c = rng.uniform(0.3, 3.0, T)
         r = float(rng.uniform(1.5, 10.0))
         budget = float((c / r).sum()) * float(rng.uniform(1.0, 3.0))
-        lam = lambda_step(J, c, budget, r).values
+        lam = lambda_step(J, c, budget, r)
         want, nu = bisection_lambda_step(J, c, budget, r)
         assert np.abs(lam - want).max() <= 1e-8 * r
         assert np.all(lam >= 1.0) and np.all(lam <= r)
@@ -544,37 +544,37 @@ def test_lambda_budget_exactly_on_a_breakpoint():
     # breakpoints s = sqrt(J_t / c_t) = 1, 2; at s = 2 the usage is 1/2 + 1
     J, c = np.array([1.0, 4.0]), np.array([1.0, 1.0])
     w = lambda_step(J, c, budget=1.5, r_max=10.0)
-    assert w.values == pytest.approx([2.0, 1.0], rel=1e-14)
-    assert w.values == pytest.approx(bisection_lambda_step(J, c, 1.5, 10.0)[0], abs=1e-8)
+    assert w == pytest.approx([2.0, 1.0], rel=1e-14)
+    assert w == pytest.approx(bisection_lambda_step(J, c, 1.5, 10.0)[0], abs=1e-8)
 
 
 def test_lambda_zero_objectives_mixed_with_positive_ones():
     J, c = np.array([0.0, 1.0, 0.0, 4.0]), np.array([1.0, 1.0, 2.0, 1.0])
     w = lambda_step(J, c, budget=1.5, r_max=6.0)
-    assert w.values[[0, 2]].tolist() == [6.0, 6.0]
+    assert w[[0, 2]].tolist() == [6.0, 6.0]
     # the zero tasks use 1/6 + 2/6 of the budget; the rest is the asymmetric example at budget 1
-    assert w.values[[1, 3]] == pytest.approx([3.0, 1.5], rel=1e-14)
-    assert w.values == pytest.approx(bisection_lambda_step(J, c, 1.5, 6.0)[0], abs=1e-8)
+    assert w[[1, 3]] == pytest.approx([3.0, 1.5], rel=1e-14)
+    assert w == pytest.approx(bisection_lambda_step(J, c, 1.5, 6.0)[0], abs=1e-8)
 
 
 def test_lambda_single_task_spends_the_budget():
     w = lambda_step(np.array([3.0]), np.array([2.0]), budget=0.5, r_max=8.0)
-    assert w.values == pytest.approx([4.0], rel=1e-15)
+    assert w == pytest.approx([4.0], rel=1e-15)
 
 
 def test_lambda_budget_met_only_at_the_upper_corner():
     J, c, r = np.array([1.0, 3.0, 0.5]), np.array([1.0, 2.0, 0.5]), 4.0
     corner = float((c / r).sum())
-    assert np.array_equal(lambda_step(J, c, corner, r).values, np.full(3, r))
+    assert np.array_equal(lambda_step(J, c, corner, r), np.full(3, r))
     # within the feasibility tolerance below the corner: attainable only in the limit
     below = corner * (1.0 - 1e-13)
-    assert np.array_equal(lambda_step(J, c, below, r).values, np.full(3, r))
+    assert np.array_equal(lambda_step(J, c, below, r), np.full(3, r))
     assert np.array_equal(bisection_lambda_step(J, c, below, r)[0], np.full(3, r))
 
 
 def test_lambda_all_zero_objectives_take_the_upper_edge():
     w = lambda_step(np.zeros(3), np.array([1.0, 2.0, 3.0]), budget=1.5, r_max=4.0)
-    assert np.array_equal(w.values, np.full(3, 4.0))
+    assert np.array_equal(w, np.full(3, 4.0))
 
 
 @pytest.mark.parametrize(
@@ -592,17 +592,3 @@ def test_lambda_rejects_nonfinite_and_empty_inputs(J, c, budget, r_max, message)
     with pytest.raises(ValueError, match=message):
         lambda_step(np.array(J), np.array(c), budget, r_max)
 
-
-@pytest.mark.parametrize("values, r_max", [([1.0, np.nan], 2.0), ([np.inf], 2.0), ([1.0], np.nan)])
-def test_task_weights_reject_nonfinite_values(values, r_max):
-    with pytest.raises(ValueError, match="finite|r_max must exceed 1"):
-        TaskWeights(np.array(values), r_max=r_max, budget=1.0)
-    with pytest.raises(ValueError, match="finite|r_max must exceed 1"):
-        TaskWeights(np.array(values), r_max=r_max, budget=float("inf"), enforce_box=False)
-
-
-def test_task_weights_box_validation():
-    with pytest.raises(ValueError, match="box"):
-        TaskWeights(np.array([0.5]), r_max=2.0, budget=1.0)
-    with pytest.raises(ValueError, match="box"):
-        TaskWeights(np.array([3.0]), r_max=2.0, budget=1.0)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -11,11 +12,10 @@ from conicmtl.kernels import (
     EXPAND_BLOCK,
     GramStack,
     KernelSpec,
-    KernelWeights,
     build_gram_stack,
     default_kernel_dictionary,
 )
-from conicmtl.solvers import DualSolution, TaskWeights, solve_svm_dual
+from conicmtl.solvers import DualSolution, solve_svm_dual
 from conicmtl.training import (
     MtlModel,
     TrainConfig,
@@ -63,7 +63,7 @@ def test_average_single_task_single_kernel_reduces_to_plain_svm():
     model = fit(tasks, stacks, cfg, kernel_specs=spec)
     direct = solve_svm_dual(stacks[0].grams[0], tasks[0].y, C=1.5)
     assert np.allclose(model.duals[0].alpha, direct.alpha, atol=1e-9)
-    assert model.theta.values == pytest.approx([1.0])
+    assert model.theta == pytest.approx([1.0])
 
 
 def test_conic_with_slack_budget_is_bit_identical_to_average():
@@ -73,8 +73,8 @@ def test_conic_with_slack_budget_is_bit_identical_to_average():
     conic = fit(tasks, stacks, TrainConfig(C=1.0, p=2.0, budget=budget, r_max=8.0, mode="conic"), SPECS)
     avg = fit(tasks, stacks, TrainConfig(C=1.0, p=2.0, budget=budget, r_max=8.0, mode="average"), SPECS)
     assert conic.objective_trace == avg.objective_trace
-    assert np.array_equal(conic.theta.values, avg.theta.values)
-    assert np.array_equal(conic.task_weights.values, avg.task_weights.values)
+    assert np.array_equal(conic.theta, avg.theta)
+    assert np.array_equal(conic.task_weights, avg.task_weights)
     for dc, da in zip(conic.duals, avg.duals):
         assert dc.alpha.tobytes() == da.alpha.tobytes()
 
@@ -86,8 +86,8 @@ def test_conic_trace_monotone_and_budget_tight():
     cfg = TrainConfig(C=1.0, p=2.0, budget=0.5 * costs.sum(), r_max=8.0, mode="conic")
     model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
     assert trace_is_monotone(model.objective_trace)
-    used = float((costs / model.task_weights.values).sum())
-    at_lower_box = np.all(model.task_weights.values == 1.0)
+    used = float((costs / model.task_weights).sum())
+    at_lower_box = np.all(model.task_weights == 1.0)
     assert at_lower_box or used <= cfg.budget + 1e-9
     assert model.converged
 
@@ -110,8 +110,8 @@ def test_determinism_across_runs():
     a = fit(tasks, stacks, cfg, kernel_specs=SPECS)
     b = fit(tasks, stacks, cfg, kernel_specs=SPECS)
     assert a.objective_trace == b.objective_trace
-    assert a.theta.values.tobytes() == b.theta.values.tobytes()
-    assert a.task_weights.values.tobytes() == b.task_weights.values.tobytes()
+    assert a.theta.tobytes() == b.theta.tobytes()
+    assert a.task_weights.tobytes() == b.task_weights.tobytes()
 
 
 def test_infeasible_budget_pair_raises():
@@ -222,7 +222,7 @@ def test_pareto_mode_trains_and_reports_weights_above_one():
     stacks = make_stacks(tasks, SPECS)
     cfg = TrainConfig(C=1.0, p=2.0, budget=1.0, r_max=8.0, mode="pareto", p_exp=0.5)
     model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
-    assert np.all(model.task_weights.values > 1.0)
+    assert np.all(model.task_weights > 1.0)
 
 
 # ------------------------------------------------------------- prediction
@@ -254,8 +254,7 @@ def test_decision_values_scale_with_kernel_weights_labels_do_not():
     model = fit(tasks, stacks, TrainConfig(C=1.0, mode="average"), SPECS)
     labels, values = predict(model, tasks[0].task_id, tasks[0].X)
     kappa = 3.0
-    scaled = model.theta.values * kappa
-    object.__setattr__(model.theta, "values", scaled)
+    model.theta = model.theta * kappa
     labels2, values2 = predict(model, tasks[0].task_id, tasks[0].X)
     assert values2 == pytest.approx(kappa * values, rel=1e-12)
     assert np.array_equal(labels, labels2)
@@ -271,8 +270,8 @@ def handmade_model(specs, theta, alpha, bias=0.0, use_bias=False, d=4, seed=0):
         duality_gap=0.0, dual_objective=0.0, iterations=0, converged=True, margins=np.zeros(n),
     )
     return MtlModel(
-        config=TrainConfig(use_bias=use_bias), kernel_specs=specs, theta=KernelWeights(theta, 2.0),
-        task_weights=TaskWeights(np.ones(1), 8.0, 1.0), duals=[dual], objective_trace=[0.0],
+        config=TrainConfig(use_bias=use_bias), kernel_specs=specs, theta=theta,
+        task_weights=np.ones(1), duals=[dual], objective_trace=[0.0],
         tasks=[task], converged=True,
     )
 
@@ -280,7 +279,7 @@ def handmade_model(specs, theta, alpha, bias=0.0, use_bias=False, d=4, seed=0):
 def brute_force_decisions(model, X_test):
     """sum_m theta_m (alpha*y) @ k_m(X_train, X_test) over every training row, plus the bias."""
     task, dual = model.tasks[0], model.duals[0]
-    out = brute_force_expansion(model.kernel_specs, model.theta.values, task.X, dual.alpha * task.y, X_test)
+    out = brute_force_expansion(model.kernel_specs, model.theta, task.X, dual.alpha * task.y, X_test)
     return out + (dual.bias if model.config.use_bias else 0.0)
 
 
@@ -317,7 +316,7 @@ def test_decision_values_memory_is_bounded_by_the_column_block():
     # one full cross Gram alone would take 25.6 MB, a 2048-column block of
     # one 2.6 MB; fresh temporaries per kernel and block peaked at 15 MB
     rng = np.random.default_rng(42)
-    model = handmade_model(SPECS, KernelWeights.uniform(len(SPECS), 2.0).values, rng.uniform(0.1, 1.0, 160), d=10)
+    model = handmade_model(SPECS, np.full(len(SPECS), len(SPECS) ** -0.5), rng.uniform(0.1, 1.0, 160), d=10)
     X_test = rng.standard_normal((20_000, 10))
     tracemalloc.start()
     try:
@@ -361,8 +360,8 @@ def test_weighted_empirical_loss_matches_brute_force_ramp():
     model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
     loss = weighted_empirical_loss(model, rho=0.5, stacks=stacks)
     ramp_total = 0.0
-    for lam, task, dual in zip(model.task_weights.values, tasks, model.duals):
-        values = brute_force_expansion(SPECS, model.theta.values, task.X, dual.alpha * task.y, task.X)
+    for lam, task, dual in zip(model.task_weights, tasks, model.duals):
+        values = brute_force_expansion(SPECS, model.theta, task.X, dual.alpha * task.y, task.X)
         ramp_total += lam * np.clip(1.0 - task.y * (values + dual.bias) / 0.5, 0.0, 1.0).sum()
     assert loss == pytest.approx(ramp_total / 32, rel=1e-12)
 
@@ -411,7 +410,7 @@ def test_single_task_concentrates_weight_on_informative_kernel(monkeypatch):
 
     monkeypatch.setattr(training, "solve_svm_dual", recording_solve)
     model = fit([task], [stack], TrainConfig(C=1.0, p=2.0, mode="average"), kernel_specs=[spec, spec])
-    assert model.theta.values[0] > model.theta.values[1]
+    assert model.theta[0] > model.theta[1]
     # every w-step certifies its (tight) gap well inside the iteration cap
     assert solves and all(s.converged for s in solves)
     assert max(s.iterations for s in solves) <= 20
@@ -476,11 +475,11 @@ def test_pareto_model_roundtrips_despite_out_of_box_weights(tmp_path):
     stacks = make_stacks(tasks, SPECS)
     cfg = TrainConfig(C=1.0, p=2.0, mode="pareto", p_exp=0.3)
     model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
-    assert np.any(model.task_weights.values > 1.0)
+    assert np.any(model.task_weights > 1.0)
     path = tmp_path / "pareto.txt"
     save_model(model, path)
     loaded = load_model(path, tasks)
-    assert np.array_equal(loaded.task_weights.values, model.task_weights.values)
+    assert np.array_equal(loaded.task_weights, model.task_weights)
     probe = tasks[0].X[:5]
     assert np.array_equal(
         predict(loaded, tasks[0].task_id, probe)[1], predict(model, tasks[0].task_id, probe)[1]
@@ -498,3 +497,140 @@ def test_load_rejects_tampered_training_data(tmp_path):
         load_model(path, [tampered])
     with pytest.raises(ValueError, match="not supplied"):
         load_model(path, [TaskDataset("other", tasks[0].X, tasks[0].y)])
+
+
+def saved_model(tmp_path, mode="conic"):
+    """A two-task model fit at p = 2, r_max = 8, budget = 40 and saved; (model, tasks, path)."""
+    tasks = make_tasks(T=2, N=12, seed=24)
+    cfg = TrainConfig(C=1.0, p=2.0, budget=40.0, r_max=8.0, mode=mode, p_exp=0.3)
+    model = fit(tasks, make_stacks(tasks, SPECS), cfg, kernel_specs=SPECS)
+    path = tmp_path / f"{mode}.txt"
+    save_model(model, path)
+    return model, tasks, path
+
+
+def rewrite(path, section, key, value):
+    """Set `key = value` in [section] of a model document; None drops the line, or with key None the section."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = lines.index(f"[{section}]")
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")), len(lines))
+    if key is None:
+        del lines[start:end]
+    else:
+        i = next(i for i in range(start + 1, end) if lines[i].startswith(f"{key} = "))
+        lines[i : i + 1] = [] if value is None else [f"{key} = {value}"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def hex_text(values):
+    return " ".join(float(v).hex() for v in values)
+
+
+def load_error(path, tasks):
+    with pytest.raises(ValueError) as info:
+        load_model(path, tasks)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    return message
+
+
+@pytest.mark.parametrize("mode", ["conic", "average", "pareto"])
+def test_document_writes_theta_p_and_lambda_r_max_and_budget_from_the_config(tmp_path, mode):
+    _, _, path = saved_model(tmp_path, mode)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    theta, lam = lines.index("[theta]"), lines.index("[lambda]")
+    assert lines[theta + 1] == "p = 0x1.0000000000000p+1"
+    assert lines[theta + 2].startswith("values = ") and theta + 3 == lam
+    budget = "inf" if mode == "pareto" else "0x1.4000000000000p+5"
+    assert lines[lam + 1 : lam + 3] == ["r_max = 0x1.0000000000000p+3", f"budget = {budget}"]
+    assert lines[lam + 3].startswith("values = ") and lines[lam + 4] == "[trace]"
+
+
+@pytest.mark.parametrize(
+    "section, change, message",
+    [
+        ("theta", lambda v: np.concatenate([[-0.25], v[1:]]), r"kernel weights \[-0\.25, .*\] must be nonnegative"),
+        ("theta", lambda v: 1.5 * v, r"kernel weights \[.*\] must be nonnegative and in the unit L2\.0 ball"),
+        ("theta", lambda v: v[:-1], r"\[theta\] has 10 values for 11 \[kernels\] specs"),
+        ("lambda", lambda v: np.array([np.nan, v[1]]), r"task weights must be finite, got \[nan, "),
+        ("lambda", lambda v: np.array([0.5, v[1]]), r"task weights \[0\.5, .*\] lie outside the box \[1, r_max = 8\.0\]"),
+        ("lambda", lambda v: np.array([v[0], 9.0]), r"task weights \[.*, 9\.0\] lie outside the box"),
+        ("lambda", lambda v: v[:1], r"\[lambda\] has 1 values for 2 tasks"),
+    ],
+    ids=["theta-negative", "theta-outside-ball", "theta-length", "lambda-nan", "lambda-below-box", "lambda-above-box",
+         "lambda-length"],
+)
+def test_load_rejects_weights_that_break_their_constraints(tmp_path, section, change, message):
+    model, tasks, path = saved_model(tmp_path)
+    weights = model.theta if section == "theta" else model.task_weights
+    rewrite(path, section, "values", hex_text(change(weights)))
+    assert re.search(message, load_error(path, tasks))
+
+
+def test_load_keeps_finite_out_of_box_pareto_weights(tmp_path):
+    _, tasks, path = saved_model(tmp_path, "pareto")
+    rewrite(path, "lambda", "values", hex_text([0.5, 20.0]))
+    assert load_model(path, tasks).task_weights.tolist() == [0.5, 20.0]
+    rewrite(path, "lambda", "values", hex_text([0.5, np.inf]))
+    assert re.search(r"task weights must be finite, got \[0\.5, inf\]", load_error(path, tasks))
+
+
+@pytest.mark.parametrize(
+    "mode, section, key, value",
+    [
+        ("conic", "theta", "p", float(3.0).hex()),
+        ("conic", "lambda", "r_max", float(4.0).hex()),
+        ("conic", "lambda", "budget", "inf"),
+        ("pareto", "lambda", "budget", float(40.0).hex()),
+    ],
+)
+def test_load_rejects_copies_that_disagree_with_the_config(tmp_path, mode, section, key, value):
+    _, tasks, path = saved_model(tmp_path, mode)
+    rewrite(path, section, key, value)
+    assert load_error(path, tasks).endswith(f"[{section}] {key} = {value} disagrees with [config]")
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("config", "converged"), ("theta", "values"), ("lambda", "budget"), ("trace", "values"), ("trace", None),
+     ("task synth1", "alpha")],
+)
+def test_load_names_the_file_section_and_key_that_is_missing(tmp_path, section, key):
+    _, tasks, path = saved_model(tmp_path)
+    rewrite(path, section, key, None)
+    expected = "values" if key is None else key
+    assert load_error(path, tasks).endswith(f"no key {expected!r} in section [{section}]")
+
+
+def test_load_ignores_a_line_before_the_first_section_like_any_unread_key(tmp_path):
+    model, tasks, path = saved_model(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([lines[0], "note = tampered"] + lines[1:]) + "\n", encoding="utf-8")
+    assert np.array_equal(load_model(path, tasks).task_weights, model.task_weights)
+
+
+@pytest.mark.parametrize(
+    "key, sizes",
+    [("alpha", "11 alpha for 12 samples and 11"), ("component_sq_norms", "12 alpha for 12 samples and 10")],
+)
+def test_load_rejects_duals_of_the_wrong_length(tmp_path, key, sizes):
+    model, tasks, path = saved_model(tmp_path)
+    dual = model.duals[1]
+    rewrite(path, "task synth1", key, hex_text(getattr(dual, key)[:-1]))
+    assert load_error(path, tasks).endswith(f"[task synth1] has {sizes} component_sq_norms for 11 kernels")
+
+
+def test_fit_requires_one_kernel_spec_per_stack_kernel():
+    tasks = make_tasks(T=2, N=10, seed=25)
+    stacks = make_stacks(tasks, SPECS)
+    with pytest.raises(ValueError, match="10 kernel specs for gram stacks of 11 kernels"):
+        fit(tasks, stacks, TrainConfig(mode="average"), SPECS[:-1])
+    with pytest.raises(TypeError):
+        fit(tasks, stacks, TrainConfig(mode="average"))
+
+
+def test_fit_rejects_non_finite_pareto_weights(monkeypatch):
+    tasks = make_tasks(T=2, N=10, seed=26)
+    monkeypatch.setattr(training, "pareto_lambda", lambda f, p_exp: np.full(f.shape, np.inf))
+    with pytest.raises(ValueError, match=r"task weights must be finite, got \[inf inf\]"):
+        fit(tasks, make_stacks(tasks, SPECS), TrainConfig(mode="pareto", max_outer_iters=1), SPECS)
