@@ -8,14 +8,21 @@ BASE and CHANGE are checkout directories, each with `perfbench/run.py` and
 `src/conicmtl`. Pair k runs `perfbench/run.py --trace 0` once in each, one
 after the other; the base goes first on even pairs and the change on odd
 ones, so a drift of the machine's load does not favour either side.
-Every run's metrics, the per-side medians and quartiles, and the per-pair
-ratios (change / base) go to `BENCH_<label>.json` in the current
-directory. Nothing in either checkout is modified.
+Every run's metrics, the per-side medians and quartiles, the per-pair
+ratios (change / base), each side's `src_sha256` and, per end-to-end
+metric, the verdict of the gain rule go to `BENCH_<label>.json` in the
+current directory. Nothing in either checkout is modified.
+
+The gain rule takes the direction (`better`) of each metric from the
+change's `BENCHMARK.json`: the change is better in at least 9 of 10 pairs
+(a tie counts for neither side), and its median is further from the
+base's median, in that direction, than the base's q3 - q1.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -69,8 +76,43 @@ def _quartiles(values):
     return q1, q3
 
 
-def summarize(runs) -> dict:
-    """Per metric: each side's median and quartiles, and the per-pair ratios."""
+def src_sha256(root: Path) -> str:
+    """sha256 over the sorted relative paths and bytes of src/conicmtl/**/*.py; names what a side ran."""
+    h = hashlib.sha256()
+    src = root / "src" / "conicmtl"
+    for path in sorted(src.rglob("*.py")):
+        h.update(path.relative_to(src).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def directions(root: Path) -> dict:
+    """Metric name -> "lower" or "higher", from the end-to-end metrics of root's BENCHMARK.json."""
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def gain_rule(entry: dict, base: list, change: list, better: str) -> dict:
+    """Whether the change beats the base on one metric under the gain rule of the module docstring."""
+    def gain(b, c):
+        return b - c if better == "lower" else c - b
+
+    pairs_better = sum(gain(b, c) > 0 for b, c in zip(base, change))
+    median_gain = gain(entry["base"]["median"], entry["change"]["median"])
+    spread = entry["base"]["q3"] - entry["base"]["q1"]
+    return {
+        "better": better,
+        "pairs_better": pairs_better,
+        "median_gain": median_gain,
+        "base_iqr": spread,
+        "holds": 10 * pairs_better >= 9 * len(base) and median_gain > spread,
+    }
+
+
+def summarize(runs, better=None) -> dict:
+    """Per metric: each side's median and quartiles, the per-pair ratios and, where
+    `better` gives the metric's direction, the gain rule's verdict."""
+    better = better or {}
     names = list(runs[0]["metrics"])
     out = {}
     for name in names:
@@ -85,6 +127,8 @@ def summarize(runs) -> dict:
         entry["median_ratio"] = statistics.median(known) if known else None
         entry["pairs_lower"] = sum(c < b for b, c in zip(values["base"], values["change"]))
         entry["pairs_higher"] = sum(c > b for b, c in zip(values["base"], values["change"]))
+        if name in better:
+            entry["gain_rule"] = gain_rule(entry, values["base"], values["change"], better[name])
         out[name] = entry
     return out
 
@@ -102,7 +146,7 @@ def main(argv=None):
             wall = run["metrics"]["wall_s"]
             print(f"pair {k} {side:<6} wall_s {wall:.4f} s  failed {run['failed']}", flush=True)
     runs.sort(key=lambda r: (SIDES.index(r["side"]), r["pair"]))
-    summary = summarize(runs)
+    summary = summarize(runs, directions(args.change))
     record = {
         "workload": args.workload,
         "seed": args.seed,
@@ -112,14 +156,21 @@ def main(argv=None):
                    f"--seconds {args.seconds} --trace 0",
         "order": "base first on even pairs, change first on odd pairs",
         "facts": facts,
+        "src_sha256": {side: src_sha256(getattr(args, side)) for side in SIDES},
         "summary": summary,
         "runs": runs,
     }
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(record, indent=1, sort_keys=False) + "\n", encoding="utf-8")
-    wall = summary["wall_s"]
-    print(f"wall_s median base {wall['base']['median']:.4f} s, change {wall['change']['median']:.4f} s, "
-          f"median ratio {wall['median_ratio']:.3f}, change lower in {wall['pairs_lower']} of {args.pairs} pairs")
+    for name, entry in summary.items():
+        rule = entry.get("gain_rule")
+        verdict = "" if rule is None else (
+            f", {rule['better']} is better: better in {rule['pairs_better']} of {args.pairs}, "
+            f"gain {rule['median_gain']:.4g} vs base IQR {rule['base_iqr']:.4g}, "
+            f"gain rule {'holds' if rule['holds'] else 'fails'}")
+        ratio = "n/a" if entry["median_ratio"] is None else f"{entry['median_ratio']:.3f}"
+        print(f"{name} median base {entry['base']['median']:.4f}, change {entry['change']['median']:.4f}, "
+              f"median ratio {ratio}{verdict}")
     print(f"wrote {path}")
     return 0
 

@@ -12,12 +12,13 @@ so enumeration or Monte Carlo over signs is the only source of error.
 
 This complexity and the budget-split scale constant share one sign engine:
 blocks of signs (all 2^total patterns, or sign bits read from raw Philox
-words keyed on (tag, seed, block)), one contraction to per-task
-quadratic-form tables (a GEMM per task and column chunk; a Gram that is
-the identity in floating point gives the constant n and stays out of the
-GEMM), and one mean and std-error accumulator. Only the reducer differs:
-sum the scaled tables over tasks, then the p*-norm; or the p*-norm per
-task, then the max over tasks.
+words keyed on (tag, seed, block)), drawn and contracted one chunk at a
+time into per-task quadratic-form tables (a GEMM per task, run of kernels
+and chunk on views of the Grams; a Gram that is the identity in floating
+point gives the constant n and stays out of the GEMM), and one mean and
+std-error accumulator. One chunk of signs and one product buffer are alive
+at a time. Only the reducer differs: sum the scaled tables over tasks,
+then the p*-norm; or the p*-norm per task, then the max over tasks.
 """
 
 from __future__ import annotations
@@ -127,34 +128,37 @@ def _check_inputs(stacks, R: float, samples: int, **per_task) -> int:
     return sum(s.n_samples for s in stacks)
 
 
-def _sign_block(total: int, n_patterns: int, block: int, tag: str, seed: int, exhaustive: bool) -> np.ndarray:
-    """Block `block` of MC_BLOCK sign vectors as a C-contiguous (total, n_block) array of +-1 columns.
+def _sign_chunks(cols: np.ndarray, total: int, n_patterns: int, block: int, tag: str, seed: int, exhaustive: bool):
+    """Write block `block` of MC_BLOCK sign vectors into the flat buffer cols, CONTRACT_CHUNK columns at a time.
 
-    Exhaustive pattern k has sign (bit j of k) for sample j. A random block
-    reads raw words of a Philox generator keyed on (tag, seed, block): entry
-    k of the block in (sample, sign) C order is bit 31 of 64-bit word k//2
-    for even k and bit 63 for odd k, +1 where the bit is set. That is the
-    stream of Generator(Philox(key)).integers(0, 2, size=(n_block, total))
-    with the default int64 dtype: one 32-bit draw per entry, the low half
-    of a word first, and its top bit, since Lemire's method rejects no draw
-    for a range of 2.
+    Yields (first column, C-contiguous (total, width) view of cols) per
+    chunk; the next chunk overwrites it. Exhaustive pattern k has sign (bit
+    j of k) for sample j. A random block reads raw words of a Philox
+    generator keyed on (tag, seed, block): entry k of the block in (sample,
+    sign) C order is bit 31 of 64-bit word k//2 for even k and bit 63 for
+    odd k, +1 where the bit is set. That is the stream of
+    Generator(Philox(key)).integers(0, 2, size=(n_block, total)) with the
+    default int64 dtype: one 32-bit draw per entry, the low half of a word
+    first, and its top bit, since Lemire's method rejects no draw for a
+    range of 2. A full chunk holds an even number of entries, so each chunk
+    starts on a word.
     """
     start = block * MC_BLOCK
     n_block = min(MC_BLOCK, n_patterns - start)
-    # twice each sign bit, 0 or 2, so that one subtraction gives the sign
-    if exhaustive:
-        index = np.arange(2 * start, 2 * (start + n_block), 2, dtype=np.int64)
-        twice = (index[None, :] >> np.arange(total)[:, None]) & 2
-    else:
-        count = n_block * total
-        words = np.random.Philox(key=derive_seed(tag, seed, block)).random_raw(-(-count // 2))
-        drawn = np.empty(2 * words.size, dtype=np.uint8)
-        drawn[0::2] = (words >> 30) & 2
-        drawn[1::2] = (words >> 62) & 2
-        twice = drawn[:count].reshape(n_block, total).T
-    cols = twice.astype(float, order="C")
-    cols -= 1.0
-    return cols
+    philox = None if exhaustive else np.random.Philox(key=derive_seed(tag, seed, block))
+    for at in range(0, n_block, CONTRACT_CHUNK):
+        width = min(CONTRACT_CHUNK, n_block - at)
+        chunk = cols[: total * width].reshape(total, width)
+        if exhaustive:
+            index = np.arange(2 * (start + at), 2 * (start + at + width), 2, dtype=np.int64)
+            np.subtract((index >> np.arange(total)[:, None]) & 2, 1.0, out=chunk)  # twice each bit, less 1
+        else:
+            # the entries as little-endian 32-bit halves: a set bit 31 is a negative int32
+            halves = philox.random_raw(-(-width * total // 2)).astype("<u8", copy=False).view("<i4")
+            np.copysign(1.0, halves[: width * total].reshape(width, total).T, out=chunk)
+            np.negative(chunk, out=chunk)
+            del halves  # freed before the chunk is contracted and the next one drawn
+        yield at, chunk
 
 
 def _float_identities(grams: np.ndarray) -> np.ndarray:
@@ -178,66 +182,62 @@ def _float_identities(grams: np.ndarray) -> np.ndarray:
 
 
 def _contraction_plan(stacks) -> list:
-    """Per task (M, n, grams, stacked, keep): all M Grams as (M*n, n), and the K that need the GEMM.
+    """Per task (M, n, grams, runs): all M Grams as one (M*n, n) view, and the runs that need the GEMM.
 
-    The Grams that are the identity in floating point (_float_identities;
-    only a trace of n can come from a unit diagonal) stay out of stacked.
-    keep lists the K kernels, or is None when K = M and stacked is grams.
+    runs holds (a, b, Grams a..b-1 viewed as ((b-a)*n, n)) per maximal run of
+    kernels that are not the identity in floating point (_float_identities;
+    only a trace of n can come from a unit diagonal); the default dictionary
+    typically gives two, [0:2] and the wider gaussians such as [4:11].
     """
     plan = []
     for stack in stacks:
         M, n, _ = stack.grams.shape
-        grams = stack.grams.reshape(M * n, n)
-        keep = None
+        keep = np.ones(M, dtype=bool)
         if n in stack.traces.tolist():
             identity = stack.traces == n
             identity[identity] = _float_identities(stack.grams[identity])
-            if identity.any():
-                keep = np.flatnonzero(~identity)
-        stacked = grams if keep is None else stack.grams[keep].reshape(-1, n)
-        plan.append((M, n, grams, stacked, keep))
+            keep = ~identity
+        edges = np.flatnonzero(np.diff(np.r_[0, keep, 0])).tolist()
+        runs = [(a, b, stack.grams[a:b].reshape(-1, n)) for a, b in zip(edges[::2], edges[1::2])]
+        plan.append((M, n, stack.grams.reshape(M * n, n), runs))
     return plan
 
 
-def _quadforms(cols: np.ndarray, plan) -> list:
-    """One (M, n_cols) table of sigma_t' G_t^m sigma_t per task; cols holds the tasks' signs in order.
+def _block_tables(plan, total: int, n_patterns: int, tag: str, seed: int, exhaustive: bool):
+    """Yield per sign block one (M, n_block) table of sigma_t' G_t^m sigma_t per task.
 
-    Each task makes one GEMM per CONTRACT_CHUNK columns, which bounds the
-    size of the product; identity rows hold n. A narrower last chunk
-    contracts all M kernels: OpenBLAS rounds a partial tile of columns
-    differently for different row counts, while full-width chunks gave
-    every row the same bits at every row count tried.
+    One chunk of signs, one product buffer and block-wide tables, each
+    allocated once: the next block overwrites the yielded views. Identity
+    rows hold n. A full chunk makes one GEMM per task and run; a narrower
+    last chunk contracts all M kernels, since OpenBLAS rounds a partial tile
+    of columns differently for different row counts, while full-width chunks
+    gave every row the same bits at every row count tried.
     """
-    tables = []
-    lo = 0
-    n_cols = cols.shape[1]
-    full = n_cols - n_cols % CONTRACT_CHUNK
-    for M, n, grams, stacked, keep in plan:
-        signs = cols[lo : lo + n]
-        lo += n
-        table = np.empty((M, n_cols)) if keep is None else np.full((M, n_cols), float(n))
-        rows = table if keep is None else np.empty((len(keep), n_cols))
-        for start in range(0, n_cols, CONTRACT_CHUNK):
-            chunk = slice(start, start + CONTRACT_CHUNK)
-            part = signs[:, chunk]
-            gemm, out = (stacked, rows) if start < full else (grams, table)
-            prod = (gemm @ part).reshape(len(out), n, part.shape[1])
-            np.einsum("mic,ic->mc", prod, part, out=out[:, chunk])
-            del prod  # freed before the next GEMM, whose product then reuses its pages
-        if keep is not None:
-            table[keep, :full] = rows[:, :full]
-        tables.append(table)
-    return tables
+    widest = min(CONTRACT_CHUNK, n_patterns)
+    cols = np.empty(total * widest)
+    prod = np.empty(max(M * n for M, n, _, _ in plan) * widest)
+    tables = [np.full((M, min(MC_BLOCK, n_patterns)), float(n)) for M, n, _, _ in plan]
+    for block in range(-(-n_patterns // MC_BLOCK)):
+        for at, chunk in _sign_chunks(cols, total, n_patterns, block, tag, seed, exhaustive):
+            width = chunk.shape[1]
+            lo = 0
+            for (M, n, grams, runs), table in zip(plan, tables):
+                signs = chunk[lo : lo + n]
+                lo += n
+                for a, b, gemm in runs if width == CONTRACT_CHUNK else [(0, M, grams)]:
+                    out = prod[: (b - a) * n * width].reshape((b - a) * n, width)
+                    np.matmul(gemm, signs, out=out)
+                    np.einsum("mic,ic->mc", out.reshape(b - a, n, width), signs, out=table[a:b, at : at + width])
+        yield [table[:, : at + width] for table in tables]  # the block ends with its last chunk
 
 
 def _sign_expectation(stacks, samples, tag, seed, exhaustive, reduce) -> RademacherEstimate:
-    """Mean and standard error of reduce(per-task quadform tables); one sign block is alive at a time."""
+    """Mean and standard error of reduce(per-task quadform tables), one block of tables at a time."""
     total = sum(s.n_samples for s in stacks)
     n = 1 << total if exhaustive else samples
-    plan = _contraction_plan(stacks)
     acc_sum = acc_sq = 0.0
-    for block in range(-(-n // MC_BLOCK)):
-        values = reduce(_quadforms(_sign_block(total, n, block, tag, seed, exhaustive), plan))
+    for tables in _block_tables(_contraction_plan(stacks), total, n, tag, seed, exhaustive):
+        values = reduce(tables)
         acc_sum += float(values.sum())
         if not exhaustive:
             acc_sq += float((values**2).sum())

@@ -376,7 +376,8 @@ def load_model(path, tasks) -> MtlModel:
     """Rebuild a model from its document plus the original training tasks.
 
     tasks may be any iterable of TaskDataset. Each referenced task must be
-    present and hash-identical to what was trained on. A missing key or a bad weight names the file.
+    present and hash-identical to what was trained on. Every error names the
+    file; a value that is missing or does not decode names its section and key.
     """
     by_id = {t.task_id: t for t in tasks}
 
@@ -403,25 +404,34 @@ def load_model(path, tasks) -> MtlModel:
         else:
             sections[section][key] = value
 
-    def field(section, key):
-        if key not in sections.get(section, {}):
-            raise ValueError(f"{path}: no key {key!r} in section [{section}]")
-        return sections[section][key]
+    def field(section, key, decode=str, text=None):
+        if text is None:
+            if key not in sections.get(section, {}):
+                raise ValueError(f"{path}: no key {key!r} in section [{section}]")
+            text = sections[section][key]
+        try:
+            return decode(text)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: [{section}] {key} = {text}: {exc}") from exc
 
-    config = TrainConfig(**{name: decode(field("config", name)) for name, _, decode in _CONFIG_KEYS})
-    converged = bool(int(field("config", "converged")))
-    specs = [KernelSpec.from_label(label) for label in labels]
+    settings = {name: field("config", name, decode) for name, _, decode in _CONFIG_KEYS}
+    try:
+        config = TrainConfig(**settings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: [config]: {exc}") from exc
+    converged = field("config", "converged", lambda text: bool(int(text)))
+    specs = [field("kernels", "spec", KernelSpec.from_label, label) for label in labels]
     for section, key, value in _config_copies(config):
-        if float.fromhex(field(section, key)) != value:
+        if field(section, key, float.fromhex) != value:
             raise ValueError(f"{path}: [{section}] {key} = {field(section, key)} disagrees with [config]")
 
-    theta = _unhex_vector(field("theta", "values"))
+    theta = field("theta", "values", _unhex_vector)
     if theta.shape != (len(specs),):
         raise ValueError(f"{path}: [theta] has {theta.size} values for {len(specs)} [kernels] specs")
     if not ((theta >= -1e-12).all() and lp_norm(theta, config.p) <= 1.0 + 1e-9):
         raise ValueError(f"{path}: kernel weights {theta.tolist()} must be nonnegative and in the unit L{config.p!r} ball")
     task_sections = [name for name in sections if name.startswith("task ")]
-    lam = _unhex_vector(field("lambda", "values"))
+    lam = field("lambda", "values", _unhex_vector)
     if lam.shape != (len(task_sections),):
         raise ValueError(f"{path}: [lambda] has {lam.size} values for {len(task_sections)} tasks")
     if not np.isfinite(lam).all():
@@ -434,13 +444,13 @@ def load_model(path, tasks) -> MtlModel:
     for section in task_sections:
         task_id = section[5:]
         if task_id not in by_id:
-            raise ValueError(f"training task {task_id!r} not supplied to load_model")
+            raise ValueError(f"{path}: training task {task_id!r} not supplied to load_model")
         task = by_id[task_id]
         if task_data_hash(task) != field(section, "hash"):
-            raise ValueError(f"training data hash mismatch for task {task_id!r}")
+            raise ValueError(f"{path}: training data hash mismatch for task {task_id!r}")
         model_tasks.append(task)
-        alpha = _unhex_vector(field(section, "alpha"))
-        comp = _unhex_vector(field(section, "component_sq_norms"))
+        alpha = field(section, "alpha", _unhex_vector)
+        comp = field(section, "component_sq_norms", _unhex_vector)
         if alpha.shape != task.y.shape or comp.shape != theta.shape:
             raise ValueError(
                 f"{path}: [{section}] has {alpha.size} alpha for {task.y.size} samples and "
@@ -454,13 +464,13 @@ def load_model(path, tasks) -> MtlModel:
                 iterations=0,
                 converged=converged,  # set only if every solve certified
                 margins=np.full(alpha.size, np.nan),
-                **{key: float.fromhex(field(section, key)) for key in _DUAL_SCALARS},
+                **{key: field(section, key, float.fromhex) for key in _DUAL_SCALARS},
             )
         )
 
     scaler = None
     if "scaler" in sections:
-        scaler = Scaler(_unhex_vector(field("scaler", "mean")), _unhex_vector(field("scaler", "scale")))
+        scaler = Scaler(field("scaler", "mean", _unhex_vector), field("scaler", "scale", _unhex_vector))
 
     return MtlModel(
         config=config,
@@ -468,7 +478,7 @@ def load_model(path, tasks) -> MtlModel:
         theta=theta,
         task_weights=lam,
         duals=duals,
-        objective_trace=list(_unhex_vector(field("trace", "values"))),
+        objective_trace=list(field("trace", "values", _unhex_vector)),
         tasks=model_tasks,
         converged=converged,
         scaler=scaler,

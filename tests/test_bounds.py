@@ -13,9 +13,9 @@ from conicmtl.bounds import (
     bound_rhs_fixed_lambda,
     erc_upper_bound_lp,
     estimate_scale_constant,
+    _block_tables,
     _contraction_plan,
-    _quadforms,
-    _sign_block,
+    _sign_chunks,
     margin_loss,
     model_radius,
     rademacher_mc,
@@ -241,6 +241,21 @@ def test_monte_carlo_memory_stays_bounded(samples):
     assert peak <= 10e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def test_monte_carlo_memory_is_one_sign_chunk_not_one_block():
+    # 40 tasks of 50 samples, one kernel: a whole block of 4,096 sign vectors
+    # as float64 is 65.5 MB, one chunk of CONTRACT_CHUNK is 8.2 MB
+    stacks = random_stacks(np.random.default_rng(15), T=40, N=50, M=1)
+    total = 40 * 50
+    tracemalloc.start()
+    try:
+        rademacher_mc(stacks, np.full(40, 2.0), R=1.0, p=2.0, samples=MC_BLOCK, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float chunk, its raw words (half its size) and the tables fit in twice the chunk
+    assert peak <= 2 * 8 * total * CONTRACT_CHUNK, f"traced peak {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("exhaustive_limit", [20, 0])
 @pytest.mark.parametrize("samples", [0, -3])
 def test_both_estimators_reject_nonpositive_samples(samples, exhaustive_limit):
@@ -357,9 +372,15 @@ def test_monte_carlo_sign_blocks_are_the_documented_stream(total, samples):
     # Generator(Philox(key)).integers(0, 2) is the documented draw; a numpy
     # change on either side of this comparison must fail here
     expected = drawn_signs("rademacher", 23, samples, total)
+    buffer = np.empty(total * CONTRACT_CHUNK)
     for block, start in enumerate(range(0, samples, MC_BLOCK)):
-        cols = _sign_block(total, samples, block, "rademacher", 23, exhaustive=False)
-        assert cols.flags.c_contiguous and cols.dtype == np.float64
+        chunks = []
+        for at, chunk in _sign_chunks(buffer, total, samples, block, "rademacher", 23, exhaustive=False):
+            assert at == sum(c.shape[1] for c in chunks) and np.shares_memory(chunk, buffer)
+            assert chunk.flags.c_contiguous and chunk.dtype == np.float64
+            chunks.append(chunk.copy())
+        assert all(c.shape[1] == CONTRACT_CHUNK for c in chunks[:-1])
+        cols = np.hstack(chunks)
         assert cols.tobytes() == np.ascontiguousarray(expected[start : start + MC_BLOCK].T).tobytes()
 
 
@@ -452,18 +473,19 @@ def test_identity_grams_skip_the_gemm_with_identical_bytes(kinds):
     ]
     expected_keep = [m for m, kind in enumerate(kinds) if not KINDS[kind][0]]
     plan = _contraction_plan(stacks)
-    for stack, (M, n, grams, stacked, keep) in zip(stacks, plan):
-        assert np.shares_memory(grams, stack.grams)
-        if len(expected_keep) == M:
-            assert keep is None and stacked is grams
-        else:
-            assert keep.tolist() == expected_keep
-            assert stacked.tobytes() == stack.grams[expected_keep].tobytes()
+    for stack, (M, n, grams, runs) in zip(stacks, plan):
+        assert np.shares_memory(grams, stack.grams) and grams.shape == (M * n, n)
+        assert [m for a, b, _ in runs for m in range(a, b)] == expected_keep
+        for a, b, gemm in runs:
+            # a maximal run, and a view of the stack, not a copy
+            assert a - 1 not in expected_keep and b not in expected_keep
+            assert np.shares_memory(gemm, stack.grams) and gemm.tobytes() == stack.grams[a:b].tobytes()
     # full chunks before a partial one, then every width of a lone partial
     # chunk: the BLAS rounds some partial widths differently by row count
+    total = sum(sizes)
     for width in (2 * CONTRACT_CHUNK + 3, *range(1, CONTRACT_CHUNK)):
-        cols = _sign_block(sum(sizes), width, 0, "identity", width, exhaustive=False)
-        tables = _quadforms(cols, plan)
+        (tables,) = _block_tables(plan, total, width, "identity", width, exhaustive=False)
+        cols = np.ascontiguousarray(drawn_signs("identity", width, width, total).T)
         for got, want in zip(tables, full_contraction(cols, stacks)):
             assert got.tobytes() == want.tobytes()
         for n, table in zip(sizes, tables):

@@ -102,6 +102,21 @@ def test_bound_prints_the_report_of_the_loaded_model(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == report.lines()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [("C = 0xzz", "[config] C = 0xzz: invalid hexadecimal floating-point string"),
+     ("mode = conik", "[config]: unknown mode 'conik'; expected one of ")],
+    ids=["value", "config"],
+)
+def test_bound_on_a_tampered_model_names_the_file_and_key(tmp_path, capsys, line, message):
+    model_path, split = train(tmp_path, "m", "--fraction", "0.5")
+    key = line.split(" = ")[0]
+    lines = [line if old.startswith(f"{key} = ") else old for old in model_path.read_text(encoding="utf-8").splitlines()]
+    model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["bound", "--model", str(model_path), "--train-data", str(split), "--test-data", "sample:mtl"]
+    assert error_message(capsys, argv).startswith(f"{model_path}: {message}")
+
+
 def write_config(tmp_path, text):
     path = tmp_path / "run.ini"
     path.write_text(text, encoding="utf-8")

@@ -493,10 +493,9 @@ def test_load_rejects_tampered_training_data(tmp_path):
     path = tmp_path / "model.txt"
     save_model(model, path)
     tampered = TaskDataset(tasks[0].task_id, tasks[0].X + 1e-9, tasks[0].y)
-    with pytest.raises(ValueError, match="hash mismatch"):
-        load_model(path, [tampered])
-    with pytest.raises(ValueError, match="not supplied"):
-        load_model(path, [TaskDataset("other", tasks[0].X, tasks[0].y)])
+    assert load_error(path, [tampered]) == f"{path}: training data hash mismatch for task 'synth0'"
+    missing = f"{path}: training task 'synth0' not supplied to load_model"
+    assert load_error(path, [TaskDataset("other", tasks[0].X, tasks[0].y)]) == missing
 
 
 def saved_model(tmp_path, mode="conic"):
@@ -618,6 +617,38 @@ def test_load_rejects_duals_of_the_wrong_length(tmp_path, key, sizes):
     dual = model.duals[1]
     rewrite(path, "task synth1", key, hex_text(getattr(dual, key)[:-1]))
     assert load_error(path, tasks).endswith(f"[task synth1] has {sizes} component_sq_norms for 11 kernels")
+
+
+@pytest.mark.parametrize(
+    "section, key, value, reason",
+    [
+        ("config", "C", "0xzz", "invalid hexadecimal floating-point string"),
+        ("config", "C", "0x1p+99999", "hexadecimal value too large to represent as a float"),
+        ("config", "seed", "x", r"invalid literal for int\(\) with base 10: 'x'"),
+        ("config", "converged", "yes", r"invalid literal for int\(\) with base 10: 'yes'"),
+        ("kernels", "spec", "linear:norm=1:w=2", "unknown field 'w' in kernel label 'linear:norm=1:w=2'"),
+        ("theta", "p", "0x1.0p+1 0x1.0p+1", "invalid hexadecimal floating-point string"),
+        ("lambda", "values", "0x1.0p+1 two", "invalid hexadecimal floating-point string"),
+        ("trace", "values", "nope", "invalid hexadecimal floating-point string"),
+        ("task synth1", "bias", "?", "invalid hexadecimal floating-point string"),
+        ("task synth0", "alpha", "0x1.0p+0 zz", "invalid hexadecimal floating-point string"),
+    ],
+    ids=["config-hex", "config-overflow", "config-int", "converged", "kernel-label", "copy-scalar", "lambda-vector",
+         "trace-vector", "task-scalar", "task-vector"],
+)
+def test_load_names_the_file_section_key_and_value_that_does_not_decode(tmp_path, section, key, value, reason):
+    _, tasks, path = saved_model(tmp_path)
+    rewrite(path, section, key, value)
+    assert re.fullmatch(rf"{re.escape(f'{path}: [{section}] {key} = {value}: ')}{reason}", load_error(path, tasks))
+
+
+def test_load_names_the_file_and_config_section_when_the_config_is_rejected(tmp_path):
+    _, tasks, path = saved_model(tmp_path)
+    rewrite(path, "config", "mode", "conik")
+    assert load_error(path, tasks).startswith(f"{path}: [config]: unknown mode 'conik'; expected one of ")
+    rewrite(path, "config", "mode", "conic")
+    rewrite(path, "config", "C", float(-1.0).hex())
+    assert load_error(path, tasks) == f"{path}: [config]: C must be positive and finite, got -1.0"
 
 
 def test_fit_requires_one_kernel_spec_per_stack_kernel():
