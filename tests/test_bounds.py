@@ -717,3 +717,95 @@ def test_verification_suite_all_pass():
     results = run_verification_suite(seed=1, n_instances=8)
     for result in results:
         assert result.passed, result.line()
+
+
+# ---------------------------------------------------------- pinned outputs
+
+GOLDEN_REPORTS = {
+    "conic-p2": (
+        {"mode": "conic"},
+        {"mc_samples": 400, "seed": 5},
+        """
+        tasks 3
+        per_task_samples 10
+        kernels 11
+        p 0x1.0000000000000p+1
+        rho 0x1.0000000000000p+0
+        delta 0x1.999999999999ap-5
+        r_ball 0x1.91bb008531d39p+3
+        r_max 0x1.a000000000000p+2
+        r_max_integer 0x1.c000000000000p+2
+        empirical_weighted_loss 0x1.c2b714e9b4041p-14
+        complexity_mc 0x1.d8dddd1afe773p+0
+        complexity_mc_stderr 0x1.8027ec1f0f0afp-7
+        complexity_mc_samples 400
+        complexity_exhaustive 0
+        complexity_upper_bound 0x1.d3397367f8debp+1
+        term_empirical 0x1.c2b714e9b4041p-14
+        term_complexity 0x1.249241c56055fp+4
+        term_weight_range 0x1.991c25b929195p-1
+        term_confidence 0x1.5737353299671p-1
+        total_adaptive 0x1.3c154d4a83a47p+4
+        total_fixed 0x1.95a89854a2cc2p+3
+        test_error 0x1.6c16c16c16c17p-2
+        """,
+    ),
+    "pareto-bias": (
+        {"mode": "pareto", "use_bias": True},
+        {"delta": 0.1, "rho": 0.5, "mc_samples": 400, "seed": 5},
+        """
+        tasks 3
+        per_task_samples 10
+        kernels 11
+        p 0x1.0000000000000p+1
+        rho 0x1.0000000000000p-1
+        delta 0x1.999999999999ap-4
+        r_ball 0x1.583ba47a58744p+4
+        r_max 0x1.a000000000000p+2
+        r_max_integer 0x1.c000000000000p+2
+        empirical_weighted_loss 0x0.0p+0
+        complexity_mc 0x1.cd98a2066d9a6p+0
+        complexity_mc_stderr 0x1.77eca0cb65614p-7
+        complexity_mc_samples 400
+        complexity_exhaustive 0
+        complexity_upper_bound 0x1.c7e4f51853ad9p+1
+        term_empirical 0x0.0p+0
+        term_complexity 0x1.1d991c87d7abep+5
+        term_weight_range 0x1.5c0f6b73998f4p-1
+        term_confidence 0x1.2ce69f06f0447p-1
+        total_adaptive 0x1.27bcf4b1c1d33p+5
+        total_fixed 0x1.8073389d708f9p+4
+        test_error 0x1.7777777777778p-2
+        """,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_bound_report_values_are_pinned_bit_for_bit(name):
+    config, options, expected = GOLDEN_REPORTS[name]
+    data = synth_multitask(T=3, N=40, d=4, task_similarity=0.6, noise=1.2, seed=21)
+    scaler = Scaler().fit(np.vstack([t.X for t in data]))
+    scaled = [TaskDataset(t.task_id, scaler.transform(t.X), t.y) for t in data]
+    tasks = [TaskDataset(t.task_id, t.X[:10], t.y[:10]) for t in scaled]
+    tests = [TaskDataset(t.task_id, t.X[10:], t.y[10:]) for t in scaled]
+    specs = default_kernel_dictionary()
+    stacks = [build_gram_stack(t.task_id, t.X, specs) for t in tasks]
+    cost = sum(s.trace_norm(2.0) for s in stacks)
+    cfg = TrainConfig(C=1.0, p=2.0, budget=0.6 * cost, r_max=6.5, **config)
+    model = fit(tasks, stacks, cfg, kernel_specs=specs)
+    report = bound_report(model, tests, **options)
+    got = [f"{key} {value.hex() if isinstance(value, float) else value}" for key, value in report.values.items()]
+    assert got == [line.strip() for line in expected.strip().splitlines()]
+
+
+def test_verification_suite_lines_are_pinned():
+    assert [result.line() for result in run_verification_suite(seed=0, n_instances=8)] == [
+        "PASS complexity decreases in each task weight: 15 perturbations, 0 violations",
+        "PASS complexity grows with each sign scale: 11 perturbations, 0 violations",
+        "PASS doubling all task weights divides complexity by sqrt(2): worst relative deviation 1.56e-16",
+        "PASS trace-norm upper bound dominates exhaustive complexity: 50 instances, 0 violations",
+        "PASS budget-split bound dominates exhaustive complexity: 8 instances, 0 violations",
+        "PASS path-tracing weights exceed 1 and fall as the exponent grows: 50 weight vectors, 0 violations",
+        "PASS fixed-weights total stays below the uniform total: 10 instances, 0 violations",
+    ]
