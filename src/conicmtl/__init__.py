@@ -1,7 +1,6 @@
 """Conic multi-task multiple-kernel learning toolkit."""
 
 from .bounds import (
-    BoundInputs,
     BoundReport,
     RademacherEstimate,
     bound_report,

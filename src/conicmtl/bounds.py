@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import conjugate_exponent, derive_seed, lp_norm
+from .util import conjugate_exponent, derive_seed
 
 EXHAUSTIVE_LIMIT = 20
 MC_BLOCK = 4096
@@ -51,38 +51,6 @@ class RademacherEstimate:
     exhaustive: bool
 
 
-@dataclass
-class BoundInputs:
-    """Everything the bound formulas need besides the loss values."""
-
-    T: int
-    N: int
-    M: int
-    task_weights: np.ndarray  # lambda_t, one per task
-    r_max: float  # the cap of the task weights' box
-    rho: float
-    delta: float
-    R: float
-    p: float
-    traces: np.ndarray  # (T, M) per-task kernel trace vectors
-
-    def __post_init__(self):
-        self.traces = np.atleast_2d(np.asarray(self.traces, dtype=float))
-        self.task_weights = np.asarray(self.task_weights, dtype=float)
-        if not np.isfinite(self.task_weights).all():
-            raise ValueError(f"task weights must be finite, got {self.task_weights}")
-        if not self.r_max > 1.0:
-            raise ValueError(f"r_max must exceed 1, got {self.r_max}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if not self.R > 0:
-            raise ValueError("R must be positive")
-        if self.traces.shape != (self.T, self.M):
-            raise ValueError(f"traces must have shape (T, M) = ({self.T}, {self.M})")
-
-
 def _dual_norms(U: np.ndarray, p_star: float) -> np.ndarray:
     """p*-norm of each column of a (M, n) table, negative entries clipped to 0."""
     U = np.maximum(U, 0.0)
@@ -93,8 +61,8 @@ def _dual_norms(U: np.ndarray, p_star: float) -> np.ndarray:
     return (U**p_star).sum(axis=0) ** (1.0 / p_star)
 
 
-def _check_inputs(stacks, R: float, samples: int, **per_task) -> int:
-    """Argument checks of both estimators; returns the total sample count.
+def _check_inputs(stacks, R: float, samples: int = 1, **per_task) -> int:
+    """Argument checks of both estimators and the trace bound; returns the total sample count.
 
     Each per_task vector must hold one positive finite entry per task.
     """
@@ -300,86 +268,87 @@ def estimate_scale_constant(
     return _sign_expectation(stacks, samples, "scale-const", seed, total <= exhaustive_limit, reduce)
 
 
-def erc_upper_bound_lp(inputs: BoundInputs) -> float:
-    """Trace-norm complexity bound (2 sqrt(2 R p*) / (TN)) sqrt(sum_t ||v_t||_{p*} / lam_t).
+def erc_upper_bound_lp(stacks, task_weights, R: float, p: float) -> float:
+    """Trace-norm complexity bound (2 sqrt(2 R p*) / total) sqrt(sum_t ||v_t||_{p*} / lam_t).
 
-    For p = 1 the conjugate exponent is infinite and the sqrt(p*) factor
-    diverges, so the bound does not apply; it returns nan as a
-    not-applicable marker.
+    Takes rademacher_mc's arguments, which it dominates; v_t is the trace
+    vector of task t and total is sum_t n_t. For p = 1 the conjugate
+    exponent is infinite and the sqrt(p*) factor diverges, so the bound does
+    not apply; it returns nan as a not-applicable marker.
     """
-    if inputs.p == 1.0:
+    lam = np.asarray(task_weights, dtype=float)
+    total = _check_inputs(stacks, R, task_weights=lam)
+    if p == 1.0:
         return float("nan")
-    lam = inputs.task_weights
-    p_star = conjugate_exponent(inputs.p)
-    total = inputs.T * inputs.N
-    norms = np.array([lp_norm(v, p_star) for v in inputs.traces])
-    return float(2.0 * np.sqrt(2.0 * inputs.R * p_star) / total * np.sqrt((norms / lam).sum()))
+    p_star = conjugate_exponent(p)
+    norms = np.array([stack.trace_norm(p_star) for stack in stacks])
+    return float(2.0 * np.sqrt(2.0 * R * p_star) / total * np.sqrt((norms / lam).sum()))
+
+
+def _check_bound_values(r_max: float, rho: float, delta: float) -> None:
+    """The checks of the values both bound totals read."""
+    if not r_max > 1.0:
+        raise ValueError(f"r_max must exceed 1, got {r_max}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if not rho > 0:
+        raise ValueError("rho must be positive")
 
 
 @dataclass
 class BoundTerms:
-    empirical: float
     complexity: float
     weight_range: float
     confidence: float
     total: float
-    r_max_given: float
     r_max_used: float
-    log_clamped: bool
 
 
-def bound_rhs_any_lambda(inputs: BoundInputs, emp_loss: float, erc: float) -> BoundTerms:
+def bound_rhs_any_lambda(
+    emp_loss: float, erc: float, *, task_weights, r_max: float, total: int, rho: float, delta: float
+) -> BoundTerms:
     """Right-hand side of the bound valid uniformly over task weights.
 
     emp + (sqrt(2) r / rho) erc
-        + sqrt((9 / TN) ln((2 r / T) sum_t 1/lam_t))
-        + sqrt(9 ln(1/delta) / (2 TN))
+        + sqrt((9 / total) ln((2 r / T) sum_t 1/lam_t))
+        + sqrt(9 ln(1/delta) / (2 total))
 
-    The uniform argument needs an integer weight cap, so a fractional cap
-    is rounded up and both values are reported. Weights on the box
-    boundary draw a warning, not an error; a nonpositive log argument
-    clamps the third term at zero with a warning.
+    total is the sample count TN. The uniform argument needs an integer
+    weight cap, so a fractional cap is rounded up and used as r. Weights on
+    the box boundary draw a warning, not an error; a nonpositive log
+    argument clamps the third term at zero with a warning.
     """
-    lam = inputs.task_weights
-    r_given = float(inputs.r_max)
-    r_used = float(np.ceil(r_given))
-    if np.any(lam <= 1.0) or np.any(lam >= r_given):
+    lam = np.asarray(task_weights, dtype=float)
+    if not np.isfinite(lam).all():
+        raise ValueError(f"task weights must be finite, got {lam}")
+    _check_bound_values(r_max, rho, delta)
+    r_used = float(np.ceil(r_max))
+    if np.any(lam <= 1.0) or np.any(lam >= r_max):
         warnings.warn(
             "task weights on the box boundary: the uniform bound assumes the open box",
             stacklevel=2,
         )
-    total = inputs.T * inputs.N
-    log_arg = (2.0 * r_used / inputs.T) * float((1.0 / lam).sum())
-    clamped = False
+    log_arg = (2.0 * r_used / lam.size) * float((1.0 / lam).sum())
     if np.log(log_arg) <= 0.0:
         warnings.warn("weight-range term clamped at zero (log argument <= 1)", stacklevel=2)
         weight_range = 0.0
-        clamped = True
     else:
         weight_range = float(np.sqrt(9.0 / total * np.log(log_arg)))
-    complexity = float(np.sqrt(2.0) * r_used / inputs.rho * erc)
-    confidence = float(np.sqrt(9.0 * np.log(1.0 / inputs.delta) / (2.0 * total)))
-    total_value = emp_loss + complexity + weight_range + confidence
+    complexity = float(np.sqrt(2.0) * r_used / rho * erc)
+    confidence = float(np.sqrt(9.0 * np.log(1.0 / delta) / (2.0 * total)))
     return BoundTerms(
-        empirical=float(emp_loss),
         complexity=complexity,
         weight_range=weight_range,
         confidence=confidence,
-        total=float(total_value),
-        r_max_given=r_given,
+        total=float(emp_loss + complexity + weight_range + confidence),
         r_max_used=r_used,
-        log_clamped=clamped,
     )
 
 
-def bound_rhs_fixed_lambda(inputs: BoundInputs, emp_loss: float, erc: float) -> float:
-    """Right-hand side for a fixed weight vector: emp + (r/rho) erc + confidence."""
-    total = inputs.T * inputs.N
-    return float(
-        emp_loss
-        + inputs.r_max / inputs.rho * erc
-        + np.sqrt(9.0 * np.log(1.0 / inputs.delta) / (2.0 * total))
-    )
+def bound_rhs_fixed_lambda(emp_loss: float, erc: float, *, r_max: float, total: int, rho: float, delta: float) -> float:
+    """Right-hand side for a fixed weight vector: emp + (r/rho) erc + sqrt(9 ln(1/delta) / (2 total))."""
+    _check_bound_values(r_max, rho, delta)
+    return float(emp_loss + r_max / rho * erc + np.sqrt(9.0 * np.log(1.0 / delta) / (2.0 * total)))
 
 
 def model_radius(model) -> float:
@@ -430,7 +399,8 @@ def bound_report(
         raise ValueError("bound reporting requires all tasks to have the same sample count")
     N = sizes.pop()
     T = len(model.tasks)
-    M = len(model.theta)
+    r_max = model.config.r_max
+    _check_bound_values(r_max, rho, delta)
     if stacks is None:
         stacks = [
             build_gram_stack(task.task_id, task.X, model.kernel_specs) for task in model.tasks
@@ -438,25 +408,16 @@ def bound_report(
 
     R = model_radius(model)
     p = model.config.p
-    inputs = BoundInputs(
-        T=T,
-        N=N,
-        M=M,
-        task_weights=model.task_weights,
-        r_max=model.config.r_max,
-        rho=rho,
-        delta=delta,
-        R=max(R, 1e-300),
-        p=p,
-        traces=np.vstack([s.traces for s in stacks]),
-    )
+    lam = model.task_weights
+    radius = max(R, 1e-300)
     emp = weighted_empirical_loss(model, rho, stacks)
-    est = rademacher_mc(stacks, model.task_weights, inputs.R, p, samples=mc_samples, seed=seed)
-    upper = erc_upper_bound_lp(inputs)
+    est = rademacher_mc(stacks, lam, radius, p, samples=mc_samples, seed=seed)
+    upper = erc_upper_bound_lp(stacks, lam, radius, p)
+    bound = {"r_max": r_max, "total": T * N, "rho": rho, "delta": delta}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        terms = bound_rhs_any_lambda(inputs, emp, est.mean)
-    fixed_total = bound_rhs_fixed_lambda(inputs, emp, est.mean)
+        terms = bound_rhs_any_lambda(emp, est.mean, task_weights=lam, **bound)
+    fixed_total = bound_rhs_fixed_lambda(emp, est.mean, **bound)
 
     by_id = {t.task_id: t for t in test_tasks}
     errors = []
@@ -471,12 +432,12 @@ def bound_report(
         values={
             "tasks": T,
             "per_task_samples": N,
-            "kernels": M,
+            "kernels": len(model.theta),
             "p": float(p),
             "rho": float(rho),
             "delta": float(delta),
             "r_ball": float(R),
-            "r_max": float(terms.r_max_given),
+            "r_max": float(r_max),
             "r_max_integer": float(terms.r_max_used),
             "empirical_weighted_loss": float(emp),
             "complexity_mc": float(est.mean),
@@ -484,7 +445,7 @@ def bound_report(
             "complexity_mc_samples": est.samples,
             "complexity_exhaustive": int(est.exhaustive),
             "complexity_upper_bound": float(upper),
-            "term_empirical": float(terms.empirical),
+            "term_empirical": float(emp),
             "term_complexity": float(terms.complexity),
             "term_weight_range": float(terms.weight_range),
             "term_confidence": float(terms.confidence),

@@ -291,6 +291,8 @@ def load_task_directory(directory) -> list[TaskDataset]:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "d":
+            if not value.isdecimal() or int(value) < 1:
+                raise ValueError(f"{manifest}:{lineno}: feature dimension d = {value!r} is not a positive integer")
             d = int(value)
         elif key == "task":
             if value in ids:

@@ -19,7 +19,8 @@ from .util import conjugate_exponent, derive_seed, float_text
 
 RESULT_HEADER = "dataset,fraction,method,seed,mean_accuracy,C,p,a,p_exp,wall_ms,converged"
 
-SYNTH_KEYS = ("T", "N", "d", "sim", "noise", "seed")
+SYNTH_DEFAULTS = {"T": 4, "N": 60, "d": 6, "sim": 0.7, "noise": 0.5, "seed": 0}
+SYNTH_MINIMUMS = {"T": 1, "N": 2, "d": 1, "seed": 0}  # below N = 2 a task holds one class
 
 METHOD_MODES = {
     "Conic": "conic",
@@ -120,19 +121,25 @@ def resolve_dataset(text: str) -> tuple[str, list[data_io.TaskDataset]]:
     or a sparse text file (decomposed one-vs-one when multiclass).
     """
     if text.startswith("synth:"):
-        params = {}
+        params = dict(SYNTH_DEFAULTS)
         for token in filter(None, text[6:].split(",")):
             key, sep, value = token.partition("=")
-            if not sep or key not in SYNTH_KEYS:
-                raise ValueError(f"bad synth token {token!r}; expected key=value, key one of {SYNTH_KEYS}")
-            params[key] = value
+            if not sep or key not in SYNTH_DEFAULTS:
+                raise ValueError(f"bad synth token {token!r}; expected key=value, key one of {tuple(SYNTH_DEFAULTS)}")
+            kind = type(SYNTH_DEFAULTS[key])
+            try:
+                params[key] = kind(value)
+            except ValueError:
+                raise ValueError(f"synth {key}={value!r} is not {'an integer' if kind is int else 'a number'}") from None
+            if params[key] < SYNTH_MINIMUMS.get(key, -math.inf):
+                raise ValueError(f"synth {key}={value} must be at least {SYNTH_MINIMUMS[key]}")
         dataset = data_io.synth_multitask(
-            T=int(params.get("T", 4)),
-            N=int(params.get("N", 60)),
-            d=int(params.get("d", 6)),
-            task_similarity=float(params.get("sim", 0.7)),
-            noise=float(params.get("noise", 0.5)),
-            seed=int(params.get("seed", 0)),
+            T=params["T"],
+            N=params["N"],
+            d=params["d"],
+            task_similarity=params["sim"],
+            noise=params["noise"],
+            seed=params["seed"],
         )
         return text.replace(",", ";"), dataset  # keep the CSV dataset column comma-free
     if text == "sample:multiclass":

@@ -288,7 +288,9 @@ def weighted_empirical_loss(model: MtlModel, rho: float, stacks) -> float:
     theta = model.theta
     total = 0.0
     count = 0
-    for lam, task, dual, stack in zip(model.task_weights, model.tasks, model.duals, stacks, strict=True):
+    if len(stacks) != len(model.tasks):
+        raise ValueError(f"expected one stack per task ({len(model.tasks)}), got {len(stacks)}")
+    for lam, task, dual, stack in zip(model.task_weights, model.tasks, model.duals, stacks):
         if stack.grams.shape != (theta.size, task.y.size, task.y.size):
             raise ValueError(f"stack of task {task.task_id!r} has shape {stack.grams.shape}")
         coef = dual.alpha * task.y
@@ -385,9 +387,8 @@ def load_model(path, tasks) -> MtlModel:
         content = fh.read().splitlines()
     if not content or not content[0].startswith("conicmtl-model v"):
         raise ValueError(f"{path}: not a model document")
-    version = int(content[0].rsplit("v", 1)[1])
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model version {version}")
+    if content[0] != f"conicmtl-model v{MODEL_FORMAT_VERSION}":
+        raise ValueError(f"{path}: unsupported model version header {content[0]!r}")
 
     sections: dict = {"": {}}  # section name -> {key: text}, in document order; "" holds any line before the first
     labels = []  # the spec lines of [kernels], in order

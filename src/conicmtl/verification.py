@@ -1,9 +1,11 @@
 """Numeric verification of the complexity and weighting properties.
 
 Each check builds random small instances, evaluates both sides of a
-claimed inequality or monotonicity with exhaustive sign enumeration (so
-there is no sampling noise), and reports pass/fail. The suite backs the
-`radcheck` command.
+claimed inequality or monotonicity, and reports pass/fail. The complexity
+checks enumerate every sign pattern, so there is no sampling noise; the
+path-tracing check evaluates the weight formula on a grid of exponents,
+and the fixed-versus-uniform check compares the two bound totals at drawn
+loss and complexity values. The suite backs the `radcheck` command.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInputs, bound_rhs_any_lambda, bound_rhs_fixed_lambda, erc_upper_bound_lp, estimate_scale_constant, rademacher_mc
+from .bounds import bound_rhs_any_lambda, bound_rhs_fixed_lambda, erc_upper_bound_lp, estimate_scale_constant, rademacher_mc
 from .kernels import GramStack
 from .training import pareto_lambda
 from .util import derive_seed
@@ -127,19 +129,7 @@ def check_trace_norm_bound(n_instances=100, seed=0) -> CheckResult:
         lam = rng.uniform(1.0, 4.0, size=T)
         R = float(rng.uniform(0.5, 3.0))
         mc = rademacher_mc(stacks, lam, R=R, p=p).mean
-        inputs = BoundInputs(
-            T=T,
-            N=N,
-            M=M,
-            task_weights=lam,
-            r_max=4.0,
-            rho=1.0,
-            delta=0.5,
-            R=R,
-            p=p,
-            traces=np.vstack([s.traces for s in stacks]),
-        )
-        if mc > erc_upper_bound_lp(inputs) + 1e-12:
+        if mc > erc_upper_bound_lp(stacks, lam, R, p) + 1e-12:
             violations += 1
     return CheckResult(
         "trace-norm upper bound dominates exhaustive complexity",
@@ -200,22 +190,12 @@ def check_fixed_below_adaptive(n_instances=25, seed=0) -> CheckResult:
         rng = np.random.default_rng(derive_seed("fixed-vs-any", seed, k))
         T = int(rng.integers(1, 5))
         lam = rng.uniform(1.2, 3.0, size=T)
-        inputs = BoundInputs(
-            T=T,
-            N=int(rng.integers(2, 30)),
-            M=2,
-            task_weights=lam,
-            r_max=4.0,
-            rho=1.0,
-            delta=float(rng.uniform(0.01, 0.5)),
-            R=1.0,
-            p=2.0,
-            traces=np.ones((T, 2)),
-        )
+        N = int(rng.integers(2, 30))
+        bound = {"r_max": 4.0, "total": T * N, "rho": 1.0, "delta": float(rng.uniform(0.01, 0.5))}
         emp = float(rng.uniform(0.0, 0.5))
         erc = float(rng.uniform(1e-3, 0.5))
-        adaptive = bound_rhs_any_lambda(inputs, emp, erc).total
-        fixed = bound_rhs_fixed_lambda(inputs, emp, erc)
+        adaptive = bound_rhs_any_lambda(emp, erc, task_weights=lam, **bound).total
+        fixed = bound_rhs_fixed_lambda(emp, erc, **bound)
         if not fixed < adaptive:
             violations += 1
     return CheckResult(

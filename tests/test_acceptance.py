@@ -9,7 +9,7 @@ import time
 import numpy as np
 import scipy.optimize
 
-from conicmtl.bounds import BoundInputs, bound_report, erc_upper_bound_lp, rademacher_mc
+from conicmtl.bounds import bound_report, erc_upper_bound_lp, rademacher_mc
 from conicmtl.data import Scaler, TaskDataset, stratified_split, synth_multitask, synthetic_benchmark
 from conicmtl.experiments import RESULT_HEADER
 from conicmtl.kernels import build_gram_stack, default_kernel_dictionary
@@ -232,11 +232,7 @@ def test_06_trace_norm_bound_dominates_exhaustive_complexity():
         lam = rng.uniform(1.0, 5.0, T)
         R = float(rng.uniform(0.3, 3.0))
         mc = rademacher_mc(stacks, lam, R=R, p=p).mean
-        inputs = BoundInputs(
-            T=T, N=N, M=M, task_weights=lam, r_max=float(lam.max()) + 1.0, rho=1.0, delta=0.5, R=R, p=p,
-            traces=np.vstack([s.traces for s in stacks]),
-        )
-        assert mc <= erc_upper_bound_lp(inputs) + 1e-12
+        assert mc <= erc_upper_bound_lp(stacks, lam, R, p) + 1e-12
     report(6, "trace-norm bound dominates exhaustive complexity on 100 instances")
 
 

@@ -7,7 +7,6 @@ import pytest
 from conicmtl.bounds import (
     CONTRACT_CHUNK,
     MC_BLOCK,
-    BoundInputs,
     bound_report,
     bound_rhs_any_lambda,
     bound_rhs_fixed_lambda,
@@ -25,12 +24,6 @@ from conicmtl.kernels import GramStack, build_gram_stack, default_kernel_diction
 from conicmtl.training import TrainConfig, fit
 from conicmtl.util import conjugate_exponent, derive_seed, lp_norm
 from conicmtl.verification import random_stacks, run_verification_suite
-
-
-def weights(values):
-    """BoundInputs keywords for task weights `values` under a cap well above them."""
-    values = np.asarray(values, dtype=float)
-    return {"task_weights": values, "r_max": float(values.max()) * 4 + 2}
 
 
 # ------------------------------------------------------------- margin loss
@@ -496,42 +489,24 @@ def test_identity_grams_skip_the_gemm_with_identical_bytes(kinds):
 
 # ------------------------------------------------------------- trace bound
 
+def unit_trace_stacks(T, N, M):
+    """T tasks of M Grams, each N x N with trace 1."""
+    return [GramStack(f"t{t}", np.repeat(np.eye(N)[None] / N, M, axis=0)) for t in range(T)]
+
+
 def test_trace_bound_plugin_value():
-    inputs = BoundInputs(
-        T=1, N=1, M=1,
-        **weights([1.0]),
-        rho=1.0, delta=0.5, R=1.0, p=2.0,
-        traces=np.array([[1.0]]),
-    )
-    assert erc_upper_bound_lp(inputs) == pytest.approx(4.0, rel=1e-12)
+    assert erc_upper_bound_lp(unit_trace_stacks(1, 1, 1), [1.0], 1.0, 2.0) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_trace_bound_homogeneity_and_weight_decay():
-    base = BoundInputs(
-        T=2, N=3, M=2,
-        **weights([1.0, 1.0]),
-        rho=1.0, delta=0.5, R=1.0, p=2.0,
-        traces=np.ones((2, 2)),
-    )
-    value = erc_upper_bound_lp(base)
-    doubled_R = BoundInputs(
-        T=2, N=3, M=2, **weights([1.0, 1.0]),
-        rho=1.0, delta=0.5, R=2.0, p=2.0, traces=np.ones((2, 2)),
-    )
-    assert erc_upper_bound_lp(doubled_R) == pytest.approx(np.sqrt(2) * value, rel=1e-12)
-    huge = BoundInputs(
-        T=2, N=3, M=2, **weights([1e9, 1e9]),
-        rho=1.0, delta=0.5, R=1.0, p=2.0, traces=np.ones((2, 2)),
-    )
-    assert erc_upper_bound_lp(huge) < 1e-3 * value
+    stacks = unit_trace_stacks(2, 3, 2)
+    value = erc_upper_bound_lp(stacks, [1.0, 1.0], 1.0, 2.0)
+    assert erc_upper_bound_lp(stacks, [1.0, 1.0], 2.0, 2.0) == pytest.approx(np.sqrt(2) * value, rel=1e-12)
+    assert erc_upper_bound_lp(stacks, [1e9, 1e9], 1.0, 2.0) < 1e-3 * value
 
 
 def test_trace_bound_p1_not_applicable_by_default():
-    inputs = BoundInputs(
-        T=1, N=2, M=3, **weights([1.0]),
-        rho=1.0, delta=0.5, R=1.0, p=1.0, traces=np.ones((1, 3)),
-    )
-    assert np.isnan(erc_upper_bound_lp(inputs))
+    assert np.isnan(erc_upper_bound_lp(unit_trace_stacks(1, 2, 3), [1.0], 1.0, 1.0))
 
 
 def test_exhaustive_complexity_below_trace_bound():
@@ -545,24 +520,14 @@ def test_exhaustive_complexity_below_trace_bound():
         lam = rng.uniform(1.0, 4.0, T)
         R = float(rng.uniform(0.5, 2.0))
         mc = rademacher_mc(stacks, lam, R=R, p=p).mean
-        inputs = BoundInputs(
-            T=T, N=N, M=M, **weights(lam), rho=1.0, delta=0.5,
-            R=R, p=p, traces=np.vstack([s.traces for s in stacks]),
-        )
-        assert mc <= erc_upper_bound_lp(inputs) + 1e-12
+        assert mc <= erc_upper_bound_lp(stacks, lam, R, p) + 1e-12
 
 
 # ------------------------------------------------------------- bound terms
 
-def make_inputs(lam, r_max, T=None, N=5, delta=0.5, rho=1.0, R=1.0):
-    lam = np.asarray(lam, dtype=float)
-    T = T or lam.size
-    return BoundInputs(
-        T=T, N=N, M=2,
-        task_weights=lam, r_max=r_max,
-        rho=rho, delta=delta, R=R, p=2.0,
-        traces=np.ones((T, 2)),
-    )
+def bound_values(r_max, N=5, T=2, delta=0.5, rho=1.0):
+    """The keywords of both bound totals for T tasks of N samples."""
+    return {"r_max": r_max, "total": T * N, "rho": rho, "delta": delta}
 
 
 @pytest.mark.parametrize(
@@ -577,20 +542,36 @@ def make_inputs(lam, r_max, T=None, N=5, delta=0.5, rho=1.0, R=1.0):
 )
 def test_bound_inputs_reject_non_finite_weights_and_a_cap_not_above_one(lam, r_max, message):
     with pytest.raises(ValueError, match=message):
-        make_inputs(lam, r_max=r_max)
+        bound_rhs_any_lambda(0.0, 0.0, task_weights=lam, **bound_values(r_max))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"r_max": 1.0}, "r_max must exceed 1, got 1.0"),
+        ({"delta": 1.5}, r"delta must lie in \(0, 1\)"),
+        ({"delta": 0.0}, r"delta must lie in \(0, 1\)"),
+        ({"rho": 0.0}, "rho must be positive"),
+    ],
+    ids=["cap-one", "delta-above-one", "delta-zero", "rho-zero"],
+)
+def test_both_bound_totals_reject_a_bad_cap_delta_or_rho(values, message):
+    given = {**bound_values(4.0), **values}
+    with pytest.raises(ValueError, match=message):
+        bound_rhs_any_lambda(0.0, 0.0, task_weights=[1.5, 2.0], **given)
+    with pytest.raises(ValueError, match=message):
+        bound_rhs_fixed_lambda(0.0, 0.0, **given)
 
 
 def test_adaptive_bound_third_term_example():
-    inputs = make_inputs([2.0, 2.0, 2.0], r_max=2.0, N=7)
     with pytest.warns(UserWarning, match="boundary"):
-        terms = bound_rhs_any_lambda(inputs, 0.0, 0.0)
+        terms = bound_rhs_any_lambda(0.0, 0.0, task_weights=[2.0, 2.0, 2.0], **bound_values(2.0, N=7, T=3))
     # (2 r / T) sum 1/lam = 2 -> sqrt(9 ln 2 / (T N))
     assert terms.weight_range == pytest.approx(np.sqrt(9 * np.log(2.0) / 21), rel=1e-12)
 
 
 def test_adaptive_bound_confidence_term_vanishes_as_delta_to_one():
-    inputs = make_inputs([1.5, 1.5], r_max=4.0, delta=1 - 1e-12)
-    terms = bound_rhs_any_lambda(inputs, 0.1, 0.0)
+    terms = bound_rhs_any_lambda(0.1, 0.0, task_weights=[1.5, 1.5], **bound_values(4.0, delta=1 - 1e-12))
     assert terms.confidence == pytest.approx(0.0, abs=1e-5)
 
 
@@ -606,50 +587,36 @@ def test_log_argument_exceeds_one_for_any_in_box_weights():
 
 
 def test_adaptive_bound_clamps_nonpositive_log_for_out_of_box_weights():
-    inputs = BoundInputs(
-        T=4, N=5, M=2,
-        task_weights=np.full(4, 30.0), r_max=4.0,
-        rho=1.0, delta=0.5, R=1.0, p=2.0, traces=np.ones((4, 2)),
-    )
     with pytest.warns(UserWarning, match="clamped"):
-        terms = bound_rhs_any_lambda(inputs, 0.0, 0.0)
+        terms = bound_rhs_any_lambda(0.0, 0.0, task_weights=np.full(4, 30.0), **bound_values(4.0, T=4))
     assert terms.weight_range == 0.0
-    assert terms.log_clamped
 
 
 def test_adaptive_bound_breakdown_sums_to_total():
-    inputs = make_inputs([1.7, 2.5], r_max=4.0)
-    terms = bound_rhs_any_lambda(inputs, 0.25, 0.1)
+    terms = bound_rhs_any_lambda(0.25, 0.1, task_weights=[1.7, 2.5], **bound_values(4.0))
     assert terms.total == pytest.approx(
-        terms.empirical + terms.complexity + terms.weight_range + terms.confidence
+        0.25 + terms.complexity + terms.weight_range + terms.confidence
     )
     assert terms.r_max_used == 4.0
 
 
 def test_adaptive_bound_rounds_fractional_weight_cap_up():
-    inputs = make_inputs([1.7, 2.0], r_max=2.5)
-    terms = bound_rhs_any_lambda(inputs, 0.0, 0.1)
-    assert terms.r_max_given == 2.5
+    terms = bound_rhs_any_lambda(0.0, 0.1, task_weights=[1.7, 2.0], **bound_values(2.5))
     assert terms.r_max_used == 3.0
     assert terms.complexity == pytest.approx(np.sqrt(2.0) * 3.0 * 0.1, rel=1e-12)
 
 
 def test_fixed_bound_examples_and_comparison():
-    inputs = make_inputs([1.5, 2.0], r_max=4.0)
-    fixed = bound_rhs_fixed_lambda(inputs, 0.2, 0.1)
-    adaptive = bound_rhs_any_lambda(inputs, 0.2, 0.1)
+    values = bound_values(4.0)
+    fixed = bound_rhs_fixed_lambda(0.2, 0.1, **values)
+    adaptive = bound_rhs_any_lambda(0.2, 0.1, task_weights=[1.5, 2.0], **values)
     assert fixed < adaptive.total
-    zero = make_inputs([1.5, 2.0], r_max=4.0)
-    assert bound_rhs_fixed_lambda(zero, 0.0, 0.0) == pytest.approx(
+    assert bound_rhs_fixed_lambda(0.0, 0.0, **values) == pytest.approx(
         np.sqrt(9 * np.log(2.0) / (2 * 2 * 5)), rel=1e-12
     )
     # delta = e^-2 with TN = 9 makes the confidence term exactly 1
-    inputs9 = BoundInputs(
-        T=3, N=3, M=1,
-        task_weights=np.array([1.0, 1.0, 1.0]), r_max=2.0,
-        rho=1.0, delta=float(np.exp(-2.0)), R=1.0, p=2.0, traces=np.ones((3, 1)),
-    )
-    assert bound_rhs_fixed_lambda(inputs9, 0.3, 0.05) == pytest.approx(
+    values9 = bound_values(2.0, N=3, T=3, delta=float(np.exp(-2.0)))
+    assert bound_rhs_fixed_lambda(0.3, 0.05, **values9) == pytest.approx(
         0.3 + 2.0 * 0.05 + 1.0, rel=1e-12
     )
 

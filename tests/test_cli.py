@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conicmtl import cli
+from conicmtl import bounds, cli, training
 from conicmtl.bounds import bound_report
 from conicmtl.cli import EXPERIMENT_KEYS, TRAIN_KEYS, build_parser, main
 from conicmtl.data import TaskDataset, load_sparse_text, load_task_directory, sample_mtl_path
@@ -115,6 +115,23 @@ def test_bound_on_a_tampered_model_names_the_file_and_key(tmp_path, capsys, line
     model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     argv = ["bound", "--model", str(model_path), "--train-data", str(split), "--test-data", "sample:mtl"]
     assert error_message(capsys, argv).startswith(f"{model_path}: {message}")
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [(("--delta", "1.5"), "delta must lie in (0, 1)"), (("--rho", "0"), "rho must be positive")],
+    ids=["delta", "rho"],
+)
+def test_bound_rejects_a_bad_delta_or_rho_before_the_loss_and_sampling(tmp_path, capsys, monkeypatch, option, message):
+    model_path, split = train(tmp_path, "m", "--fraction", "0.5")
+
+    def never(*args, **kwargs):
+        raise AssertionError("called before the bound values were checked")
+
+    monkeypatch.setattr(bounds, "rademacher_mc", never)
+    monkeypatch.setattr(training, "weighted_empirical_loss", never)
+    argv = ["bound", "--model", str(model_path), "--train-data", str(split), "--test-data", "sample:mtl", *option]
+    assert error_message(capsys, argv) == message
 
 
 def write_config(tmp_path, text):

@@ -255,6 +255,15 @@ def test_task_directory_rejects_a_task_listed_twice(tmp_path):
     assert str(err.value) == f"{manifest}:3: task 'a' listed twice"
 
 
+@pytest.mark.parametrize("value", ["x", "2.5", "-1", "0", ""])
+def test_task_directory_names_the_manifest_line_of_a_bad_dimension(tmp_path, value):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"# a comment line\nd = {value}\ntask = a\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_task_directory(tmp_path)
+    assert str(err.value) == f"{manifest}:2: feature dimension d = {value!r} is not a positive integer"
+
+
 # ------------------------------------------------------------- prepare_run
 
 def unbalanced_tasks():

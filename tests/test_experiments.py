@@ -288,6 +288,25 @@ def test_resolve_dataset_variants(tmp_path):
             resolve_dataset(spec)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("synth:T=x", "synth T='x' is not an integer"),
+        ("synth:N=2.5", "synth N='2.5' is not an integer"),
+        ("synth:sim=high", "synth sim='high' is not a number"),
+        ("synth:T=0", "synth T=0 must be at least 1"),
+        ("synth:N=1", "synth N=1 must be at least 2"),
+        ("synth:d=0", "synth d=0 must be at least 1"),
+        ("synth:seed=-1", "synth seed=-1 must be at least 0"),
+    ],
+    ids=["T-text", "N-fraction", "sim-text", "T-zero", "N-one", "d-zero", "seed-negative"],
+)
+def test_resolve_dataset_names_a_bad_synth_value(spec, message):
+    with pytest.raises(ValueError) as err:
+        resolve_dataset(spec)
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------------------ report
 
 def test_summary_stars_reproducible_from_csv(tmp_path):

@@ -372,7 +372,7 @@ def test_weighted_empirical_loss_rejects_bad_rho_and_misaligned_stacks():
     model = fit(tasks, stacks, TrainConfig(mode="average"), SPECS)
     with pytest.raises(ValueError, match="rho must be positive"):
         weighted_empirical_loss(model, 0.0, stacks)
-    with pytest.raises(ValueError, match="zip"):
+    with pytest.raises(ValueError, match=r"expected one stack per task \(2\), got 1"):
         weighted_empirical_loss(model, 1.0, stacks[:1])
     with pytest.raises(ValueError, match=f"stack of task {tasks[0].task_id!r} has shape"):
         weighted_empirical_loss(model, 1.0, make_stacks(tasks[:1], SPECS[:3]) + stacks[1:])
@@ -531,6 +531,14 @@ def load_error(path, tasks):
     message = str(info.value)
     assert message.startswith(f"{path}: ")
     return message
+
+
+@pytest.mark.parametrize("header", ["conicmtl-model vx", "conicmtl-model v2", "conicmtl-model v"])
+def test_load_names_the_file_and_a_bad_version_header(tmp_path, header):
+    _, tasks, path = saved_model(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
+    assert load_error(path, tasks) == f"{path}: unsupported model version header {header!r}"
 
 
 @pytest.mark.parametrize("mode", ["conic", "average", "pareto"])
