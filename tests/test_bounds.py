@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from conicmtl.data import Scaler, TaskDataset, synth_multitask
 from conicmtl.kernels import GramStack, build_gram_stack, default_kernel_dictionary
 from conicmtl.training import TrainConfig, fit
 from conicmtl.util import conjugate_exponent, derive_seed, lp_norm
+from conicmtl import verification
 from conicmtl.verification import random_stacks, run_verification_suite
 
 
@@ -775,4 +777,33 @@ def test_verification_suite_lines_are_pinned():
         "PASS budget-split bound dominates exhaustive complexity: 8 instances, 0 violations",
         "PASS path-tracing weights exceed 1 and fall as the exponent grows: 50 weight vectors, 0 violations",
         "PASS fixed-weights total stays below the uniform total: 10 instances, 0 violations",
+    ]
+
+
+def test_verification_suite_lines_are_pinned_at_a_second_seed():
+    assert [result.line() for result in run_verification_suite(seed=4, n_instances=20)] == [
+        "PASS complexity decreases in each task weight: 39 perturbations, 0 violations",
+        "PASS complexity grows with each sign scale: 41 perturbations, 0 violations",
+        "PASS doubling all task weights divides complexity by sqrt(2): worst relative deviation 1.96e-16",
+        "PASS trace-norm upper bound dominates exhaustive complexity: 50 instances, 0 violations",
+        "PASS budget-split bound dominates exhaustive complexity: 20 instances, 0 violations",
+        "PASS path-tracing weights exceed 1 and fall as the exponent grows: 50 weight vectors, 0 violations",
+        "PASS fixed-weights total stays below the uniform total: 10 instances, 0 violations",
+    ]
+
+
+def test_verification_suite_fail_lines_are_pinned(monkeypatch):
+    """Broken estimators, weights and totals make every check but the sign-scale one fail, with these counts."""
+    monkeypatch.setattr(verification, "rademacher_mc", lambda *args, **kwargs: SimpleNamespace(mean=1.0))
+    monkeypatch.setattr(verification, "estimate_scale_constant", lambda *args, **kwargs: SimpleNamespace(mean=0.0))
+    monkeypatch.setattr(verification, "pareto_lambda", lambda f, p: np.full(len(f), 1.0 if p == 1.0 else 0.5 + p))
+    monkeypatch.setattr(verification, "bound_rhs_fixed_lambda", lambda *args, **kwargs: np.inf)
+    assert [result.line() for result in run_verification_suite(seed=3, n_instances=6)] == [
+        "FAIL complexity decreases in each task weight: 12 perturbations, 12 violations",
+        "PASS complexity grows with each sign scale: 11 perturbations, 0 violations",
+        "FAIL doubling all task weights divides complexity by sqrt(2): worst relative deviation 2.93e-01",
+        "FAIL trace-norm upper bound dominates exhaustive complexity: 50 instances, 8 violations",
+        "FAIL budget-split bound dominates exhaustive complexity: 6 instances, 6 violations",
+        "FAIL path-tracing weights exceed 1 and fall as the exponent grows: 50 weight vectors, 650 violations",
+        "FAIL fixed-weights total stays below the uniform total: 10 instances, 10 violations",
     ]
