@@ -10,13 +10,18 @@ after the other; the base goes first on even pairs and the change on odd
 ones, so a drift of the machine's load does not favour either side.
 Every run's metrics, the per-side medians and quartiles, the per-pair
 ratios (change / base), each side's `src_sha256` and, per end-to-end
-metric, the verdict of the gain rule go to `BENCH_<label>.json` in the
-current directory. Nothing in either checkout is modified.
+metric, the verdicts of the gain rule and of the no-regression rule go to
+`BENCH_<label>.json` in the current directory. Nothing in either checkout
+is modified.
 
 The gain rule takes the direction (`better`) of each metric from the
 change's `BENCHMARK.json`: the change is better in at least 9 of 10 pairs
 (a tie counts for neither side), and its median is further from the
 base's median, in that direction, than the base's q3 - q1.
+
+The no-regression rule takes each metric's `bound` from the same file: it
+fails when the change's median is worse than the base's median, in the
+metric's direction, by more than `bound` times the base's median.
 """
 
 from __future__ import annotations
@@ -86,10 +91,18 @@ def src_sha256(root: Path) -> str:
     return h.hexdigest()
 
 
+def _end_to_end(root: Path) -> list:
+    return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+
 def directions(root: Path) -> dict:
     """Metric name -> "lower" or "higher", from the end-to-end metrics of root's BENCHMARK.json."""
-    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in _end_to_end(root)}
+
+
+def regression_bounds(root: Path) -> dict:
+    """Metric name -> its no-regression bound, a fraction of the base median, from root's BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in _end_to_end(root)}
 
 
 def gain_rule(entry: dict, base: list, change: list, better: str) -> dict:
@@ -109,10 +122,20 @@ def gain_rule(entry: dict, base: list, change: list, better: str) -> dict:
     }
 
 
-def summarize(runs, better=None) -> dict:
+def no_regression_rule(entry: dict, better: str, bound: float) -> dict:
+    """Whether the change's median stays within the metric's bound of the base median (module docstring)."""
+    base, change = entry["base"]["median"], entry["change"]["median"]
+    worse_by = change - base if better == "lower" else base - change
+    limit = bound * abs(base)
+    return {"bound": bound, "worse_by": worse_by, "limit": limit, "holds": worse_by <= limit}
+
+
+def summarize(runs, better=None, bounds=None) -> dict:
     """Per metric: each side's median and quartiles, the per-pair ratios and, where
-    `better` gives the metric's direction, the gain rule's verdict."""
+    `better` gives the metric's direction, the gain rule's verdict and, where
+    `bounds` also gives its bound, the no-regression rule's verdict."""
     better = better or {}
+    bounds = bounds or {}
     names = list(runs[0]["metrics"])
     out = {}
     for name in names:
@@ -129,6 +152,8 @@ def summarize(runs, better=None) -> dict:
         entry["pairs_higher"] = sum(c > b for b, c in zip(values["base"], values["change"]))
         if name in better:
             entry["gain_rule"] = gain_rule(entry, values["base"], values["change"], better[name])
+            if name in bounds:
+                entry["no_regression"] = no_regression_rule(entry, better[name], bounds[name])
         out[name] = entry
     return out
 
@@ -146,7 +171,7 @@ def main(argv=None):
             wall = run["metrics"]["wall_s"]
             print(f"pair {k} {side:<6} wall_s {wall:.4f} s  failed {run['failed']}", flush=True)
     runs.sort(key=lambda r: (SIDES.index(r["side"]), r["pair"]))
-    summary = summarize(runs, directions(args.change))
+    summary = summarize(runs, directions(args.change), regression_bounds(args.change))
     record = {
         "workload": args.workload,
         "seed": args.seed,
@@ -168,6 +193,10 @@ def main(argv=None):
             f", {rule['better']} is better: better in {rule['pairs_better']} of {args.pairs}, "
             f"gain {rule['median_gain']:.4g} vs base IQR {rule['base_iqr']:.4g}, "
             f"gain rule {'holds' if rule['holds'] else 'fails'}")
+        kept = entry.get("no_regression")
+        if kept is not None:
+            verdict += (f", worse by {kept['worse_by']:.4g} vs limit {kept['limit']:.4g} "
+                        f"({kept['bound']:g} x base median), no-regression rule {'holds' if kept['holds'] else 'fails'}")
         ratio = "n/a" if entry["median_ratio"] is None else f"{entry['median_ratio']:.3f}"
         print(f"{name} median base {entry['base']['median']:.4f}, change {entry['change']['median']:.4f}, "
               f"median ratio {ratio}{verdict}")

@@ -129,6 +129,9 @@ def cmd_train(args):
 def cmd_predict(args):
     tasks = data_io.load_task_directory(args.train_data)
     model = load_model(args.model, tasks)
+    task_ids = [task.task_id for task in model.tasks]
+    if args.task not in task_ids:  # task_index raises KeyError, which main does not turn into an error line
+        raise ValueError(f"unknown task {args.task!r}; the model's tasks are {', '.join(task_ids)}")
     X, y = data_io.load_sparse_text(args.input, n_features=tasks[0].X.shape[1])
     if model.scaler is not None and not args.pre_scaled:
         X = model.scaler.transform(X)

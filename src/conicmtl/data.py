@@ -55,7 +55,10 @@ class Scaler:
     def transform(self, X) -> np.ndarray:
         if self.mean is None:
             raise ValueError("scaler not fitted")
-        return (np.asarray(X, dtype=np.float64) - self.mean) / self.scale
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[-1] != self.mean.size:
+            raise ValueError(f"data have {X.shape[-1]} features, but the scaler was fitted on {self.mean.size}")
+        return (X - self.mean) / self.scale
 
     def transform_tasks(self, tasks) -> list:
         """The tasks with standardized features; ids and labels kept."""

@@ -6,6 +6,10 @@ checks enumerate every sign pattern, so there is no sampling noise; the
 path-tracing check evaluates the weight formula on a grid of exponents,
 and the fixed-versus-uniform check compares the two bound totals at drawn
 loss and complexity values. The suite backs the `radcheck` command.
+
+Instance k of a check is seeded from (the check's tag, seed, k) alone, so
+no check's lines depend on another check, on the instance count or on the
+order in which the checks run.
 """
 
 from __future__ import annotations
@@ -51,59 +55,52 @@ def random_stacks(rng, T=None, N=None, M=None):
     return stacks
 
 
+def _instances(tag, seed, n_instances):
+    """One random generator per instance of a check; instance k is seeded from (tag, seed, k) alone."""
+    if isinstance(n_instances, bool) or not isinstance(n_instances, (int, np.integer)) or n_instances < 1:
+        raise ValueError(f"n_instances must be a positive integer, got {n_instances!r}")
+    return (np.random.default_rng(derive_seed(tag, seed, k)) for k in range(n_instances))
+
+
+def _tally(name, noun, cases) -> CheckResult:
+    """The result of a check from one violation count per case; a bool counts as 0 or 1."""
+    counts = [int(case) for case in cases]
+    violations = sum(counts)
+    return CheckResult(name, violations == 0, f"{len(counts)} {noun}, {violations} violations")
+
+
 def check_complexity_monotone_in_task_weights(n_instances=50, seed=0) -> CheckResult:
-    violations = 0
-    tried = 0
-    for k in range(n_instances):
-        rng = np.random.default_rng(derive_seed("mono-lam", seed, k))
-        stacks = random_stacks(rng)
-        T = len(stacks)
-        p = float(rng.choice([1.0, 4.0 / 3.0, 2.0, 4.0]))
-        lam = rng.uniform(1.0, 3.0, size=T)
-        base = rademacher_mc(stacks, lam, R=1.0, p=p).mean
-        for t in range(T):
-            bumped = lam.copy()
-            bumped[t] *= 1.5
-            value = rademacher_mc(stacks, bumped, R=1.0, p=p).mean
-            tried += 1
-            if not value < base:  # kernels are nonzero, so strictly smaller
-                violations += 1
-    return CheckResult(
-        "complexity decreases in each task weight",
-        violations == 0,
-        f"{tried} perturbations, {violations} violations",
-    )
+    def perturbations():
+        for rng in _instances("mono-lam", seed, n_instances):
+            stacks = random_stacks(rng)
+            p = float(rng.choice([1.0, 4.0 / 3.0, 2.0, 4.0]))
+            lam = rng.uniform(1.0, 3.0, size=len(stacks))
+            base = rademacher_mc(stacks, lam, R=1.0, p=p).mean
+            for t in range(len(stacks)):
+                bumped = lam.copy()
+                bumped[t] *= 1.5
+                yield not rademacher_mc(stacks, bumped, R=1.0, p=p).mean < base  # kernels are nonzero: strictly smaller
+    return _tally("complexity decreases in each task weight", "perturbations", perturbations())
 
 
 def check_complexity_monotone_in_sign_scales(n_instances=50, seed=0) -> CheckResult:
-    violations = 0
-    tried = 0
-    for k in range(n_instances):
-        rng = np.random.default_rng(derive_seed("mono-gam", seed, k))
-        stacks = random_stacks(rng)
-        T = len(stacks)
-        p = float(rng.choice([1.0, 2.0, 4.0]))
-        lam = rng.uniform(1.0, 3.0, size=T)
-        gamma = rng.uniform(0.5, 2.0, size=T)
-        base = rademacher_mc(stacks, lam, R=1.0, p=p, gamma=gamma).mean
-        for t in range(T):
-            bumped = gamma.copy()
-            bumped[t] *= 1.5
-            value = rademacher_mc(stacks, lam, R=1.0, p=p, gamma=bumped).mean
-            tried += 1
-            if value < base:
-                violations += 1
-    return CheckResult(
-        "complexity grows with each sign scale",
-        violations == 0,
-        f"{tried} perturbations, {violations} violations",
-    )
+    def perturbations():
+        for rng in _instances("mono-gam", seed, n_instances):
+            stacks = random_stacks(rng)
+            p = float(rng.choice([1.0, 2.0, 4.0]))
+            lam = rng.uniform(1.0, 3.0, size=len(stacks))
+            gamma = rng.uniform(0.5, 2.0, size=len(stacks))
+            base = rademacher_mc(stacks, lam, R=1.0, p=p, gamma=gamma).mean
+            for t in range(len(stacks)):
+                bumped = gamma.copy()
+                bumped[t] *= 1.5
+                yield rademacher_mc(stacks, lam, R=1.0, p=p, gamma=bumped).mean < base
+    return _tally("complexity grows with each sign scale", "perturbations", perturbations())
 
 
 def check_complexity_halves_at_doubled_weights(n_instances=25, seed=0) -> CheckResult:
     worst = 0.0
-    for k in range(n_instances):
-        rng = np.random.default_rng(derive_seed("homog", seed, k))
+    for rng in _instances("homog", seed, n_instances):
         stacks = random_stacks(rng)
         lam = rng.uniform(1.0, 3.0, size=len(stacks))
         p = float(rng.choice([1.0, 2.0, 4.0]))
@@ -118,9 +115,7 @@ def check_complexity_halves_at_doubled_weights(n_instances=25, seed=0) -> CheckR
 
 
 def check_trace_norm_bound(n_instances=100, seed=0) -> CheckResult:
-    violations = 0
-    for k in range(n_instances):
-        rng = np.random.default_rng(derive_seed("trace-bound", seed, k))
+    def violated(rng):
         T = int(rng.integers(1, 4))
         N = int(rng.integers(1, 5))
         M = int(rng.integers(1, 4))
@@ -128,66 +123,44 @@ def check_trace_norm_bound(n_instances=100, seed=0) -> CheckResult:
         p = float(rng.choice([4.0 / 3.0, 2.0, 4.0]))
         lam = rng.uniform(1.0, 4.0, size=T)
         R = float(rng.uniform(0.5, 3.0))
-        mc = rademacher_mc(stacks, lam, R=R, p=p).mean
-        if mc > erc_upper_bound_lp(stacks, lam, R, p) + 1e-12:
-            violations += 1
-    return CheckResult(
-        "trace-norm upper bound dominates exhaustive complexity",
-        violations == 0,
-        f"{n_instances} instances, {violations} violations",
-    )
+        return rademacher_mc(stacks, lam, R=R, p=p).mean > erc_upper_bound_lp(stacks, lam, R, p) + 1e-12
+    cases = map(violated, _instances("trace-bound", seed, n_instances))
+    return _tally("trace-norm upper bound dominates exhaustive complexity", "instances", cases)
 
 
 def check_budget_split_bound(n_instances=50, seed=0) -> CheckResult:
-    violations = 0
-    for k in range(n_instances):
-        rng = np.random.default_rng(derive_seed("split-bound", seed, k))
+    def violated(rng):
         stacks = random_stacks(rng)
-        T = len(stacks)
         p = float(rng.choice([1.0, 2.0, 4.0]))
-        lam = rng.uniform(1.0, 4.0, size=T)
+        lam = rng.uniform(1.0, 4.0, size=len(stacks))
         R = float(rng.uniform(0.5, 2.0))
         total = sum(s.n_samples for s in stacks)
         mc = rademacher_mc(stacks, lam, R=R, p=p).mean
         scale = estimate_scale_constant(stacks, R=R, p=p).mean
-        rhs = 2.0 / total * np.sqrt(float((1.0 / lam).sum())) * scale
-        if mc > rhs + 1e-12:
-            violations += 1
-    return CheckResult(
-        "budget-split bound dominates exhaustive complexity",
-        violations == 0,
-        f"{n_instances} instances, {violations} violations",
-    )
+        return mc > 2.0 / total * np.sqrt(float((1.0 / lam).sum())) * scale + 1e-12
+    cases = map(violated, _instances("split-bound", seed, n_instances))
+    return _tally("budget-split bound dominates exhaustive complexity", "instances", cases)
 
 
 def check_pareto_weights(n_instances=100, seed=0) -> CheckResult:
-    violations = 0
     grid = np.arange(0.1, 0.95, 0.1)
-    for k in range(n_instances):
-        rng = np.random.default_rng(derive_seed("pareto", seed, k))
+
+    def violations(rng):
         T = int(rng.integers(2, 6))
         f = rng.uniform(0.2, 5.0, size=T)
-        if np.any(pareto_lambda(f, 1.0) != 1.0):
-            violations += 1
-        prev = None
-        for p in grid:
-            lam = pareto_lambda(f, float(p))
-            if np.any(lam <= 1.0):
-                violations += 1
-            if prev is not None and not np.all(lam < prev):
-                violations += 1
-            prev = lam
-    return CheckResult(
-        "path-tracing weights exceed 1 and fall as the exponent grows",
-        violations == 0,
-        f"{n_instances} weight vectors, {violations} violations",
-    )
+        at_one = pareto_lambda(f, 1.0)
+        path = [pareto_lambda(f, float(p)) for p in grid]
+        return (
+            int(np.any(at_one != 1.0))
+            + sum(bool(np.any(lam <= 1.0)) for lam in path)
+            + sum(not np.all(lam < prev) for prev, lam in zip(path, path[1:]))
+        )
+    cases = map(violations, _instances("pareto", seed, n_instances))
+    return _tally("path-tracing weights exceed 1 and fall as the exponent grows", "weight vectors", cases)
 
 
 def check_fixed_below_adaptive(n_instances=25, seed=0) -> CheckResult:
-    violations = 0
-    for k in range(n_instances):
-        rng = np.random.default_rng(derive_seed("fixed-vs-any", seed, k))
+    def violated(rng):
         T = int(rng.integers(1, 5))
         lam = rng.uniform(1.2, 3.0, size=T)
         N = int(rng.integers(2, 30))
@@ -195,14 +168,9 @@ def check_fixed_below_adaptive(n_instances=25, seed=0) -> CheckResult:
         emp = float(rng.uniform(0.0, 0.5))
         erc = float(rng.uniform(1e-3, 0.5))
         adaptive = bound_rhs_any_lambda(emp, erc, task_weights=lam, **bound).total
-        fixed = bound_rhs_fixed_lambda(emp, erc, **bound)
-        if not fixed < adaptive:
-            violations += 1
-    return CheckResult(
-        "fixed-weights total stays below the uniform total",
-        violations == 0,
-        f"{n_instances} instances, {violations} violations",
-    )
+        return not bound_rhs_fixed_lambda(emp, erc, **bound) < adaptive
+    cases = map(violated, _instances("fixed-vs-any", seed, n_instances))
+    return _tally("fixed-weights total stays below the uniform total", "instances", cases)
 
 
 def run_verification_suite(seed: int = 0, n_instances: int = 50) -> list:

@@ -1,4 +1,5 @@
-"""Checks of the summary, the gain rule and the source digest of scripts/bench_pairs.py, on synthetic runs."""
+"""Checks of the summary, the gain and no-regression rules and the source digest of scripts/bench_pairs.py,
+on synthetic runs."""
 
 import importlib.util
 from pathlib import Path
@@ -30,7 +31,7 @@ def test_summary_has_medians_quartiles_ratios_and_pair_counts():
     assert entry["change"]["median"] == pytest.approx(44.15)
     assert entry["pair_ratios"] == [c / b for b, c in zip(BASE, change)]
     assert (entry["pairs_lower"], entry["pairs_higher"]) == (8, 1)
-    assert "gain_rule" not in entry  # no direction given
+    assert "gain_rule" not in entry and "no_regression" not in entry  # no direction given
 
 
 @pytest.mark.parametrize(
@@ -56,6 +57,32 @@ def test_directions_come_from_the_benchmark_declaration():
     assert bench_pairs.directions(ROOT) == {
         "wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower", "mean_accuracy": "higher",
     }
+
+
+def test_bounds_come_from_the_benchmark_declaration():
+    assert bench_pairs.regression_bounds(ROOT) == {
+        "wall_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1, "mean_accuracy": 0.15,
+    }
+
+
+@pytest.mark.parametrize(
+    "name, base, change, better, holds",
+    [
+        ("setup_s", 0.140, 0.185, "lower", False),  # a refused change's medians: ratio 1.32 against a 0.25 bound
+        ("wall_s", 1.383, 1.327, "lower", True),  # the same change's wall time fell
+        ("wall_s", 1.0, 1.24, "lower", True),
+        ("mean_accuracy", 0.80, 0.70, "higher", True),
+        ("mean_accuracy", 0.80, 0.67, "higher", False),
+    ],
+    ids=["setup-regressed", "wall-fell", "wall-within-bound", "accuracy-within-bound", "accuracy-regressed"],
+)
+def test_no_regression_rule_fails_a_median_worse_than_the_bound_allows(name, base, change, better, holds):
+    runs = runs_of([base] * 10, [change] * 10, name)
+    entry = bench_pairs.summarize(runs, {name: better}, bench_pairs.regression_bounds(ROOT))[name]
+    rule = entry["no_regression"]
+    assert rule["bound"] == bench_pairs.regression_bounds(ROOT)[name]
+    assert rule["worse_by"] == pytest.approx(change - base if better == "lower" else base - change)
+    assert rule["holds"] is holds
 
 
 def test_source_digest_covers_every_path_and_byte(tmp_path):

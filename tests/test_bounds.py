@@ -688,6 +688,20 @@ def test_verification_suite_all_pass():
         assert result.passed, result.line()
 
 
+@pytest.mark.parametrize("n_instances", [0, -3, True, 2.5])
+def test_every_check_rejects_an_instance_count_that_is_not_a_positive_integer(monkeypatch, n_instances):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the instance count was checked")
+
+    for name in ("random_stacks", "rademacher_mc", "estimate_scale_constant", "pareto_lambda", "bound_rhs_any_lambda"):
+        monkeypatch.setattr(verification, name, never)
+    checks = [getattr(verification, name) for name in dir(verification) if name.startswith("check_")]
+    assert len(checks) == 7
+    for check in [*checks, run_verification_suite]:
+        with pytest.raises(ValueError, match=rf"^n_instances must be a positive integer, got {n_instances!r}$"):
+            check(n_instances=n_instances)
+
+
 # ---------------------------------------------------------- pinned outputs
 
 GOLDEN_REPORTS = {

@@ -102,6 +102,24 @@ def test_bound_prints_the_report_of_the_loaded_model(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == report.lines()
 
 
+def test_predict_names_an_unknown_task_and_lists_the_models_tasks(tmp_path, capsys):
+    model_path, split = train(tmp_path, "m", "--fraction", "0.5")
+    argv = ["predict", "--model", str(model_path), "--train-data", str(split),
+            "--input", str(split / "task_synth1.txt"), "--task", "synth9"]
+    assert error_message(capsys, argv) == "unknown task 'synth9'; the model's tasks are synth0, synth1"
+
+
+def test_bound_names_both_feature_counts_of_a_mismatched_test_set(tmp_path, capsys):
+    model_path, split = train(tmp_path, "m", "--fraction", "0.5")
+    argv = ["bound", "--model", str(model_path), "--train-data", str(split), "--test-data", "synth:T=2,N=30"]
+    assert error_message(capsys, argv) == "data have 6 features, but the scaler was fitted on 5"
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_radcheck_rejects_an_instance_count_below_one(capsys, count):
+    assert error_message(capsys, ["radcheck", "--instances", count]) == f"n_instances must be a positive integer, got {count}"
+
+
 @pytest.mark.parametrize(
     "line, message",
     [("C = 0xzz", "[config] C = 0xzz: invalid hexadecimal floating-point string"),

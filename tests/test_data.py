@@ -337,6 +337,14 @@ def test_scaler_standardizes_train_and_reuses_parameters():
     assert np.allclose(scaler.transform(X_test), (X_test - scaler.mean) / scaler.scale)
 
 
+def test_scaler_names_both_feature_counts_of_mismatched_data():
+    scaler = Scaler().fit(np.ones((10, 4)))
+    with pytest.raises(ValueError, match=r"^data have 6 features, but the scaler was fitted on 4$"):
+        scaler.transform(np.ones((30, 6)))
+    with pytest.raises(ValueError, match=r"^data have 3 features, but the scaler was fitted on 4$"):
+        scaler.transform_tasks([TaskDataset("t0", np.ones((5, 3)), np.ones(5))])
+
+
 def test_scaler_constant_feature_is_left_centered():
     X = np.ones((10, 2))
     X[:, 1] = np.arange(10)
