@@ -3,6 +3,7 @@ defaults the CLI leaves to the library, and of the commands and config keys
 the README documents."""
 
 import argparse
+import hashlib
 import os
 import re
 import subprocess
@@ -60,6 +61,21 @@ def test_train_twice_writes_identical_model_and_split_bytes(tmp_path, extra):
     assert directory_bytes(split_a) == directory_bytes(split_b)
     model = load_model(model_a, load_task_directory(split_a))
     assert (model.config.C, model.config.p) == (2.0, 1.5)
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ((), "215737a138e9ab4c44d2bd4b646b2a7bcb8a458faf9b5f6f1172b7ba63dfd609"),
+        (("--use-bias",), "4e9c35acfc34fd2a1786624d195266096afaa31db1fc991dd03dcbd0bd9bdf56"),
+    ],
+    ids=["no-bias", "bias"],
+)
+def test_train_model_document_bytes_are_pinned(tmp_path, extra, digest):
+    model = tmp_path / "m.txt"
+    argv = ["train", "--data", "sample:mtl", "--fraction", "0.5", "--seed", "3", *extra, "--out", str(model)]
+    assert main(argv) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == digest
 
 
 def test_predict_pre_scaled_prints_the_models_decision_values(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -289,6 +290,25 @@ def test_build_gram_stack_is_byte_identical_to_the_oracle():
     specs = default_kernel_dictionary() + EXPANSION_SPECS
     want = [oracle_compute_gram(spec, X, X).tobytes() for spec in specs]
     assert [g.tobytes() for g in build_gram_stack("t", X, specs).grams] == want
+
+
+@pytest.mark.parametrize(
+    "specs, digest",
+    [
+        (default_kernel_dictionary(), "5742f0d0460b35066d4b38c91ead99ea4b1034f068adbe5537dcf8c774b542d5"),
+        # spreads that are not powers of two: a rewritten scale such as 0.5 * (1 / s)**2 rounds differently
+        (
+            [KernelSpec(kind="gaussian", spread=s) for s in (0.3, 0.7, 1.9, 3.0)]
+            + [KernelSpec(kind="gaussian", spread=0.7, normalize=True)],
+            "81e9c8c3e3cd103785cce4cd8b111d0d2c5508f9ede4a229fc1b00b9efc03ce2",
+        ),
+    ],
+    ids=["dictionary", "other-spreads"],
+)
+def test_gram_stack_bytes_are_pinned(specs, digest):
+    # the oracle tests share the kernel formulas, so a rewrite of a formula moves both sides
+    X = np.random.default_rng(60).standard_normal((60, 6))
+    assert hashlib.sha256(build_gram_stack("t", X, specs).grams.tobytes()).hexdigest() == digest
 
 
 def exp_sweep():
