@@ -9,7 +9,8 @@ BASE and CHANGE are checkout directories, each with `perfbench/run.py` and
 after the other; the base goes first on even pairs and the change on odd
 ones, so a drift of the machine's load does not favour either side.
 Every run's metrics, the per-side medians and quartiles, the per-pair
-ratios (change / base), each side's `src_sha256` and, per end-to-end
+ratios (change / base), each side's `src_sha256` and `src_lines`
+(physical and non-blank line counts of the same files) and, per end-to-end
 metric, the verdicts of the gain rule and of the no-regression rule go to
 `BENCH_<label>.json` in the current directory. Nothing in either checkout
 is modified.
@@ -81,14 +82,23 @@ def _quartiles(values):
     return q1, q3
 
 
+def _sources(root: Path) -> list:
+    return sorted((root / "src" / "conicmtl").rglob("*.py"))
+
+
 def src_sha256(root: Path) -> str:
     """sha256 over the sorted relative paths and bytes of src/conicmtl/**/*.py; names what a side ran."""
     h = hashlib.sha256()
-    src = root / "src" / "conicmtl"
-    for path in sorted(src.rglob("*.py")):
-        h.update(path.relative_to(src).as_posix().encode() + b"\0")
+    for path in _sources(root):
+        h.update(path.relative_to(root / "src" / "conicmtl").as_posix().encode() + b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def src_lines(root: Path) -> dict:
+    """Physical and non-blank line counts over the files that src_sha256 reads."""
+    lines = [line for path in _sources(root) for line in path.read_bytes().splitlines()]
+    return {"physical": len(lines), "non_blank": sum(1 for line in lines if line.strip())}
 
 
 def _end_to_end(root: Path) -> list:
@@ -182,6 +192,7 @@ def main(argv=None):
         "order": "base first on even pairs, change first on odd pairs",
         "facts": facts,
         "src_sha256": {side: src_sha256(getattr(args, side)) for side in SIDES},
+        "src_lines": {side: src_lines(getattr(args, side)) for side in SIDES},
         "summary": summary,
         "runs": runs,
     }

@@ -401,6 +401,14 @@ def bound_report(
     T = len(model.tasks)
     r_max = model.config.r_max
     _check_bound_values(r_max, rho, delta)
+    by_id = {t.task_id: t for t in test_tasks}
+    model_ids = [task.task_id for task in model.tasks]
+    missing = [task_id for task_id in model_ids if task_id not in by_id]
+    unknown = [task_id for task_id in by_id if task_id not in model_ids]
+    if missing or unknown:
+        raise ValueError(
+            f"test tasks must pair with the model's tasks {model_ids}: missing {missing}, not in the model {unknown}"
+        )
     if stacks is None:
         stacks = [
             build_gram_stack(task.task_id, task.X, model.kernel_specs) for task in model.tasks
@@ -419,13 +427,10 @@ def bound_report(
         terms = bound_rhs_any_lambda(emp, est.mean, task_weights=lam, **bound)
     fixed_total = bound_rhs_fixed_lambda(emp, est.mean, **bound)
 
-    by_id = {t.task_id: t for t in test_tasks}
     errors = []
-    for task in model.tasks:
-        if task.task_id not in by_id:
-            raise ValueError(f"no test split supplied for task {task.task_id!r}")
-        test = by_id[task.task_id]
-        values = decision_values(model, task.task_id, test.X)
+    for task_id in model_ids:
+        test = by_id[task_id]
+        values = decision_values(model, task_id, test.X)
         errors.append(float((test.y * values <= 0.0).mean()))
 
     return BoundReport(

@@ -133,6 +133,8 @@ def cmd_predict(args):
     if args.task not in task_ids:  # task_index raises KeyError, which main does not turn into an error line
         raise ValueError(f"unknown task {args.task!r}; the model's tasks are {', '.join(task_ids)}")
     X, y = data_io.load_sparse_text(args.input, n_features=tasks[0].X.shape[1])
+    if not y.size:
+        raise ValueError(f"{args.input}: no samples to predict")
     if model.scaler is not None and not args.pre_scaled:
         X = model.scaler.transform(X)
     labels, values = predict(model, args.task, X)
@@ -143,7 +145,7 @@ def cmd_predict(args):
         print(f"wrote {len(lines)} predictions to {args.out}")
     else:
         sys.stdout.write(text)
-    if y.size and set(np.unique(y).tolist()) <= {-1.0, 1.0}:
+    if set(np.unique(y).tolist()) <= {-1.0, 1.0}:
         print(f"accuracy vs file labels: {float((labels == y).mean())!r}")
     return 0
 

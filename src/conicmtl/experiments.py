@@ -14,8 +14,8 @@ import numpy as np
 
 from . import data as data_io
 from .kernels import GramStack, build_gram_stack, default_kernel_dictionary
-from .training import TrainConfig, fit, predict
-from .util import conjugate_exponent, derive_seed, float_text
+from .training import TrainConfig, fit, predict, task_costs
+from .util import derive_seed, float_text
 
 RESULT_HEADER = "dataset,fraction,method,seed,mean_accuracy,C,p,a,p_exp,wall_ms,converged"
 
@@ -179,8 +179,7 @@ def _fold_assignments(task: data_io.TaskDataset, folds: int, seed: int) -> np.nd
 
 
 def budget_from_fraction(stacks, p: float, frac: float) -> float:
-    p_star = conjugate_exponent(p)
-    return frac * float(sum(s.trace_norm(p_star) for s in stacks))
+    return frac * float(task_costs(stacks, p).sum())
 
 
 def _train_method(method, tasks, stacks, specs, cell, config: ExperimentConfig):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .util import lp_norm
 
-GAUSSIAN_CONVENTIONS = ("sigma", "sigma_sq", "gamma")
 EXPAND_BLOCK = 2048  # columns per block of an `expand` call
 EXP_ZERO = -745.2  # np.exp is exactly +0.0 below this argument
 EXP_FAST = -707.0  # np.exp takes its fast path above -1021 ln 2 = -707.70 (numpy 2.4, AVX-512)
@@ -24,15 +23,11 @@ EXP_SPLIT_MIN = 2048  # lanes; on fewer, exp's slow lanes cost less than splitti
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One base kernel: linear, polynomial(degree, offset) or gaussian(spread).
+    """One base kernel: linear, polynomial(degree, offset) or gaussian(spread),
+    where a gaussian is exp(-||x-y||^2 / (2 spread^2)).
 
     normalize applies cosine normalization so the induced feature vectors
     have unit length; gaussian kernels already do.
-
-    gaussian_convention selects how `spread` enters the exponent:
-      sigma     exp(-||x-y||^2 / (2 spread^2))   (default)
-      sigma_sq  exp(-||x-y||^2 / (2 spread))
-      gamma     exp(-spread ||x-y||^2)
     """
 
     kind: str
@@ -40,7 +35,6 @@ class KernelSpec:
     offset: float = 1.0
     spread: float = 1.0
     normalize: bool = False
-    gaussian_convention: str = "sigma"
 
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial", "gaussian"):
@@ -49,8 +43,6 @@ class KernelSpec:
             raise ValueError("polynomial degree must be >= 1")
         if self.kind == "polynomial" and not math.isfinite(self.offset):
             raise ValueError(f"polynomial offset must be finite, got offset={self.offset!r}")
-        if self.gaussian_convention not in GAUSSIAN_CONVENTIONS:
-            raise ValueError(f"unknown gaussian convention: {self.gaussian_convention!r}")
         if self.kind == "gaussian":
             if not (math.isfinite(self.spread) and self.spread > 0):
                 raise ValueError(f"gaussian spread must be finite and positive, got spread={self.spread!r}")
@@ -59,10 +51,7 @@ class KernelSpec:
             except ArithmeticError:  # spread**2 overflows, or 2 spread**2 is 0
                 scale = math.nan
             if not (math.isfinite(scale) and scale > 0):
-                raise ValueError(
-                    f"gaussian spread={self.spread!r} has no finite positive scale "
-                    f"under convention {self.gaussian_convention!r}"
-                )
+                raise ValueError(f"gaussian spread={self.spread!r} has no finite positive scale")
 
     def label(self) -> str:
         if self.kind == "linear":
@@ -70,7 +59,7 @@ class KernelSpec:
         elif self.kind == "polynomial":
             core = f"poly:d={self.degree}:off={self.offset!r}"
         else:
-            core = f"gauss:s={self.spread!r}:conv={self.gaussian_convention}"
+            core = f"gauss:s={self.spread!r}:conv=sigma"  # v1 model documents carry the conv field
         return f"{core}:norm={int(self.normalize)}"
 
     @staticmethod
@@ -91,9 +80,7 @@ class KernelSpec:
                 fields["offset"] = float(value)
             elif key == "s":
                 fields["spread"] = float(value)
-            elif key == "conv":
-                fields["gaussian_convention"] = value
-            else:
+            elif key != "conv":  # label() writes conv=sigma only; the canonical check rejects any other value
                 raise ValueError(f"unknown field {key!r} in kernel label {label!r}")
         kind = {"poly": "polynomial", "gauss": "gaussian"}.get(kind, kind)
         spec = KernelSpec(kind=kind, normalize=norm, **fields)
@@ -129,14 +116,8 @@ def _check_features(X: np.ndarray, name: str, d: int | None = None) -> np.ndarra
 
 
 def _gaussian_scale(spec: KernelSpec) -> float:
-    """The factor of ||x-y||^2 in a gaussian's exponent; only the spec's own
-    convention is evaluated."""
-    s = spec.spread
-    if spec.gaussian_convention == "sigma":
-        return 1.0 / (2.0 * s**2)
-    if spec.gaussian_convention == "sigma_sq":
-        return 1.0 / (2.0 * s)
-    return s
+    """The factor of ||x-y||^2 in a gaussian's exponent."""
+    return 1.0 / (2.0 * spec.spread**2)
 
 
 def _exp(arg, lo, hi, mask):

@@ -144,6 +144,13 @@ def _validate_fit_inputs(tasks, stacks, kernel_specs):
             raise ValueError(f"degenerate task {task.task_id!r}: one class only")
 
 
+def task_costs(stacks, p: float) -> np.ndarray:
+    """Each task's budget cost ||tr(G_t)||_{p*}; the budget's one source, so that
+    a budget of the summed costs is exactly the total a conic fit tests it against."""
+    p_star = conjugate_exponent(p)
+    return np.array([s.trace_norm(p_star) for s in stacks])
+
+
 def fit(tasks, stacks, config: TrainConfig, kernel_specs) -> MtlModel:
     """Train by block-coordinate descent.
 
@@ -154,8 +161,7 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs) -> MtlModel:
     _validate_fit_inputs(tasks, stacks, kernel_specs)
     T = len(tasks)
     M = stacks[0].n_kernels
-    p_star = conjugate_exponent(config.p)
-    costs = np.array([s.trace_norm(p_star) for s in stacks])
+    costs = task_costs(stacks, config.p)
 
     if config.mode == "conic":
         if float((costs / config.r_max).sum()) > config.budget * (1.0 + 1e-12):

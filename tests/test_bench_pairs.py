@@ -100,3 +100,12 @@ def test_source_digest_covers_every_path_and_byte(tmp_path):
     (pkg / "sub" / "b.py").write_text("y = 2\n")
     (pkg / "sub" / "b.py").rename(pkg / "b.py")
     assert bench_pairs.src_sha256(tmp_path) != first
+
+
+def test_source_line_counts_cover_the_digested_files(tmp_path):
+    pkg = tmp_path / "src" / "conicmtl"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\n   \ny = 2\n")
+    (pkg / "sub" / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("not source\n\n")
+    assert bench_pairs.src_lines(tmp_path) == {"physical": 5, "non_blank": 3}

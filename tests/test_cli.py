@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conicmtl import bounds, cli, training
+from conicmtl import bounds, cli, kernels, training
 from conicmtl.bounds import bound_report
 from conicmtl.cli import EXPERIMENT_KEYS, TRAIN_KEYS, build_parser, main
 from conicmtl.data import TaskDataset, load_sparse_text, load_task_directory, sample_mtl_path
@@ -166,6 +166,36 @@ def test_bound_rejects_a_bad_delta_or_rho_before_the_loss_and_sampling(tmp_path,
     monkeypatch.setattr(training, "weighted_empirical_loss", never)
     argv = ["bound", "--model", str(model_path), "--train-data", str(split), "--test-data", "sample:mtl", *option]
     assert error_message(capsys, argv) == message
+
+
+@pytest.mark.parametrize(
+    "test_data, message",
+    [
+        ("synth:T=1,N=30,d=5", "missing ['synth1'], not in the model []"),
+        ("synth:T=3,N=30,d=5", "missing [], not in the model ['synth2']"),
+    ],
+    ids=["missing", "unknown"],
+)
+def test_bound_rejects_test_tasks_that_do_not_pair_before_any_work(tmp_path, capsys, monkeypatch, test_data, message):
+    model_path, split = train(tmp_path, "m", "--fraction", "0.5")
+
+    def never(*args, **kwargs):
+        raise AssertionError("called before the test tasks were paired")
+
+    monkeypatch.setattr(bounds, "rademacher_mc", never)
+    monkeypatch.setattr(training, "weighted_empirical_loss", never)
+    monkeypatch.setattr(kernels, "build_gram_stack", never)
+    argv = ["bound", "--model", str(model_path), "--train-data", str(split), "--test-data", test_data]
+    prefix = "test tasks must pair with the model's tasks ['synth0', 'synth1']: "
+    assert error_message(capsys, argv) == prefix + message
+
+
+def test_predict_names_an_input_file_without_samples(tmp_path, capsys):
+    model_path, split = train(tmp_path, "m", "--fraction", "0.5")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    argv = ["predict", "--model", str(model_path), "--train-data", str(split), "--input", str(empty), "--task", "synth0"]
+    assert error_message(capsys, argv) == f"{empty}: no samples to predict"
 
 
 def write_config(tmp_path, text):

@@ -102,8 +102,8 @@ EXPANSION_SPECS = [
     KernelSpec(kind="polynomial", degree=2, offset=1.0, normalize=True),
     KernelSpec(kind="polynomial", degree=3, offset=0.5),
     KernelSpec(kind="gaussian", spread=0.8),
-    KernelSpec(kind="gaussian", spread=0.8, gaussian_convention="sigma_sq"),
-    KernelSpec(kind="gaussian", spread=0.8, gaussian_convention="gamma"),
+    KernelSpec(kind="gaussian", spread=0.8**0.5),
+    KernelSpec(kind="gaussian", spread=1.6**-0.5),
     KernelSpec(kind="gaussian", spread=2.0, normalize=True),
 ]
 
@@ -150,15 +150,12 @@ def test_expand_errors():
 
 def oracle_kernel(spec, inner, sq):
     """One kernel from fresh temporaries and a plain np.exp: the reference the
-    block-buffer evaluation must match byte for byte. The gaussian scale is
-    computed for the spec's own convention only."""
+    block-buffer evaluation must match byte for byte."""
     if spec.kind == "linear":
         return inner
     if spec.kind == "polynomial":
         return (spec.offset + inner) ** spec.degree
-    s = spec.spread
-    scale = {"sigma": lambda: 1.0 / (2.0 * s**2), "sigma_sq": lambda: 1.0 / (2.0 * s), "gamma": lambda: s}
-    return np.exp(-scale[spec.gaussian_convention]() * sq)
+    return np.exp(-(1.0 / (2.0 * spec.spread**2)) * sq)
 
 
 def oracle_grams(specs, rows, cols, same):
@@ -204,27 +201,27 @@ def exp_regime(regime, n_cols):
     results, or reaching -inf beside exact zeros; `dictionary` is the default
     kernel dictionary on standard normal data."""
     rng = np.random.default_rng(50)
-    gamma = KernelSpec(kind="gaussian", spread=1.0, gaussian_convention="gamma")
+    unit = KernelSpec(kind="gaussian", spread=0.5**0.5)  # exp(-||x-y||^2)
     if regime == "dictionary":
         return default_kernel_dictionary(), rng.standard_normal((9, 10)), rng.standard_normal((n_cols, 10))
     if regime == "zero":
-        specs = [gamma, KernelSpec(kind="gaussian", spread=2.0**-7), KernelSpec(kind="linear", normalize=True)]
+        specs = [unit, KernelSpec(kind="gaussian", spread=2.0**-7), KernelSpec(kind="linear", normalize=True)]
         return specs, rng.uniform(0, 5, (9, 3)), rng.uniform(40, 60, (n_cols, 3))
     if regime == "straddle":
-        specs = [gamma, KernelSpec(kind="gaussian", spread=0.5, gaussian_convention="sigma_sq", normalize=True)]
+        specs = [unit, KernelSpec(kind="gaussian", spread=0.5**0.5, normalize=True)]
         return specs, rng.uniform(0, 5, (9, 3)), rng.uniform(-20, 25, (n_cols, 3))
     if regime == "subnormal":
         # rows within 0.35 of the origin, cols at distance 27 from it: ||x-y||^2 in [702, 749]
         direction = rng.standard_normal((n_cols, 3))
         cols = 27.0 * direction / np.linalg.norm(direction, axis=1, keepdims=True)
-        specs = [gamma, KernelSpec(kind="polynomial", degree=3, offset=0.5, normalize=True)]
+        specs = [unit, KernelSpec(kind="polynomial", degree=3, offset=0.5, normalize=True)]
         return specs, rng.uniform(0, 0.2, (9, 3)), cols
     assert regime == "-inf"
     # integer points: a copy of a row is at distance exactly 0, a shifted one at
     # 3 (argument -3e300) or at 3e10 (argument -inf)
     rows = rng.integers(0, 5, (9, 3)).astype(float)
     pool = np.concatenate([rows, rows + 1.0, rows + 1e5])
-    specs = [KernelSpec(kind="gaussian", spread=1e300, gaussian_convention="gamma")]
+    specs = [KernelSpec(kind="gaussian", spread=5e-301**0.5)]  # exp(-1e300 ||x-y||^2)
     return specs, rows, pool[rng.integers(0, len(pool), n_cols)]
 
 
@@ -437,7 +434,7 @@ def test_trace_vector_zero_and_diagonal_cases():
 
 
 def test_kernel_spec_label_roundtrip():
-    custom = KernelSpec(kind="gaussian", spread=0.25, gaussian_convention="gamma")
+    custom = KernelSpec(kind="gaussian", spread=0.5**-0.5)
     for spec in default_kernel_dictionary() + EXPANSION_SPECS + [custom]:
         assert KernelSpec.from_label(spec.label()) == spec, spec.label()
 
@@ -460,41 +457,24 @@ def test_kernel_spec_from_label_rejects_a_label_that_label_never_writes(label):
         KernelSpec.from_label(label)
 
 
-def test_gaussian_spread_conventions():
+def test_gaussian_spread_is_sigma():
     x = np.array([[0.0]])
     y = np.array([[2.0]])
     sq = 4.0
     sigma = compute_gram(KernelSpec(kind="gaussian", spread=2.0), x, y)[0, 0]
     assert sigma == pytest.approx(np.exp(-sq / (2 * 2.0**2)), rel=1e-15)
-    sigma_sq = compute_gram(
-        KernelSpec(kind="gaussian", spread=2.0, gaussian_convention="sigma_sq"), x, y
-    )[0, 0]
-    assert sigma_sq == pytest.approx(np.exp(-sq / (2 * 2.0)), rel=1e-15)
-    gamma = compute_gram(
-        KernelSpec(kind="gaussian", spread=2.0, gaussian_convention="gamma"), x, y
-    )[0, 0]
-    assert gamma == pytest.approx(np.exp(-2.0 * sq), rel=1e-15)
-
-
-def test_gaussian_scale_uses_only_its_own_convention():
-    # the other conventions' formulas would divide by zero or overflow here
-    tiny = KernelSpec(kind="gaussian", spread=1e-200, gaussian_convention="gamma")
-    huge = KernelSpec(kind="gaussian", spread=1e200, gaussian_convention="sigma_sq")
-    x = np.array([[0.0], [1.0]])
-    assert np.array_equal(compute_gram(tiny, x, x), np.ones((2, 2)))
-    assert np.array_equal(compute_gram(huge, x, x), np.exp(-np.array([[0.0, 1.0], [1.0, 0.0]]) / 2e200))
 
 
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"kind": "gaussian", "spread": np.inf, "gaussian_convention": "gamma"}, "spread=inf"),
+        ({"kind": "gaussian", "spread": np.inf}, "spread=inf"),
         ({"kind": "gaussian", "spread": np.nan}, "spread=nan"),
         ({"kind": "gaussian", "spread": -1.0}, "spread=-1.0"),
-        ({"kind": "gaussian", "spread": 1e-200}, "spread=1e-200 has no finite positive scale under convention 'sigma'"),
+        ({"kind": "gaussian", "spread": 1e-200}, "spread=1e-200 has no finite positive scale"),
         ({"kind": "gaussian", "spread": 1e200}, "spread=1e\\+200 has no finite positive scale"),
         ({"kind": "gaussian", "spread": 1e154}, "spread=1e\\+154 has no finite positive scale"),
-        ({"kind": "gaussian", "spread": 1e-320, "gaussian_convention": "sigma_sq"}, "convention 'sigma_sq'"),
+        ({"kind": "gaussian", "spread": 1e-155}, "spread=1e-155 has no finite positive scale"),  # 1 / (2 s^2) is inf
         ({"kind": "polynomial", "offset": np.nan}, "offset=nan"),
         ({"kind": "polynomial", "offset": -np.inf}, "offset=-inf"),
     ],

@@ -66,17 +66,34 @@ def test_average_single_task_single_kernel_reduces_to_plain_svm():
     assert model.theta == pytest.approx([1.0])
 
 
+def assert_same_fit(a, b):
+    assert a.objective_trace == b.objective_trace
+    assert np.array_equal(a.theta, b.theta)
+    assert np.array_equal(a.task_weights, b.task_weights)
+    for da, db in zip(a.duals, b.duals):
+        assert da.alpha.tobytes() == db.alpha.tobytes()
+
+
 def test_conic_with_slack_budget_is_bit_identical_to_average():
     tasks = make_tasks(T=3, N=18, seed=2)
     stacks = make_stacks(tasks, SPECS)
     budget = total_cost(stacks, 2.0)  # usage at all-ones weights
     conic = fit(tasks, stacks, TrainConfig(C=1.0, p=2.0, budget=budget, r_max=8.0, mode="conic"), SPECS)
     avg = fit(tasks, stacks, TrainConfig(C=1.0, p=2.0, budget=budget, r_max=8.0, mode="average"), SPECS)
-    assert conic.objective_trace == avg.objective_trace
-    assert np.array_equal(conic.theta, avg.theta)
-    assert np.array_equal(conic.task_weights, avg.task_weights)
-    for dc, da in zip(conic.duals, avg.duals):
-        assert dc.alpha.tobytes() == da.alpha.tobytes()
+    assert_same_fit(conic, avg)
+
+
+@pytest.mark.parametrize("p", [2.0, 4 / 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_conic_at_budget_fraction_one_is_bit_identical_to_average_at_ten_tasks(seed, p):
+    # numpy sums 8 or more terms pairwise: a budget summed in another order reads kappa = 1 + 2^-52
+    tasks = make_tasks(T=10, N=16, d=4, seed=seed)
+    stacks = make_stacks(tasks, SPECS)
+    budget = budget_from_fraction(stacks, p, 1.0)
+    conic = fit(tasks, stacks, TrainConfig(C=1.0, p=p, budget=budget, mode="conic"), SPECS)
+    avg = fit(tasks, stacks, TrainConfig(C=1.0, p=p, budget=budget, mode="average"), SPECS)
+    assert np.array_equal(conic.task_weights, np.ones(10))
+    assert_same_fit(conic, avg)
 
 
 def test_conic_trace_monotone_and_budget_tight():
@@ -648,6 +665,19 @@ def test_load_names_the_file_section_key_and_value_that_does_not_decode(tmp_path
     _, tasks, path = saved_model(tmp_path)
     rewrite(path, section, key, value)
     assert re.fullmatch(rf"{re.escape(f'{path}: [{section}] {key} = {value}: ')}{reason}", load_error(path, tasks))
+
+
+@pytest.mark.parametrize("conv", ["gamma", "sigma_sq"])
+def test_load_names_the_file_and_label_of_a_gaussian_in_a_removed_convention(tmp_path, conv):
+    # only the Python API could write these; a gaussian's spread is its sigma, so labels carry conv=sigma
+    _, tasks, path = saved_model(tmp_path)
+    label = "gauss:s=0.125:conv=sigma:norm=0"
+    old = label.replace("conv=sigma", f"conv={conv}")
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace(f"spec = {label}\n", f"spec = {old}\n"), encoding="utf-8")
+    assert load_error(path, tasks) == (
+        f"{path}: [kernels] spec = {old}: kernel label {old!r} is not canonical: its spec writes {label!r}"
+    )
 
 
 def test_load_names_the_file_and_config_section_when_the_config_is_rejected(tmp_path):
