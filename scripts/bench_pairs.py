@@ -83,21 +83,23 @@ def _quartiles(values):
 
 
 def _sources(root: Path) -> list:
-    return sorted((root / "src" / "conicmtl").rglob("*.py"))
+    """(relative path, bytes) of each src/conicmtl/**/*.py, sorted by path: the source a side ran."""
+    src = root / "src" / "conicmtl"
+    return [(path.relative_to(src).as_posix(), path.read_bytes()) for path in sorted(src.rglob("*.py"))]
 
 
 def src_sha256(root: Path) -> str:
-    """sha256 over the sorted relative paths and bytes of src/conicmtl/**/*.py; names what a side ran."""
+    """sha256 over the sorted relative paths and bytes of the sources; names what a side ran."""
     h = hashlib.sha256()
-    for path in _sources(root):
-        h.update(path.relative_to(root / "src" / "conicmtl").as_posix().encode() + b"\0")
-        h.update(path.read_bytes())
+    for name, data in _sources(root):
+        h.update(name.encode() + b"\0")
+        h.update(data)
     return h.hexdigest()
 
 
 def src_lines(root: Path) -> dict:
     """Physical and non-blank line counts over the files that src_sha256 reads."""
-    lines = [line for path in _sources(root) for line in path.read_bytes().splitlines()]
+    lines = [line for _, data in _sources(root) for line in data.splitlines()]
     return {"physical": len(lines), "non_blank": sum(1 for line in lines if line.strip())}
 
 
