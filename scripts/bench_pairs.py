@@ -10,10 +10,11 @@ after the other; the base goes first on even pairs and the change on odd
 ones, so a drift of the machine's load does not favour either side.
 Every run's metrics, the per-side medians and quartiles, the per-pair
 ratios (change / base), each side's `src_sha256` and `src_lines`
-(physical and non-blank line counts of the same files) and, per end-to-end
-metric, the verdicts of the gain rule and of the no-regression rule go to
-`BENCH_<label>.json` in the current directory. Nothing in either checkout
-is modified.
+(physical and non-blank line counts of the same files), each side's
+operations attempted and failed over all its runs with the failed share,
+and, per end-to-end metric, the verdicts of the gain rule and of the
+no-regression rule go to `BENCH_<label>.json` in the current directory.
+Nothing in either checkout is modified.
 
 The gain rule takes the direction (`better`) of each metric from the
 change's `BENCHMARK.json`: the change is better in at least 9 of 10 pairs
@@ -23,6 +24,10 @@ base's median, in that direction, than the base's q3 - q1.
 The no-regression rule takes each metric's `bound` from the same file: it
 fails when the change's median is worse than the base's median, in the
 metric's direction, by more than `bound` times the base's median.
+
+The failure rule fails when the change's failed share, its failed
+operations over its attempted ones in all its runs, is larger than the
+base's.
 """
 
 from __future__ import annotations
@@ -142,6 +147,24 @@ def no_regression_rule(entry: dict, better: str, bound: float) -> dict:
     return {"bound": bound, "worse_by": worse_by, "limit": limit, "holds": worse_by <= limit}
 
 
+def failures(runs) -> dict:
+    """Per side: operations attempted and failed over its runs, the failed share and whether
+    any run reported `correct: false`; then the failure rule's verdict (module docstring)."""
+    out = {}
+    for side in SIDES:
+        mine = [r for r in runs if r["side"] == side]
+        attempted = sum(r["attempted"] for r in mine)
+        failed = sum(r["failed"] for r in mine)
+        out[side] = {
+            "attempted": attempted,
+            "failed": failed,
+            "failed_share": failed / attempted if attempted else 0.0,
+            "any_incorrect": any(not r["correct"] for r in mine),
+        }
+    out["holds"] = out["change"]["failed_share"] <= out["base"]["failed_share"]
+    return out
+
+
 def summarize(runs, better=None, bounds=None) -> dict:
     """Per metric: each side's median and quartiles, the per-pair ratios and, where
     `better` gives the metric's direction, the gain rule's verdict and, where
@@ -184,6 +207,7 @@ def main(argv=None):
             print(f"pair {k} {side:<6} wall_s {wall:.4f} s  failed {run['failed']}", flush=True)
     runs.sort(key=lambda r: (SIDES.index(r["side"]), r["pair"]))
     summary = summarize(runs, directions(args.change), regression_bounds(args.change))
+    failed = failures(runs)
     record = {
         "workload": args.workload,
         "seed": args.seed,
@@ -195,6 +219,7 @@ def main(argv=None):
         "facts": facts,
         "src_sha256": {side: src_sha256(getattr(args, side)) for side in SIDES},
         "src_lines": {side: src_lines(getattr(args, side)) for side in SIDES},
+        "failures": failed,
         "summary": summary,
         "runs": runs,
     }
@@ -213,6 +238,11 @@ def main(argv=None):
         ratio = "n/a" if entry["median_ratio"] is None else f"{entry['median_ratio']:.3f}"
         print(f"{name} median base {entry['base']['median']:.4f}, change {entry['change']['median']:.4f}, "
               f"median ratio {ratio}{verdict}")
+    for side in SIDES:
+        f = failed[side]
+        print(f"{side} failed {f['failed']} of {f['attempted']} operations (share {f['failed_share']:.4g}), "
+              f"{'some' if f['any_incorrect'] else 'no'} run reported correct: false")
+    print(f"failure rule {'holds' if failed['holds'] else 'fails'}")
     print(f"wrote {path}")
     return 0
 

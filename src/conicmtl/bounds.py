@@ -89,11 +89,16 @@ def _check_inputs(stacks, R: float, samples: int = 1, **per_task) -> int:
                 raise ValueError(f"{name} of task {stack.task_id!r} must be positive and finite, got {value}")
     if not 0 <= R < math.inf:
         raise ValueError(f"R must be finite and nonnegative, got {R}")
+    _check_samples(samples)
+    return sum(s.n_samples for s in stacks)
+
+
+def _check_samples(samples) -> None:
+    """A sample count is an integer (a bool is not one) of at least 1."""
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    return sum(s.n_samples for s in stacks)
 
 
 def _sign_chunks(cols: np.ndarray, total: int, n_patterns: int, block: int, tag: str, seed: int, exhaustive: bool):
@@ -401,6 +406,7 @@ def bound_report(
     T = len(model.tasks)
     r_max = model.config.r_max
     _check_bound_values(r_max, rho, delta)
+    _check_samples(mc_samples)
     by_id = {t.task_id: t for t in test_tasks}
     model_ids = [task.task_id for task in model.tasks]
     missing = [task_id for task_id in model_ids if task_id not in by_id]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -105,6 +106,12 @@ def cmd_train(args):
     given = _given(args, TRAIN_KEYS, "train")
     fraction = given.pop("fraction", None)  # None keeps whole tasks
     config = TrainConfig(**given, **_set(args, "C", "p", "budget", "r_max", "p_exp"), use_bias=args.use_bias)
+    if args.budget is None:  # checked here, before any Gram stack is built from the data
+        frac = args.budget_frac
+        if not 0.0 < frac < math.inf:
+            raise ValueError(f"--budget-frac must be positive and finite, got {frac}")
+        if config.mode == "conic" and frac < 1.0 / config.r_max:
+            raise ValueError(f"--budget-frac value {frac!r} must be >= 1/r_max = {1.0 / config.r_max!r} for conic")
     _, dataset = resolve_dataset(args.data)
     train_tasks, _, scaler = data_io.prepare_run(dataset, fraction, config.seed, args.balanced)
     specs = default_kernel_dictionary()

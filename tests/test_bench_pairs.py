@@ -1,5 +1,5 @@
-"""Checks of the summary, the gain and no-regression rules and the source digest of scripts/bench_pairs.py,
-on synthetic runs."""
+"""Checks of the summary, the gain, no-regression and failure rules and the source digest of
+scripts/bench_pairs.py, on synthetic runs."""
 
 import importlib.util
 from pathlib import Path
@@ -83,6 +83,30 @@ def test_no_regression_rule_fails_a_median_worse_than_the_bound_allows(name, bas
     assert rule["bound"] == bench_pairs.regression_bounds(ROOT)[name]
     assert rule["worse_by"] == pytest.approx(change - base if better == "lower" else base - change)
     assert rule["holds"] is holds
+
+
+@pytest.mark.parametrize(
+    "change, failed, share, any_incorrect, holds",
+    [
+        ([(300, 3), (100, 1)], 4, 0.01, True, True),  # the base's share, from other runs
+        ([(200, 0), (200, 0)], 0, 0.0, False, True),
+        ([(200, 2), (200, 3)], 5, 0.0125, True, False),
+    ],
+    ids=["same-share", "no-failures", "larger-share"],
+)
+def test_failure_rule_compares_each_sides_failed_share(change, failed, share, any_incorrect, holds):
+    base = [(100, 0), (300, 4)]
+    runs = [
+        {"side": side, "attempted": attempted, "failed": n_failed, "correct": n_failed == 0}
+        for side, counts in (("base", base), ("change", change))
+        for attempted, n_failed in counts
+    ]
+    record = bench_pairs.failures(runs)
+    assert record["base"] == {"attempted": 400, "failed": 4, "failed_share": 0.01, "any_incorrect": True}
+    assert record["change"] == {
+        "attempted": 400, "failed": failed, "failed_share": pytest.approx(share), "any_incorrect": any_incorrect,
+    }
+    assert record["holds"] is holds
 
 
 def test_source_digest_covers_every_path_and_byte(tmp_path):

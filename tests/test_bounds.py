@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -345,6 +346,11 @@ def test_numpy_integer_samples_are_accepted():
     a = rademacher_mc(stacks, [1.0], R=1.0, p=2.0, samples=np.int64(64), exhaustive_limit=0)
     b = rademacher_mc(stacks, [1.0], R=1.0, p=2.0, samples=64, exhaustive_limit=0)
     assert a == b
+
+
+@pytest.mark.parametrize("p, p_star", [(1.0, math.inf), (4.0 / 3.0, 4.0), (2.0, 2.0), (4.0, 4.0 / 3.0), (math.inf, 1.0)])
+def test_conjugate_exponent_is_the_hoelder_conjugate(p, p_star):
+    assert conjugate_exponent(p) == pytest.approx(p_star)
 
 
 def test_both_estimators_reject_nan_exponent():

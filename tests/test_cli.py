@@ -4,6 +4,7 @@ the README documents."""
 
 import argparse
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -14,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conicmtl import bounds, cli, kernels, training
+from conicmtl import bounds, cli, experiments, kernels, training, verification
 from conicmtl.bounds import bound_report
 from conicmtl.cli import EXPERIMENT_KEYS, TRAIN_KEYS, build_parser, main
 from conicmtl.data import TaskDataset, load_sparse_text, load_task_directory, sample_mtl_path
-from conicmtl.experiments import ExperimentConfig, ResultTable, resolve_dataset
+from conicmtl.experiments import ExperimentConfig, ResultTable, read_results_csv, resolve_dataset
 from conicmtl.training import TrainConfig, decision_values, load_model
 
 
@@ -153,8 +154,13 @@ def test_bound_on_a_tampered_model_names_the_file_and_key(tmp_path, capsys, line
 
 @pytest.mark.parametrize(
     "option, message",
-    [(("--delta", "1.5"), "delta must lie in (0, 1)"), (("--rho", "0"), "rho must be positive")],
-    ids=["delta", "rho"],
+    [
+        (("--delta", "1.5"), "delta must lie in (0, 1)"),
+        (("--rho", "0"), "rho must be positive"),
+        (("--samples", "0"), "samples must be positive, got 0"),
+        (("--samples", "-5"), "samples must be positive, got -5"),
+    ],
+    ids=["delta", "rho", "samples-zero", "samples-negative"],
 )
 def test_bound_rejects_a_bad_delta_or_rho_before_the_loss_and_sampling(tmp_path, capsys, monkeypatch, option, message):
     model_path, split = train(tmp_path, "m", "--fraction", "0.5")
@@ -164,6 +170,7 @@ def test_bound_rejects_a_bad_delta_or_rho_before_the_loss_and_sampling(tmp_path,
 
     monkeypatch.setattr(bounds, "rademacher_mc", never)
     monkeypatch.setattr(training, "weighted_empirical_loss", never)
+    monkeypatch.setattr(kernels, "build_gram_stack", never)
     argv = ["bound", "--model", str(model_path), "--train-data", str(split), "--test-data", "sample:mtl", *option]
     assert error_message(capsys, argv) == message
 
@@ -188,6 +195,74 @@ def test_bound_rejects_test_tasks_that_do_not_pair_before_any_work(tmp_path, cap
     argv = ["bound", "--model", str(model_path), "--train-data", str(split), "--test-data", test_data]
     prefix = "test tasks must pair with the model's tasks ['synth0', 'synth1']: "
     assert error_message(capsys, argv) == prefix + message
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    """(model path, split directory) of one model trained on half of sample:mtl, shared by the module."""
+    return train(tmp_path_factory.mktemp("trained"), "m", "--fraction", "0.5")
+
+
+@pytest.mark.parametrize(
+    "command, options, message",
+    [
+        ("train", ["--budget-frac", "0"], "--budget-frac must be positive and finite, got 0.0"),
+        ("train", ["--budget-frac", "-1"], "--budget-frac must be positive and finite, got -1.0"),
+        ("train", ["--budget-frac", "nan"], "--budget-frac must be positive and finite, got nan"),
+        ("train", ["--budget-frac", "0.05"], "--budget-frac value 0.05 must be >= 1/r_max = 0.125 for conic"),
+        ("train", ["--C", "-1"], "C must be positive and finite, got -1.0"),
+        ("predict", ["--task", "synth9"], "unknown task 'synth9'; the model's tasks are synth0, synth1"),
+        ("bound", ["--samples", "0"], "samples must be positive, got 0"),
+        ("bound", ["--delta", "1.5"], "delta must lie in (0, 1)"),
+        ("radcheck", ["--instances", "0"], "n_instances must be a positive integer, got 0"),
+        ("experiment", ["--grid-p", "0.5"], "grid_p value 0.5 must be >= 1"),
+    ],
+    ids=[
+        "train-budget-frac-zero", "train-budget-frac-negative", "train-budget-frac-nan",
+        "train-budget-frac-below-inverse-r-max", "train-negative-C", "predict-unknown-task",
+        "bound-samples-zero", "bound-delta", "radcheck-instances-zero", "experiment-grid-p-below-one",
+    ],
+)
+def test_rejected_input_ends_the_command_before_any_gram_fit_sampling_or_prediction(
+    tmp_path, capsys, monkeypatch, trained_model, command, options, message
+):
+    model, split = trained_model
+    required = {
+        "train": ["--data", "sample:mtl", "--out", str(tmp_path / "m.txt")],
+        "predict": ["--model", str(model), "--train-data", str(split), "--input", str(split / "task_synth1.txt")],
+        "bound": ["--model", str(model), "--train-data", str(split), "--test-data", "sample:mtl"],
+        "radcheck": [],
+        "experiment": ["--out", str(tmp_path / "r.csv")],
+    }[command]
+
+    def never(*args, **kwargs):
+        raise AssertionError("called before the input was rejected")
+
+    for module, name in [
+        (kernels, "build_gram_stack"), (cli, "build_gram_stack"), (experiments, "build_gram_stack"),
+        (training, "fit"), (cli, "fit"), (experiments, "fit"),
+        (bounds, "rademacher_mc"), (verification, "rademacher_mc"), (training, "decision_values"),
+    ]:
+        monkeypatch.setattr(module, name, never)
+    assert error_message(capsys, [command, *required, *options]) == message
+    assert not (tmp_path / "m.txt").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_train_bound_and_experiment_run_at_p_infinity(tmp_path, capsys):
+    model_path, split = train(tmp_path, "m", "--fraction", "0.5", "--p", "inf")
+    model = load_model(model_path, load_task_directory(split))
+    assert model.config.p == math.inf and model.converged
+    np.testing.assert_array_equal(model.theta, np.ones(model.theta.size))  # the unit ball of the max norm
+    capsys.readouterr()
+    argv = ["bound", "--model", str(model_path), "--train-data", str(split), "--test-data", "sample:mtl"]
+    assert main(argv + ["--samples", "300"]) == 0
+    values = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
+    for key in ("complexity_mc", "complexity_upper_bound", "total_adaptive", "total_fixed"):
+        assert math.isfinite(float(values[key])), key
+    out = tmp_path / "r.csv"
+    assert main(["experiment", "--grid-p", "inf", "--runs", "1", "--grid-C", "1", "--out", str(out)]) == 0
+    rows = read_results_csv(out)
+    assert [(row["method"], row["p"], row["converged"]) for row in rows] == [("Conic", "inf", "1"), ("Average", "inf", "1")]
 
 
 def test_predict_names_an_input_file_without_samples(tmp_path, capsys):
