@@ -8,6 +8,8 @@ BASE and CHANGE are checkout directories, each with `perfbench/run.py` and
 `src/conicmtl`. Pair k runs `perfbench/run.py --trace 0` once in each, one
 after the other; the base goes first on even pairs and the change on odd
 ones, so a drift of the machine's load does not favour either side.
+Each run has PYTHONDONTWRITEBYTECODE=1 set, so no run writes `__pycache__`
+and every run compiles its sources, as the first run in a clean checkout does.
 Every run's metrics, the per-side medians and quartiles, the per-pair
 ratios (change / base), each side's `src_sha256` and `src_lines`
 (physical and non-blank line counts of the same files), each side's
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -67,7 +70,8 @@ def run_once(root: Path, args) -> dict:
     """One untraced perfbench run in `root`: its facts line and JSON result."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     facts = next(json.loads(line[6:]) for line in lines if line.startswith("facts "))
     result = json.loads(lines[-1])

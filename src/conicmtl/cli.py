@@ -130,6 +130,7 @@ def cmd_train(args):
     print(f"model: {out}")
     print(f"training split: {split_dir}")
     print(f"final objective: {model.objective_trace[-1]!r}")
+    print(f"relative outer duality gap: {model.outer_gap!r}")
     return 0
 
 
@@ -192,6 +193,12 @@ def cmd_experiment(args):
 
 def cmd_report(args):
     rows = read_results_csv(args.results)
+    methods = sorted({row["method"] for row in rows})
+    # checked only when given: the default reference may be absent, as in a CSV of one method
+    if args.reference is not None and args.reference not in methods:
+        raise ValueError(
+            f"--reference {args.reference!r} names no method of the results; they are {', '.join(methods)}"
+        )
     print(summarize_results(rows, **_set(args, "alpha", "reference"), paired=args.paired), end="")
     return 0
 

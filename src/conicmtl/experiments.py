@@ -171,8 +171,12 @@ def budget_from_fraction(stacks, p: float, frac: float) -> float:
     return frac * float(task_costs(stacks, p).sum())
 
 
-def _train_method(method, tasks, stacks, specs, cell, config: ExperimentConfig):
-    """Models for method at one grid cell from _grid_cells: one per task for SingleTask, else one."""
+def _train_method(method, tasks, stacks, specs, cell, config: ExperimentConfig, init=None):
+    """Models for method at one grid cell from _grid_cells: one per task for SingleTask, else one.
+
+    init, models in the same layout, warm-starts each fit from its counterpart (training.fit).
+    """
+    init = init or [None] * len(tasks)
     C, p, a_frac, p_exp = cell
     base = TrainConfig(
         C=C,
@@ -184,8 +188,10 @@ def _train_method(method, tasks, stacks, specs, cell, config: ExperimentConfig):
         use_bias=config.use_bias,
     )
     if method == "SingleTask":
-        return [fit([task], [stack], base, kernel_specs=specs) for task, stack in zip(tasks, stacks)]
-    return [fit(tasks, stacks, base, kernel_specs=specs)]
+        return [
+            fit([task], [stack], base, kernel_specs=specs, init=old) for task, stack, old in zip(tasks, stacks, init)
+        ]
+    return [fit(tasks, stacks, base, kernel_specs=specs, init=init[0])]
 
 
 def _accuracies(models, test_tasks):
@@ -215,6 +221,10 @@ def cross_validate(tasks, stacks, method, config: ExperimentConfig, seed: int, s
     Returns (C, p, a_frac, p_exp). Ties break toward the simpler model:
     smaller C, then smaller p, then smaller a, then smaller p_exp. A grid
     with a single cell is returned without training.
+
+    The fits of one (fold, p, a, p_exp) chain up the ascending C grid: each
+    warm-starts from the previous C's models (training.fit's init), the
+    first of a chain starts cold. Only the fold scores leave this function.
     """
     cells = list(_grid_cells(method, config))
     if len(cells) == 1:
@@ -234,10 +244,13 @@ def cross_validate(tasks, stacks, method, config: ExperimentConfig, seed: int, s
         folds.append((sub_tasks, sub_stacks, held))
     best = None
     best_score = -1.0
+    chains = {}  # (fold, p, a, p_exp) -> the models of the last C fitted
     for cell in cells:
         fold_scores = []
-        for sub_tasks, sub_stacks, held in folds:
-            models = _train_method(method, sub_tasks, sub_stacks, specs, cell, config)
+        for k, (sub_tasks, sub_stacks, held) in enumerate(folds):
+            key = (k, *cell[1:])
+            models = _train_method(method, sub_tasks, sub_stacks, specs, cell, config, chains.get(key))
+            chains[key] = models
             accs, _ = _accuracies(models, held)
             fold_scores.append(float(np.mean(accs)))
         score = float(np.mean(fold_scores))
@@ -396,8 +409,10 @@ def summarize_results(rows, alpha: float = 0.05, reference: str = "Conic", paire
     The default comparison is the unequal-variance two-sample test; paired
     uses per-seed differences instead (runs are paired by seed). Everything
     is recomputed from the raw per-run rows, so the stars are reproducible
-    from the CSV alone.
+    from the CSV alone. alpha must lie in (0, 1).
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     groups: dict = {}
     for row in rows:
         if row["mean_accuracy"] == "":

@@ -222,9 +222,13 @@ def component_sq_norms(alpha: np.ndarray, y: np.ndarray, stack: GramStack, theta
     summing recovers the combined-kernel squared norm. A zero theta_m gives
     a zero component regardless of G_m.
     """
+    return theta**2 * quadratic_forms(alpha, y, stack)
+
+
+def quadratic_forms(alpha: np.ndarray, y: np.ndarray, stack: GramStack) -> np.ndarray:
+    """Per-kernel quadratic forms (a*y)' G_m (a*y), for every kernel whatever its weight."""
     coef = np.asarray(alpha, dtype=float) * np.asarray(y, dtype=float)
-    quad = np.einsum("i,mij,j->m", coef, stack.grams, coef)
-    return theta**2 * quad
+    return np.einsum("i,mij,j->m", coef, stack.grams, coef)
 
 
 def theta_step(u, p: float) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import margin_loss
 from .data import Scaler, TaskDataset
 from .kernels import KernelSpec, combine, expand
-from .solvers import DualSolution, component_sq_norms, lambda_step, solve_svm_dual, theta_step
+from .solvers import DualSolution, component_sq_norms, lambda_step, quadratic_forms, solve_svm_dual, theta_step
 from .util import conjugate_exponent, lp_norm
 
 MODEL_FORMAT_VERSION = 1
@@ -72,8 +72,11 @@ class TrainConfig:
 class MtlModel:
     """Trained state: kernel and task weight arrays (config holds their bounds), duals, trace.
 
-    converged: the outer loop met tol_rel_obj and every accepted w-step met its gap.
+    converged: the outer loop's stall test met tol_rel_obj, every accepted
+    w-step met its gap, and the relative outer duality gap is at most tol_rel_obj.
     scaler: the standardization applied to the training features, if any.
+    outer_gap: the relative outer duality gap at exit (see fit); not stored
+    in the model document, so a loaded model has NaN.
     """
 
     config: TrainConfig
@@ -85,6 +88,7 @@ class MtlModel:
     tasks: list
     converged: bool
     scaler: Scaler | None = None
+    outer_gap: float = float("nan")
 
     def task_index(self, task_id: str) -> int:
         for i, task in enumerate(self.tasks):
@@ -144,6 +148,32 @@ def _validate_fit_inputs(tasks, stacks, kernel_specs):
             raise ValueError(f"degenerate task {task.task_id!r}: one class only")
 
 
+def _check_init(init: MtlModel, tasks, n_kernels: int):
+    """Reject a warm-start model whose kernel count, tasks or sample counts differ from the fit's."""
+    if init.theta.size != n_kernels:
+        raise ValueError(f"init has {init.theta.size} kernel weights for gram stacks of {n_kernels} kernels")
+    if len(init.tasks) != len(tasks):
+        raise ValueError(f"init has {len(init.tasks)} tasks for a fit of {len(tasks)}")
+    for old, dual, task in zip(init.tasks, init.duals, tasks):
+        if old.task_id != task.task_id or dual.alpha.size != task.y.size:
+            raise ValueError(
+                f"init task {old.task_id!r} of {dual.alpha.size} samples does not match "
+                f"task {task.task_id!r} of {task.y.size} samples"
+            )
+
+
+def _relative_outer_gap(primal: float, duals, quads: np.ndarray, lam: np.ndarray, p: float) -> float:
+    """(F - D) / |F| for the (w, theta) block at task weights lam.
+
+    D = sum_t lam_t 1'alpha_t - ||v||_{p*} / 2 with v_m = sum_t lam_t quads[t, m]
+    is the lam-weighted Lp-norm MKL dual (Kloft, Brefeld, Sonnenburg & Zien,
+    JMLR 12, 2011) at the current alphas, a lower bound on every primal value.
+    """
+    v = lam @ quads
+    dual = float(lam @ np.array([d.alpha.sum() for d in duals])) - 0.5 * lp_norm(v, conjugate_exponent(p))
+    return (primal - dual) / abs(primal)
+
+
 def task_costs(stacks, p: float) -> np.ndarray:
     """Each task's budget cost ||tr(G_t)||_{p*}; the budget's one source, so that
     a budget of the summed costs is exactly the total a conic fit tests it against."""
@@ -151,12 +181,26 @@ def task_costs(stacks, p: float) -> np.ndarray:
     return np.array([s.trace_norm(p_star) for s in stacks])
 
 
-def fit(tasks, stacks, config: TrainConfig, kernel_specs) -> MtlModel:
+def fit(tasks, stacks, config: TrainConfig, kernel_specs, init: MtlModel | None = None) -> MtlModel:
     """Train by block-coordinate descent.
 
     tasks and stacks are parallel lists (one entry per task). kernel_specs,
     the dictionary the stacks were built with, is carried into the model
     for prediction-time kernel evaluation.
+
+    init, a model of the same tasks (ids and sample counts) and kernel
+    count, warm-starts the fit: theta is taken from it when p is equal,
+    lambda only when both fits are conic with equal budget and r_max, and
+    the first w-step starts from each task's alpha scaled by C / init's C
+    and clipped into [0, C]. Every other start is the cold one.
+
+    The loop stops on its stall test: the objective moved by at most
+    tol_rel_obj of itself over one outer iteration. At exit the model's
+    outer_gap is (F - D) / |F|, F the last trace value and D the
+    lambda-weighted Lp-MKL dual at the final alphas (_relative_outer_gap);
+    converged requires it to be at most tol_rel_obj too. In pareto mode
+    lambda follows the objectives, so the gap certifies only the (w, theta)
+    block at the final lambda.
     """
     _validate_fit_inputs(tasks, stacks, kernel_specs)
     T = len(tasks)
@@ -178,13 +222,24 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs) -> MtlModel:
         if kappa > 1.0:
             lam = np.full(T, min(kappa, config.r_max))
 
+    starts = [None] * T  # the first w-step's warm starts
+    if init is not None:
+        _check_init(init, tasks, M)
+        old = init.config
+        if old.p == config.p:
+            theta = init.theta.copy()
+        if config.mode == old.mode == "conic" and (old.budget, old.r_max) == (config.budget, config.r_max):
+            lam = init.task_weights.copy()
+        # alpha = C_init need not scale to exactly C, hence the clip
+        starts = [np.clip(d.alpha * (config.C / old.C), 0.0, config.C) for d in init.duals]
+
     duals = [None] * T
     comps = np.zeros((T, M))
     hinges = config.C * np.array([t.y.size for t in tasks], dtype=float)  # w = 0 start, loss l(0) = 1 each
     J = hinges.copy()
     trace = [float((lam * J).sum())]
 
-    converged = False
+    stalled = False  # the stall test, the loop's stop rule, was met
     solves_converged = True  # every accepted w-step certified its duality gap
     for _ in range(config.max_outer_iters):
         f_prev_iter = trace[-1]
@@ -199,7 +254,7 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs) -> MtlModel:
             K = combine(stack, theta)
             cand = solve_svm_dual(
                 K, task.y, config.C, use_bias=config.use_bias, tol=tol, max_iter=config.svm_max_iter,
-                alpha0=None if duals[t] is None else duals[t].alpha,
+                alpha0=starts[t] if duals[t] is None else duals[t].alpha,
             )
             if duals[t] is None or cand.objective <= J[t]:
                 duals[t] = cand
@@ -231,18 +286,18 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs) -> MtlModel:
         trace.append(float((lam * J).sum()))
 
         if abs(trace[-1] - f_prev_iter) <= config.tol_rel_obj * max(abs(f_prev_iter), 1e-12):
-            converged = True
+            stalled = True
             break
 
     # components re-expressed at the final kernel weights, matching the
-    # (alpha, theta) pair that prediction uses
-    final_duals = [
-        replace(d, component_sq_norms=component_sq_norms(d.alpha, task.y, stack, theta))
-        for d, task, stack in zip(duals, tasks, stacks)
-    ]
+    # (alpha, theta) pair that prediction uses; the same quadratic forms
+    # (a zero theta_m's too) give the outer dual value
+    quads = np.array([quadratic_forms(d.alpha, task.y, stack) for d, task, stack in zip(duals, tasks, stacks)])
+    final_duals = [replace(d, component_sq_norms=theta**2 * q) for d, q in zip(duals, quads)]
 
     if not np.isfinite(lam).all():  # pareto weights follow J, which can overflow
         raise ValueError(f"task weights must be finite, got {lam}")
+    outer_gap = _relative_outer_gap(trace[-1], duals, quads, lam, config.p)
 
     return MtlModel(
         config=config,
@@ -252,7 +307,8 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs) -> MtlModel:
         duals=final_duals,
         objective_trace=trace,
         tasks=list(tasks),
-        converged=converged and solves_converged,
+        converged=stalled and solves_converged and outer_gap <= config.tol_rel_obj,
+        outer_gap=outer_gap,
     )
 
 

@@ -133,3 +133,24 @@ def test_source_line_counts_cover_the_digested_files(tmp_path):
     (pkg / "sub" / "b.py").write_text("z = 3\n")
     (pkg / "notes.txt").write_text("not source\n\n")
     assert bench_pairs.src_lines(tmp_path) == {"physical": 5, "non_blank": 3}
+
+
+def test_runs_write_no_bytecode_into_the_checkout(tmp_path, monkeypatch):
+    pkg = tmp_path / "src" / "conicmtl"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "layer.py").write_text("VALUE = 1\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "sys.path.insert(0, 'src')\n"
+        "import conicmtl.layer\n"
+        "print('facts ' + json.dumps({'seed': 1}))\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {'wall_s': {'value': 0.5}}}))\n"
+    )
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    args = bench_pairs._parse([str(tmp_path), str(tmp_path), "--workload", "cv_experiment", "--seed", "1",
+                               "--pairs", "1", "--seconds", "1", "--label", "x"])
+    run = bench_pairs.run_once(tmp_path, args)
+    assert run["metrics"] == {"wall_s": 0.5} and run["facts"] == {"seed": 1}
+    assert not list(tmp_path.rglob("__pycache__"))

@@ -19,7 +19,7 @@ from conicmtl import bounds, cli, experiments, kernels, training, verification
 from conicmtl.bounds import bound_report
 from conicmtl.cli import EXPERIMENT_KEYS, TRAIN_KEYS, build_parser, main
 from conicmtl.data import TaskDataset, load_sparse_text, load_task_directory, sample_mtl_path
-from conicmtl.experiments import ExperimentConfig, ResultTable, read_results_csv, resolve_dataset
+from conicmtl.experiments import RESULT_HEADER, ExperimentConfig, ResultTable, read_results_csv, resolve_dataset
 from conicmtl.training import TrainConfig, decision_values, load_model
 
 
@@ -216,23 +216,35 @@ def trained_model(tmp_path_factory):
         ("bound", ["--delta", "1.5"], "delta must lie in (0, 1)"),
         ("radcheck", ["--instances", "0"], "n_instances must be a positive integer, got 0"),
         ("experiment", ["--grid-p", "0.5"], "grid_p value 0.5 must be >= 1"),
+        ("report", ["--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+        ("report", ["--alpha", "nan"], "alpha must lie in (0, 1), got nan"),
+        ("report", ["--reference", "Nope"], "--reference 'Nope' names no method of the results; they are Average, Conic"),
     ],
     ids=[
         "train-budget-frac-zero", "train-budget-frac-negative", "train-budget-frac-nan",
         "train-budget-frac-below-inverse-r-max", "train-negative-C", "predict-unknown-task",
         "bound-samples-zero", "bound-delta", "radcheck-instances-zero", "experiment-grid-p-below-one",
+        "report-alpha-above-one", "report-alpha-nan", "report-unknown-reference",
     ],
 )
 def test_rejected_input_ends_the_command_before_any_gram_fit_sampling_or_prediction(
     tmp_path, capsys, monkeypatch, trained_model, command, options, message
 ):
     model, split = trained_model
+    results = tmp_path / "results.csv"
+    results.write_text(
+        RESULT_HEADER + "\n" + "".join(
+            f"sample:mtl,0.5,{method},{seed},0.{7 + seed},1,2,,,0,1\n" for method in ("Conic", "Average") for seed in (0, 1)
+        ),
+        encoding="utf-8",
+    )
     required = {
         "train": ["--data", "sample:mtl", "--out", str(tmp_path / "m.txt")],
         "predict": ["--model", str(model), "--train-data", str(split), "--input", str(split / "task_synth1.txt")],
         "bound": ["--model", str(model), "--train-data", str(split), "--test-data", "sample:mtl"],
         "radcheck": [],
         "experiment": ["--out", str(tmp_path / "r.csv")],
+        "report": ["--results", str(results)],
     }[command]
 
     def never(*args, **kwargs):
@@ -246,6 +258,20 @@ def test_rejected_input_ends_the_command_before_any_gram_fit_sampling_or_predict
         monkeypatch.setattr(module, name, never)
     assert error_message(capsys, [command, *required, *options]) == message
     assert not (tmp_path / "m.txt").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_train_prints_the_relative_outer_duality_gap_after_the_final_objective(tmp_path, capsys):
+    model_path, split = tmp_path / "m.txt", tmp_path / "m.train"
+    capsys.readouterr()
+    argv = ["train", "--data", "sample:mtl", "--fraction", "0.5", "--seed", "3"]
+    assert main(argv + ["--out", str(model_path), "--split-out", str(split)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("final objective: ")
+    label, _, value = lines[-1].partition(": ")
+    assert label == "relative outer duality gap"
+    model = load_model(model_path, load_task_directory(split))
+    assert model.converged and 0.0 <= float(value) <= model.config.tol_rel_obj
+    assert math.isnan(model.outer_gap)  # the gap is not part of the model document
 
 
 def test_train_bound_and_experiment_run_at_p_infinity(tmp_path, capsys):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conicmtl import experiments
 from conicmtl.experiments import (
     RESULT_HEADER,
     ExperimentConfig,
+    budget_from_fraction,
     cross_validate,
     read_results_csv,
     regularized_incomplete_beta,
@@ -15,7 +17,7 @@ from conicmtl.experiments import (
     welch_t_test,
     write_results_csv,
 )
-from conicmtl.data import Scaler, TaskDataset, synth_multitask
+from conicmtl.data import Scaler, TaskDataset, prepare_run, synth_multitask
 from conicmtl.kernels import build_gram_stack, default_kernel_dictionary
 
 
@@ -207,6 +209,42 @@ def test_cv_tie_breaks_toward_smaller_c_then_p():
     assert cell[1] == 1.0
 
 
+@pytest.mark.parametrize("dataset", ["sample:mtl", "synth:T=10"])
+def test_average_cv_chain_is_the_conic_budget_one_chain_bit_for_bit(monkeypatch, dataset):
+    # a slack budget keeps lambda at 1, so a Conic a = 1 fit is an Average fit,
+    # warm starts included: same theta, lambda, alphas and trace on every fold and C
+    _, data = resolve_dataset(dataset)
+    tasks, _, _ = prepare_run(data, 0.5, 11, balanced=True)
+    specs = default_kernel_dictionary()
+    stacks = [build_gram_stack(t.task_id, t.X, specs) for t in tasks]
+    fits = []
+    original = experiments.fit
+
+    def recording(tasks, stacks, config, kernel_specs, init=None):
+        model = original(tasks, stacks, config, kernel_specs, init)
+        fits.append((config, stacks, init is not None, model))
+        return model
+
+    monkeypatch.setattr(experiments, "fit", recording)
+    cfg = small_config(dataset=dataset, grid_C=(0.25, 1.0, 4.0), grid_a_frac=(0.5, 1.0))
+    for method in ("Conic", "Average"):
+        cross_validate(tasks, stacks, method, cfg, seed=5, specs=specs)
+    chains = {
+        mode: [(warm, model) for config, sub_stacks, warm, model in fits if config.mode == mode and (
+            mode == "average" or config.budget == budget_from_fraction(sub_stacks, config.p, 1.0))]
+        for mode in ("conic", "average")
+    }
+    assert len(chains["conic"]) == len(chains["average"]) == 9  # 3 C values by 3 folds
+    for (warm_c, conic), (warm_a, average) in zip(chains["conic"], chains["average"]):
+        assert warm_c == warm_a and conic.config.C == average.config.C
+        assert conic.objective_trace == average.objective_trace
+        assert conic.theta.tobytes() == average.theta.tobytes()
+        assert conic.task_weights.tobytes() == average.task_weights.tobytes()
+        for dc, da in zip(conic.duals, average.duals, strict=True):
+            assert dc.alpha.tobytes() == da.alpha.tobytes()
+    assert sum(warm for warm, _ in chains["average"]) == 6  # every fit above the smallest C is warm
+
+
 def test_cv_rejects_degenerate_folds():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((7, 3))
@@ -329,6 +367,12 @@ def test_summary_stars_reproducible_from_csv(tmp_path):
     assert "Average" in text and "*" in text
     again = summarize_results(rows, alpha=0.05, reference="Conic")
     assert text == again
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, float("nan")])
+def test_summary_rejects_alpha_outside_the_open_unit_interval(alpha):
+    with pytest.raises(ValueError, match=rf"alpha must lie in \(0, 1\), got {alpha!r}"):
+        summarize_results([], alpha=alpha)
 
 
 def test_summary_from_real_run(tmp_path):

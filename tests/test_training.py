@@ -185,6 +185,81 @@ def test_solver_cap_hit_clears_converged():
     assert fit(tasks, stacks, replace(cfg, svm_max_iter=100_000), kernel_specs=SPECS).converged is True
 
 
+def test_stall_test_exit_with_the_gap_above_tolerance_is_not_converged(monkeypatch):
+    # kernel weights frozen at the uniform start: the objective stalls within
+    # tolerance, but the dual value, which optimizes over theta, stays far below it
+    tasks = make_tasks(T=2, N=20, seed=3)
+    stacks = make_stacks(tasks, SPECS)
+    monkeypatch.setattr(training, "theta_step", lambda u, p: np.full(u.size, u.size ** (-1.0 / p)))
+    cfg = TrainConfig(C=1.0, p=2.0, budget=0.5 * total_cost(stacks, 2.0))
+    model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
+    assert len(model.objective_trace) < 3 * cfg.max_outer_iters + 1  # stopped by the stall test
+    assert all(d.converged for d in model.duals)
+    assert model.outer_gap > cfg.tol_rel_obj
+    assert model.converged is False
+
+
+# ------------------------------------------------------------- warm starts
+
+def init_model(tasks, specs=SPECS, **config):
+    return fit(tasks, make_stacks(tasks, specs), TrainConfig(mode="average", **config), kernel_specs=specs)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ("kernels", "init has 3 kernel weights for gram stacks of 11 kernels"),
+        ("tasks", "init has 1 tasks for a fit of 2"),
+        ("task id", "init task 'other' of 16 samples does not match task 'synth0' of 16 samples"),
+        ("samples", "init task 'synth1' of 12 samples does not match task 'synth1' of 16 samples"),
+    ],
+)
+def test_fit_rejects_an_init_of_other_tasks_or_kernels(change, message):
+    tasks = make_tasks(T=2, N=16, seed=5)
+    other = {
+        "kernels": lambda: init_model(tasks, SPECS[:3]),
+        "tasks": lambda: init_model(tasks[:1]),
+        "task id": lambda: init_model([TaskDataset("other", tasks[0].X, tasks[0].y), tasks[1]]),
+        "samples": lambda: init_model([tasks[0], tasks[1].subset(np.arange(12))]),
+    }[change]()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit(tasks, make_stacks(tasks, SPECS), TrainConfig(mode="average"), kernel_specs=SPECS, init=other)
+
+
+@pytest.mark.parametrize("mode, use_bias", [("conic", False), ("average", False), ("conic", True)])
+def test_warm_fits_up_a_c_grid_are_certified_and_match_the_cold_objectives(mode, use_bias):
+    tasks = make_tasks(T=3, N=20, seed=6)
+    stacks = make_stacks(tasks, SPECS)
+    budget = 0.5 * total_cost(stacks, 2.0) if mode == "conic" else 1.0
+    previous = None
+    for C in (0.125, 0.5, 2.0, 8.0):
+        cfg = TrainConfig(C=C, p=2.0, budget=budget, mode=mode, use_bias=use_bias)
+        cold = fit(tasks, stacks, cfg, kernel_specs=SPECS)
+        warm = fit(tasks, stacks, cfg, kernel_specs=SPECS, init=previous)
+        for model in (cold, warm):
+            assert model.converged and 0.0 <= model.outer_gap <= cfg.tol_rel_obj
+            assert trace_is_monotone(model.objective_trace)
+        f_cold, f_warm = cold.objective_trace[-1], warm.objective_trace[-1]
+        assert abs(f_warm - f_cold) <= 2 * cfg.tol_rel_obj * abs(f_cold)
+        previous = warm
+
+
+def test_warm_fit_takes_lambda_only_from_a_conic_init_of_the_same_budget():
+    tasks = make_tasks(T=3, N=20, seed=7)
+    stacks = make_stacks(tasks, SPECS)
+    cfg = TrainConfig(C=0.5, p=2.0, budget=0.4 * total_cost(stacks, 2.0))
+    init = fit(tasks, stacks, cfg, kernel_specs=SPECS)
+    assert (init.task_weights > 1.0).any()
+    hinge_at_zero = 1.0 * np.array([t.y.size for t in tasks])  # trace[0] is the w = 0 objective at the start lambda
+    warm = fit(tasks, stacks, replace(cfg, C=1.0), kernel_specs=SPECS, init=init)
+    assert warm.objective_trace[0] == float((init.task_weights * hinge_at_zero).sum())
+    cold_start = fit(tasks, stacks, replace(cfg, C=1.0), kernel_specs=SPECS).objective_trace[0]
+    for other in (replace(cfg, C=1.0, budget=0.6 * total_cost(stacks, 2.0)), replace(cfg, C=1.0, r_max=6.0)):
+        start = fit(tasks, stacks, other, kernel_specs=SPECS).objective_trace[0]
+        assert fit(tasks, stacks, other, kernel_specs=SPECS, init=init).objective_trace[0] == start
+    assert cold_start != warm.objective_trace[0]
+
+
 # ---------------------------------------------------------- pareto weights
 
 def test_conic_fit_combines_and_solves_once_per_task_and_outer_iteration(monkeypatch):
