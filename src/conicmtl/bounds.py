@@ -29,18 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels, training
 from .util import conjugate_exponent, derive_seed
 
 EXHAUSTIVE_LIMIT = 20
 MC_BLOCK = 4096
 CONTRACT_CHUNK = 512
-
-
-def margin_loss(x, rho: float):
-    """Ramp loss: 0 above rho, 1 below 0, linear in between."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    return np.clip(1.0 - np.asarray(x, dtype=float) / rho, 0.0, 1.0)
 
 
 @dataclass
@@ -276,18 +270,17 @@ def estimate_scale_constant(
 def erc_upper_bound_lp(stacks, task_weights, R: float, p: float) -> float:
     """Trace-norm complexity bound (2 sqrt(2 R p*) / total) sqrt(sum_t ||v_t||_{p*} / lam_t).
 
-    Takes rademacher_mc's arguments, which it dominates; v_t is the trace
-    vector of task t and total is sum_t n_t. For p = 1 the conjugate
-    exponent is infinite and the sqrt(p*) factor diverges, so the bound does
-    not apply; it returns nan as a not-applicable marker.
+    Takes rademacher_mc's arguments, which it dominates; ||v_t||_{p*} is the
+    trace-vector norm training.task_costs gives task t, and total is sum_t n_t.
+    For p = 1 the conjugate exponent is infinite and the sqrt(p*) factor
+    diverges, so the bound does not apply; it returns nan as a not-applicable marker.
     """
     lam = np.asarray(task_weights, dtype=float)
     total = _check_inputs(stacks, R, task_weights=lam)
     if p == 1.0:
         return float("nan")
     p_star = conjugate_exponent(p)
-    norms = np.array([stack.trace_norm(p_star) for stack in stacks])
-    return float(2.0 * np.sqrt(2.0 * R * p_star) / total * np.sqrt((norms / lam).sum()))
+    return float(2.0 * np.sqrt(2.0 * R * p_star) / total * np.sqrt((training.task_costs(stacks, p) / lam).sum()))
 
 
 def _check_bound_values(r_max: float, rho: float, delta: float) -> None:
@@ -396,9 +389,6 @@ def bound_report(
     by task_id; pass stacks to reuse precomputed training Grams, otherwise
     they are rebuilt from the model's training data.
     """
-    from .kernels import build_gram_stack
-    from .training import decision_values, weighted_empirical_loss
-
     sizes = {task.y.size for task in model.tasks}
     if len(sizes) != 1:
         raise ValueError("bound reporting requires all tasks to have the same sample count")
@@ -416,15 +406,13 @@ def bound_report(
             f"test tasks must pair with the model's tasks {model_ids}: missing {missing}, not in the model {unknown}"
         )
     if stacks is None:
-        stacks = [
-            build_gram_stack(task.task_id, task.X, model.kernel_specs) for task in model.tasks
-        ]
+        stacks = [kernels.build_gram_stack(task.task_id, task.X, model.kernel_specs) for task in model.tasks]
 
     R = model_radius(model)
     p = model.config.p
     lam = model.task_weights
     radius = max(R, 1e-300)
-    emp = weighted_empirical_loss(model, rho, stacks)
+    emp = training.weighted_empirical_loss(model, rho, stacks)
     est = rademacher_mc(stacks, lam, radius, p, samples=mc_samples, seed=seed)
     upper = erc_upper_bound_lp(stacks, lam, radius, p)
     bound = {"r_max": r_max, "total": T * N, "rho": rho, "delta": delta}
@@ -436,7 +424,7 @@ def bound_report(
     errors = []
     for task_id in model_ids:
         test = by_id[task_id]
-        values = decision_values(model, task_id, test.X)
+        values = training.decision_values(model, task_id, test.X)
         errors.append(float((test.y * values <= 0.0).mean()))
 
     return BoundReport(

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: train, predict, bound, radcheck, experiment, report.
-Options may come from an INI-style config file (key/value in sections,
-dotted section names for nesting); explicit flags override config keys.
+Options may come from an INI-style config file, where each command reads
+one section ([train] or [experiment]); explicit flags override config keys.
 An option left unset is not passed on, so the library's default applies.
 """
 

@@ -138,7 +138,7 @@ def build_ovo_tasks(X, labels) -> list[TaskDataset]:
     labels = np.asarray(labels).ravel()
     classes = sorted(np.unique(labels).tolist())
     if len(classes) < 2:
-        raise ValueError("need at least two classes")
+        raise ValueError(f"need at least two classes, got {classes}")
     for c in classes:
         if not np.any(labels == c):
             raise ValueError(f"class {c} has no samples")

@@ -141,10 +141,9 @@ def resolve_dataset(text: str) -> tuple[str, list[data_io.TaskDataset]]:
         return path.name, data_io.load_task_directory(path)
     if path.is_file():
         X, labels = data_io.load_sparse_text(path)
-        if np.unique(labels).size > 2:
-            return path.stem, data_io.build_ovo_tasks(X, labels)
-        mapped = np.where(labels == np.unique(labels).max(), 1.0, -1.0)
-        return path.stem, [data_io.TaskDataset(path.stem, X, mapped)]
+        if np.unique(labels).size == 2:  # load_sparse_text mapped them to -1/+1
+            return path.stem, [data_io.TaskDataset(path.stem, X, labels)]
+        return path.stem, data_io.build_ovo_tasks(X, labels)  # which rejects fewer than two classes
     raise FileNotFoundError(f"cannot resolve dataset {text!r}")
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import margin_loss
 from .data import Scaler, TaskDataset
 from .kernels import KernelSpec, combine, expand
 from .solvers import DualSolution, component_sq_norms, lambda_step, quadratic_forms, solve_svm_dual, theta_step
@@ -65,7 +64,7 @@ class TrainConfig:
         if self.svm_max_iter < 1:
             raise ValueError(f"svm_max_iter must be positive, got {self.svm_max_iter}")
         if self.mode == "pareto" and not (0.0 < self.p_exp <= 1.0):
-            raise ValueError("pareto exponent must lie in (0, 1]")
+            raise ValueError(f"pareto exponent must lie in (0, 1], got {self.p_exp!r}")
 
 
 @dataclass
@@ -98,10 +97,9 @@ class MtlModel:
 
 
 def pareto_lambda(f, p_exp: float) -> np.ndarray:
-    """Task weights that make the Lp-scalarized objective stationary.
+    """Task weights that make the Lp-scalarized objective stationary, for p in (0, 1].
 
-    For p > 1:      f_t^(p-1) / sum_s f_s^p
-    for p = 1:      all ones
+    For p = 1:      all ones
     for 0 < p < 1:  (sum_s f_s^p)^((1-p)/p) / f_t^(1-p)
 
     The p < 1 branch is scale invariant, always exceeds 1, decreases toward
@@ -111,12 +109,10 @@ def pareto_lambda(f, p_exp: float) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     if np.any(f <= 0):
         raise ValueError("task objectives must be strictly positive")
-    if not p_exp > 0:
-        raise ValueError("exponent must be positive")
+    if not 0.0 < p_exp <= 1.0:
+        raise ValueError(f"pareto exponent must lie in (0, 1], got {p_exp!r}")
     if p_exp == 1.0:
         return np.ones_like(f)
-    if p_exp > 1.0:
-        return f ** (p_exp - 1.0) / float((f**p_exp).sum())
     total = float((f**p_exp).sum()) ** ((1.0 - p_exp) / p_exp)
     return total / f ** (1.0 - p_exp)
 
@@ -340,12 +336,18 @@ def predict(model: MtlModel, task_id: str, X_test):
     return labels, values
 
 
+def margin_loss(x, rho: float):
+    """Ramp loss: 0 above rho, 1 below 0, linear in between."""
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    return np.clip(1.0 - np.asarray(x, dtype=float) / rho, 0.0, 1.0)
+
+
 def weighted_empirical_loss(model: MtlModel, rho: float, stacks) -> float:
     """Weighted ramp-loss average over the training samples.
 
-    (1 / total_count) * sum_t lam_t * sum_i ramp(y_t_i f_t(x_t_i); rho),
-    where ramp is 0 above rho, 1 below 0 and linear between. The training
-    decision values come from stacks, the tasks' training Gram stacks.
+    (1 / total_count) * sum_t lam_t * sum_i margin_loss(y_t_i f_t(x_t_i), rho).
+    The training decision values come from stacks, the tasks' training Gram stacks.
     """
     theta = model.theta
     total = 0.0

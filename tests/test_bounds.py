@@ -17,13 +17,12 @@ from conicmtl.bounds import (
     _block_tables,
     _contraction_plan,
     _sign_chunks,
-    margin_loss,
     model_radius,
     rademacher_mc,
 )
 from conicmtl.data import Scaler, TaskDataset, synth_multitask
 from conicmtl.kernels import GramStack, build_gram_stack, default_kernel_dictionary
-from conicmtl.training import TrainConfig, fit
+from conicmtl.training import TrainConfig, fit, margin_loss
 from conicmtl.util import conjugate_exponent, derive_seed, lp_norm
 from conicmtl import verification
 from conicmtl.verification import random_stacks, run_verification_suite

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from conicmtl import bounds, cli, experiments, kernels, training, verification
 from conicmtl.bounds import bound_report
@@ -258,6 +259,27 @@ def test_rejected_input_ends_the_command_before_any_gram_fit_sampling_or_predict
         monkeypatch.setattr(module, name, never)
     assert error_message(capsys, [command, *required, *options]) == message
     assert not (tmp_path / "m.txt").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_report_paired_prints_the_paired_t_test_p_value(tmp_path, capsys):
+    conic, average = [0.81, 0.74, 0.90, 0.68, 0.77], [0.78, 0.73, 0.85, 0.66, 0.76]
+    results = tmp_path / "results.csv"
+    results.write_text(
+        RESULT_HEADER + "\n" + "".join(
+            f"sample:mtl,0.5,{method},{seed},{acc!r},1,2,,,0,1\n"
+            for method, accs in (("Conic", conic), ("Average", average)) for seed, acc in enumerate(accs)
+        ),
+        encoding="utf-8",
+    )
+
+    def printed_p(*flags):
+        capsys.readouterr()
+        assert main(["report", "--results", str(results), *flags]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.split()[:1] == ["Average"])
+        return row.split()[4]
+
+    assert printed_p("--paired") == f"{scipy.stats.ttest_rel(conic, average).pvalue:.4f}"
+    assert printed_p() == f"{scipy.stats.ttest_ind(conic, average, equal_var=False).pvalue:.4f}" != printed_p("--paired")
 
 
 def test_train_prints_the_relative_outer_duality_gap_after_the_final_objective(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -17,7 +19,7 @@ from conicmtl.experiments import (
     welch_t_test,
     write_results_csv,
 )
-from conicmtl.data import Scaler, TaskDataset, prepare_run, synth_multitask
+from conicmtl.data import Scaler, TaskDataset, prepare_run, save_task_directory, synth_multitask, write_sparse_text
 from conicmtl.kernels import build_gram_stack, default_kernel_dictionary
 
 
@@ -319,6 +321,22 @@ def test_resolve_dataset_variants(tmp_path):
     assert len(ds) == 3  # three one-vs-one tasks
     label, ds = resolve_dataset("sample:mtl")
     assert len(ds) == 2
+    directory = tmp_path / "tasks"
+    save_task_directory(ds, directory)
+    label, ds = resolve_dataset(str(directory))
+    assert label == "tasks" and [t.task_id for t in ds] == ["synth0", "synth1"]
+    X = np.arange(12.0).reshape(6, 2) + 1.0
+    write_sparse_text(tmp_path / "binary.txt", X, [3, 7, 7, 3, 7, 3])
+    label, ds = resolve_dataset(str(tmp_path / "binary.txt"))  # the larger label is +1
+    assert label == "binary" and [t.task_id for t in ds] == ["binary"]
+    assert ds[0].y.tolist() == [-1.0, 1.0, 1.0, -1.0, 1.0, -1.0] and np.array_equal(ds[0].X, X)
+    write_sparse_text(tmp_path / "multi.txt", X, [1, 2, 3, 1, 2, 3])
+    label, ds = resolve_dataset(str(tmp_path / "multi.txt"))  # one-vs-one, the lower class +1
+    assert label == "multi" and [t.task_id for t in ds] == ["1_vs_2", "1_vs_3", "2_vs_3"]
+    assert ds[0].y.tolist() == [1.0, -1.0, 1.0, -1.0]
+    write_sparse_text(tmp_path / "one.txt", X, [3] * 6)
+    with pytest.raises(ValueError, match=re.escape("need at least two classes, got [3.0]")):
+        resolve_dataset(str(tmp_path / "one.txt"))
     with pytest.raises(FileNotFoundError):
         resolve_dataset(str(tmp_path / "missing.txt"))
     for spec, token in (("synth:t=2,N=20", "t=2"), ("synth:T=2,sed=5", "sed=5"), ("synth:T", "T")):

@@ -287,7 +287,17 @@ def test_conic_fit_combines_and_solves_once_per_task_and_outer_iteration(monkeyp
 def test_pareto_lambda_examples():
     assert np.array_equal(pareto_lambda(np.array([0.3, 7.0, 2.0]), 1.0), np.ones(3))
     assert pareto_lambda(np.array([1.0, 1.0]), 0.5) == pytest.approx([2.0, 2.0])
-    assert pareto_lambda(np.array([1.0, 2.0]), 2.0) == pytest.approx([0.2, 0.4])
+    with pytest.raises(ValueError, match=re.escape("pareto exponent must lie in (0, 1], got 2.0")):
+        pareto_lambda(np.array([1.0, 2.0]), 2.0)
+
+
+@pytest.mark.parametrize("p_exp", [0.0, -0.5, 1.5, float("nan")])
+def test_pareto_lambda_and_pareto_config_reject_an_exponent_outside_zero_one(p_exp):
+    message = re.escape(f"pareto exponent must lie in (0, 1], got {p_exp!r}")
+    with pytest.raises(ValueError, match=message):
+        pareto_lambda(np.array([1.0, 2.0]), p_exp)
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(mode="pareto", p_exp=p_exp)
 
 
 def test_pareto_lambda_rejects_nonpositive():
