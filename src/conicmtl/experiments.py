@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data as data_io
 from .kernels import GramStack, build_gram_stack, default_kernel_dictionary
-from .training import TrainConfig, fit, predict, task_costs
+from .training import TrainConfig, decision_values, fit, stack_decision_values, task_costs
 from .util import derive_seed, float_text
 
 RESULT_HEADER = "dataset,fraction,method,seed,mean_accuracy,C,p,a,p_exp,wall_ms,converged"
@@ -147,10 +147,6 @@ def resolve_dataset(text: str) -> tuple[str, list[data_io.TaskDataset]]:
     raise FileNotFoundError(f"cannot resolve dataset {text!r}")
 
 
-def _sub_stack(stack: GramStack, idx: np.ndarray) -> GramStack:
-    return GramStack(task_id=stack.task_id, grams=stack.grams[:, idx[:, None], idx[None, :]])
-
-
 def _fold_assignments(task: data_io.TaskDataset, folds: int, seed: int) -> np.ndarray:
     """Per-sample fold ids, stratified by class, shuffled deterministically."""
     rng = np.random.default_rng(seed)
@@ -193,14 +189,13 @@ def _train_method(method, tasks, stacks, specs, cell, config: ExperimentConfig, 
     return [fit(tasks, stacks, base, kernel_specs=specs, init=init[0])]
 
 
-def _accuracies(models, test_tasks):
-    """Test accuracy per task, the models' tasks in order, and whether every model converged."""
+def _mean_accuracy(models, parts, values):
+    """Mean accuracy over the models' tasks on their parts (inputs, y), labelled from values() as predict does."""
     pairs = [(model, task.task_id) for model in models for task in model.tasks]
-    accs = []
-    for (model, task_id), test in zip(pairs, test_tasks, strict=True):
-        labels, _ = predict(model, task_id, test.X)
-        accs.append(float((labels == test.y).mean()))
-    return accs, all(model.converged for model in models)
+    return float(np.mean([
+        float((np.where(values(model, task_id, inputs) >= 0.0, 1.0, -1.0) == y).mean())
+        for (model, task_id), (inputs, y) in zip(pairs, parts, strict=True)
+    ]))
 
 
 def _grid_cells(method, config: ExperimentConfig):
@@ -223,7 +218,9 @@ def cross_validate(tasks, stacks, method, config: ExperimentConfig, seed: int, s
 
     The fits of one (fold, p, a, p_exp) chain up the ascending C grid: each
     warm-starts from the previous C's models (training.fit's init), the
-    first of a chain starts cold. Only the fold scores leave this function.
+    first of a chain starts cold. A held-out part is scored from its Gram
+    values in the task's training stack (training.stack_decision_values), so
+    no kernel is evaluated again. Only the fold scores leave this function.
     """
     cells = list(_grid_cells(method, config))
     if len(cells) == 1:
@@ -232,14 +229,14 @@ def cross_validate(tasks, stacks, method, config: ExperimentConfig, seed: int, s
         _fold_assignments(task, config.cv_folds, derive_seed(seed, "folds", task.task_id))
         for task in tasks
     ]
-    folds = []  # (training sub-tasks, their sub-stacks, held-out parts) per fold
+    folds = []  # (training sub-tasks, their sub-stacks, held-out (cross grams, labels)) per fold
     for k in range(config.cv_folds):
         sub_tasks, sub_stacks, held = [], [], []
         for task, stack, assign in zip(tasks, stacks, assignments):
-            tr = np.flatnonzero(assign != k)
+            tr, te = np.flatnonzero(assign != k), np.flatnonzero(assign == k)
             sub_tasks.append(task.subset(tr))
-            sub_stacks.append(_sub_stack(stack, tr))
-            held.append(task.subset(np.flatnonzero(assign == k)))
+            sub_stacks.append(GramStack(task_id=stack.task_id, grams=stack.grams[:, tr[:, None], tr]))
+            held.append((stack.grams[:, tr[:, None], te], task.y[te]))
         folds.append((sub_tasks, sub_stacks, held))
     best = None
     best_score = -1.0
@@ -250,8 +247,7 @@ def cross_validate(tasks, stacks, method, config: ExperimentConfig, seed: int, s
             key = (k, *cell[1:])
             models = _train_method(method, sub_tasks, sub_stacks, specs, cell, config, chains.get(key))
             chains[key] = models
-            accs, _ = _accuracies(models, held)
-            fold_scores.append(float(np.mean(accs)))
+            fold_scores.append(_mean_accuracy(models, held, stack_decision_values))
         score = float(np.mean(fold_scores))
         if score > best_score + 1e-12:
             best_score = score
@@ -280,11 +276,10 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 try:
                     cell = cross_validate(train_tasks, stacks, method, config, run_seed, specs)
                     models = _train_method(method, train_tasks, stacks, specs, cell, config)
-                    accs, converged = _accuracies(models, test_tasks)
-                    row.mean_accuracy = float(np.mean(accs))
+                    row.mean_accuracy = _mean_accuracy(models, [(t.X, t.y) for t in test_tasks], decision_values)
                     row.C, row.p, a_frac, row.p_exp = cell
                     row.a = None if a_frac is None else models[0].config.budget
-                    row.converged = "1" if converged else "0"
+                    row.converged = "1" if all(model.converged for model in models) else "0"
                 except Exception as exc:  # recorded per row, not fatal to the table
                     row.converged = f"error:{type(exc).__name__}"
                 row.wall_ms = (time.perf_counter() - started) * 1e3
@@ -406,9 +401,9 @@ def summarize_results(rows, alpha: float = 0.05, reference: str = "Conic", paire
     statistically significantly worse than the reference method's.
 
     The default comparison is the unequal-variance two-sample test; paired
-    uses per-seed differences instead (runs are paired by seed). Everything
-    is recomputed from the raw per-run rows, so the stars are reproducible
-    from the CSV alone. alpha must lie in (0, 1).
+    uses the differences at the seeds both methods have ("-" below two).
+    Everything is recomputed from the raw per-run rows, so the stars are
+    reproducible from the CSV alone. alpha must lie in (0, 1).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -434,11 +429,12 @@ def summarize_results(rows, alpha: float = 0.05, reference: str = "Conic", paire
             star = " "
             p_text = "-"
             if ref is not None and method != reference:
-                if len(values) >= 2 and len(ref) >= 2:
-                    if paired and len(values) == len(ref):
-                        _, p = paired_t_test(ref, values)
-                    else:
-                        _, p = welch_t_test(ref, values)
+                a, b = ref, values
+                if paired:  # the runs of the seeds both methods have, in seed order
+                    common = {s for s, _ in methods[reference]} & {s for s, _ in methods[method]}
+                    a, b = ([v for s, v in sorted(methods[m]) if s in common] for m in (reference, method))
+                if len(a) >= 2 and len(b) >= 2:
+                    _, p = (paired_t_test if paired else welch_t_test)(a, b)
                     p_text = f"{p:.4f}"
                     if p < alpha and mean < means[reference]:
                         star = "*"

@@ -117,11 +117,6 @@ def pareto_lambda(f, p_exp: float) -> np.ndarray:
     return total / f ** (1.0 - p_exp)
 
 
-def _hinge_total(dual: DualSolution, y: np.ndarray, C: float, use_bias: bool) -> float:
-    margins = dual.margins + y * dual.bias if use_bias else dual.margins
-    return float(C * np.maximum(0.0, 1.0 - margins).sum())
-
-
 def _regularizer(comp: np.ndarray, theta: np.ndarray):
     """sum_m comp_m / (2 theta_m) with 0/0 treated as 0, per row of comp."""
     return np.divide(comp, 2.0 * theta, out=np.zeros(comp.shape), where=theta > 0).sum(axis=-1)
@@ -132,14 +127,16 @@ def _validate_fit_inputs(tasks, stacks, kernel_specs):
         raise ValueError("no tasks to train")
     if len(tasks) != len(stacks):
         raise ValueError("tasks and gram stacks must align")
+    if len({task.task_id for task in tasks}) < len(tasks):  # a model finds each task by its id
+        raise ValueError(f"task ids must be unique, got {[task.task_id for task in tasks]}")
     n_kernels = stacks[0].n_kernels
     if len(kernel_specs) != n_kernels:
         raise ValueError(f"{len(kernel_specs)} kernel specs for gram stacks of {n_kernels} kernels")
     for task, stack in zip(tasks, stacks):
         if stack.n_kernels != n_kernels:
             raise ValueError("all tasks must share the kernel dictionary")
-        if stack.n_samples != task.y.size:
-            raise ValueError(f"stack size mismatch for task {task.task_id!r}")
+        if stack.task_id != task.task_id or stack.n_samples != task.y.size:
+            raise ValueError(f"stack of task {stack.task_id!r} has {stack.n_samples} samples for task {task.task_id!r}")
         if np.all(task.y == task.y[0]):
             raise ValueError(f"degenerate task {task.task_id!r}: one class only")
 
@@ -256,7 +253,8 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs, init: MtlModel | None 
                 duals[t] = cand
                 solves_converged &= cand.converged
                 comps[t] = component_sq_norms(cand.alpha, task.y, stack, theta)
-                hinges[t] = _hinge_total(cand, task.y, config.C, config.use_bias)
+                margins = cand.margins + task.y * cand.bias if config.use_bias else cand.margins
+                hinges[t] = float(config.C * np.maximum(0.0, 1.0 - margins).sum())
                 J[t] = cand.objective
         trace.append(float((lam * J).sum()))
 
@@ -329,6 +327,18 @@ def decision_values(model: MtlModel, task_id: str, X_test) -> np.ndarray:
     return out
 
 
+def stack_decision_values(model: MtlModel, task_id: str, grams) -> np.ndarray:
+    """decision_values from Gram values at hand: grams (M, n_t, k), the task's n_t training points by k points."""
+    t = model.task_index(task_id)
+    coef = model.duals[t].alpha * model.tasks[t].y
+    values = np.zeros(grams.shape[2])
+    for m in np.flatnonzero(model.theta):
+        values += model.theta[m] * (coef @ grams[m])
+    if model.config.use_bias:
+        values += model.duals[t].bias
+    return values
+
+
 def predict(model: MtlModel, task_id: str, X_test):
     """Labels (sign of the decision value, with sign(0) = +1) and decisions."""
     values = decision_values(model, task_id, X_test)
@@ -349,23 +359,15 @@ def weighted_empirical_loss(model: MtlModel, rho: float, stacks) -> float:
     (1 / total_count) * sum_t lam_t * sum_i margin_loss(y_t_i f_t(x_t_i), rho).
     The training decision values come from stacks, the tasks' training Gram stacks.
     """
-    theta = model.theta
     total = 0.0
-    count = 0
     if len(stacks) != len(model.tasks):
         raise ValueError(f"expected one stack per task ({len(model.tasks)}), got {len(stacks)}")
-    for lam, task, dual, stack in zip(model.task_weights, model.tasks, model.duals, stacks):
-        if stack.grams.shape != (theta.size, task.y.size, task.y.size):
-            raise ValueError(f"stack of task {task.task_id!r} has shape {stack.grams.shape}")
-        coef = dual.alpha * task.y
-        values = np.zeros(task.y.size)
-        for m in np.flatnonzero(theta):
-            values += theta[m] * (coef @ stack.grams[m])
-        if model.config.use_bias:
-            values += dual.bias
+    for lam, task, stack in zip(model.task_weights, model.tasks, stacks):
+        if stack.task_id != task.task_id or stack.grams.shape != (model.theta.size, task.y.size, task.y.size):
+            raise ValueError(f"stack of task {stack.task_id!r} has shape {stack.grams.shape} for task {task.task_id!r}")
+        values = stack_decision_values(model, task.task_id, stack.grams)
         total += lam * float(margin_loss(task.y * values, rho).sum())
-        count += task.y.size
-    return total / count
+    return total / sum(task.y.size for task in model.tasks)
 
 
 def task_data_hash(task: TaskDataset) -> str:

@@ -687,6 +687,18 @@ def test_bound_report_keeps_its_field_order():
     assert report.csv_row().split(",") == [line.split(" ")[1] for line in report.lines()]
 
 
+def test_bound_report_rejects_a_permuted_stacks_list_before_any_sampling(monkeypatch):
+    # equal task sizes pass the shape checks, so only the task ids tell the stacks apart
+    model, tasks, stacks = trained_model(seed=8)
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampled signs for misaligned stacks")
+
+    monkeypatch.setattr("conicmtl.bounds.rademacher_mc", never)
+    with pytest.raises(ValueError, match="stack of task 'synth1' has shape .* for task 'synth0'"):
+        bound_report(model, tasks, mc_samples=50, seed=3, stacks=stacks[::-1])
+
+
 def test_verification_suite_all_pass():
     results = run_verification_suite(seed=1, n_instances=8)
     for result in results:

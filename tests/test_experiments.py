@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conicmtl import experiments
+from conicmtl import experiments, kernels, training
 from conicmtl.experiments import (
     RESULT_HEADER,
     ExperimentConfig,
@@ -21,6 +21,8 @@ from conicmtl.experiments import (
 )
 from conicmtl.data import Scaler, TaskDataset, prepare_run, save_task_directory, synth_multitask, write_sparse_text
 from conicmtl.kernels import build_gram_stack, default_kernel_dictionary
+from conicmtl.training import predict
+from conicmtl.util import derive_seed
 
 
 # ------------------------------------------------------------ welch t-test
@@ -247,6 +249,57 @@ def test_average_cv_chain_is_the_conic_budget_one_chain_bit_for_bit(monkeypatch,
     assert sum(warm for warm, _ in chains["average"]) == 6  # every fit above the smallest C is warm
 
 
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("dataset", ["synth:T=2,N=30,d=5,sim=0.3,noise=1.0,seed=2", "synth:T=8,N=16,d=4,noise=0.8,seed=4"])
+def test_cv_fold_scores_equal_the_scores_predicted_from_the_held_out_features(monkeypatch, dataset, use_bias):
+    # the reference scores each held-out part as cross-validation once did: a held-out
+    # TaskDataset predicted through training.predict, which evaluates the kernels afresh
+    _, data = resolve_dataset(dataset)
+    tasks, _, _ = prepare_run(data, 0.5, 7, balanced=True)
+    specs = default_kernel_dictionary()
+    stacks = [build_gram_stack(t.task_id, t.X, specs) for t in tasks]
+    cfg = small_config(grid_C=(0.5, 2.0), grid_a_frac=(0.5, 1.0), grid_p_exp=(0.5, 1.0), use_bias=use_bias)
+    scored = []  # (models, parts, values, fold score) per scored fold, in scoring order
+    original = experiments._mean_accuracy
+
+    def recording(models, parts, values):
+        score = original(models, parts, values)
+        scored.append((models, parts, values, score))
+        return score
+
+    monkeypatch.setattr(experiments, "_mean_accuracy", recording)
+    assignments = [experiments._fold_assignments(t, 3, derive_seed(5, "folds", t.task_id)) for t in tasks]
+    for method in ("Conic", "Average", "ParetoPath", "SingleTask"):
+        scored.clear()
+        cross_validate(tasks, stacks, method, cfg, seed=5, specs=specs)
+        assert len(scored) == 3 * len(list(experiments._grid_cells(method, cfg)))  # every cell, fold by fold
+        for i, (models, parts, values, score) in enumerate(scored):
+            held = [task.subset(np.flatnonzero(assign == i % 3)) for task, assign in zip(tasks, assignments)]
+            pairs = [(model, task.task_id) for model in models for task in model.tasks]
+            accs = []
+            for (model, task_id), part, (inputs, _) in zip(pairs, held, parts, strict=True):
+                labels, expected = predict(model, task_id, part.X)
+                np.testing.assert_allclose(values(model, task_id, inputs), expected, rtol=0.0, atol=1e-12)
+                accs.append(float((labels == part.y).mean()))
+            assert score == float(np.mean(accs)), (method, i)
+        assert any(score < 1.0 for *_, score in scored)  # the folds are not all trivially separable
+
+
+def test_cv_evaluates_no_kernel_and_no_decision_values(monkeypatch):
+    tasks, stacks, specs = prepared_tasks(N=24, seed=5)
+    cfg = small_config(grid_C=(0.5, 2.0), grid_a_frac=(0.5, 1.0))
+    expected = cross_validate(tasks, stacks, "Conic", cfg, seed=1, specs=specs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("cross-validation evaluated kernels to score a fold")
+
+    for module in (training, kernels):
+        monkeypatch.setattr(module, "expand", never)
+    monkeypatch.setattr(training, "decision_values", never)
+    monkeypatch.setattr(experiments, "decision_values", never, raising=False)
+    assert cross_validate(tasks, stacks, "Conic", cfg, seed=1, specs=specs) == expected
+
+
 def test_cv_rejects_degenerate_folds():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((7, 3))
@@ -391,6 +444,64 @@ def test_summary_stars_reproducible_from_csv(tmp_path):
 def test_summary_rejects_alpha_outside_the_open_unit_interval(alpha):
     with pytest.raises(ValueError, match=rf"alpha must lie in \(0, 1\), got {alpha!r}"):
         summarize_results([], alpha=alpha)
+
+
+def accuracy_rows(accuracies, lost=()):
+    """Result rows of runs 0, 1, ... per method; a (method, seed) in lost has an empty accuracy, as a failed run."""
+    return [
+        dict(dataset="demo", fraction="0.5", method=method, seed=str(seed),
+             mean_accuracy="" if (method, seed) in lost else repr(acc))
+        for method, accs in accuracies.items() for seed, acc in enumerate(accs)
+    ]
+
+
+def printed_row(text, method):
+    return next(line.split() for line in text.splitlines() if line.split()[:1] == [method])
+
+
+def test_summary_paired_pairs_runs_by_seed_when_methods_lost_different_runs():
+    conic, average = [0.81, 0.74, 0.90, 0.68, 0.77], [0.78, 0.73, 0.85, 0.66, 0.76]
+    rows = accuracy_rows({"Conic": conic, "Average": average}, lost={("Conic", 0), ("Average", 1)})
+    expected = scipy.stats.ttest_rel(conic[2:], average[2:]).pvalue  # seeds 2, 3 and 4 are common
+    _, _, _, runs, p_text = printed_row(summarize_results(rows, paired=True), "Average")
+    assert (runs, p_text) == ("4", f"{expected:.4f}") == ("4", "0.1567")
+    # one common seed pairs nothing; the paired test never falls back to the two-sample one
+    rows = accuracy_rows({"Conic": conic, "Average": average}, lost={("Conic", 0), ("Conic", 1), ("Conic", 2), ("Average", 3)})
+    assert printed_row(summarize_results(rows, paired=True), "Average")[4] == "-"
+    assert printed_row(summarize_results(rows), "Average")[4] == f"{scipy.stats.ttest_ind(conic[3:], average[:3] + average[4:], equal_var=False).pvalue:.4f}"
+
+
+SUMMARY_PINS = {  # summarize_results of the rows below before the paired test paired runs by seed
+    False: (
+        "dataset=demo fraction=0.3\n  method           mean      std  runs   p_vs_Conic\n"
+        "  Average        0.8210   0.0189     5       0.0029 *\n  Conic          0.8665   0.0118     5            -  <best\n"
+        "  ParetoPath     0.8312   0.0194     5       0.0114 *\n\n"
+        "dataset=demo fraction=0.5\n  method           mean      std  runs   p_vs_Conic\n"
+        "  Average        0.8264   0.0101     5       0.0008 *\n  Conic          0.8667   0.0132     5            -  <best\n"
+        "  ParetoPath     0.8302   0.0170     5       0.0061 *\n\n"
+    ),
+    True: (
+        "dataset=demo fraction=0.3\n  method           mean      std  runs   p_vs_Conic\n"
+        "  Average        0.8210   0.0189     5       0.0010 *\n  Conic          0.8665   0.0118     5            -  <best\n"
+        "  ParetoPath     0.8312   0.0194     5       0.0327 *\n\n"
+        "dataset=demo fraction=0.5\n  method           mean      std  runs   p_vs_Conic\n"
+        "  Average        0.8264   0.0101     5       0.0012 *\n  Conic          0.8667   0.0132     5            -  <best\n"
+        "  ParetoPath     0.8302   0.0170     5       0.0342 *\n\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_summary_of_runs_with_no_lost_run_is_pinned(paired):
+    rng = np.random.default_rng(12)
+    rows = [
+        dict(dataset="demo", fraction=fraction, method=method, seed=str(seed),
+             mean_accuracy=repr(round(centre + 0.02 * rng.standard_normal(), 4)))
+        for fraction in ("0.3", "0.5")
+        for method, centre in (("Conic", 0.85), ("Average", 0.83), ("ParetoPath", 0.84))
+        for seed in (3, 0, 2, 1, 4)
+    ]
+    assert summarize_results(rows, paired=paired) == SUMMARY_PINS[paired]
 
 
 def test_summary_from_real_run(tmp_path):

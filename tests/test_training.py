@@ -783,6 +783,22 @@ def test_fit_requires_one_kernel_spec_per_stack_kernel():
         fit(tasks, stacks, TrainConfig(mode="average"))
 
 
+def test_fit_and_empirical_loss_reject_a_stack_of_another_task():
+    tasks = make_tasks(T=2, N=10, seed=27)
+    stacks = make_stacks(tasks, SPECS)
+    model = fit(tasks, stacks, TrainConfig(mode="average"), SPECS)
+    with pytest.raises(ValueError, match=re.escape("stack of task 'synth1' has 10 samples for task 'synth0'")):
+        fit(tasks, stacks[::-1], TrainConfig(mode="average"), SPECS)
+    with pytest.raises(ValueError, match=re.escape("stack of task 'synth0' has 9 samples for task 'synth0'")):
+        fit(tasks, make_stacks([tasks[0].subset(np.arange(9))], SPECS) + stacks[1:], TrainConfig(mode="average"), SPECS)
+    with pytest.raises(ValueError, match=re.escape("stack of task 'synth1' has shape (11, 10, 10) for task 'synth0'")):
+        weighted_empirical_loss(model, 1.0, stacks[::-1])
+    # two tasks of one id would leave the model's lookups by id (task_index) to the first
+    twins = [TaskDataset("twin", task.X, task.y) for task in tasks]
+    with pytest.raises(ValueError, match=re.escape("task ids must be unique, got ['twin', 'twin']")):
+        fit(twins, make_stacks(twins, SPECS), TrainConfig(mode="average"), SPECS)
+
+
 def test_fit_rejects_non_finite_pareto_weights(monkeypatch):
     tasks = make_tasks(T=2, N=10, seed=26)
     monkeypatch.setattr(training, "pareto_lambda", lambda f, p_exp: np.full(f.shape, np.inf))
