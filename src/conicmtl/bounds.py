@@ -15,15 +15,23 @@ blocks of signs (all 2^total patterns, or sign bits read from raw Philox
 words keyed on (tag, seed, block)), drawn and contracted one chunk at a
 time into per-task quadratic-form tables (a GEMM per task, run of kernels
 and chunk on views of the Grams; a Gram that is the identity in floating
-point gives the constant n and stays out of the GEMM), and one mean and
-std-error accumulator. One chunk of signs and one product buffer are alive
-at a time. Only the reducer differs: sum the scaled tables over tasks,
-then the p*-norm; or the p*-norm per task, then the max over tasks.
+point gives the constant n and stays out of the GEMM), reduced chunk by
+chunk into one block of values, and one mean and std-error accumulator.
+Only the reducer differs: sum the scaled tables over tasks, then the
+p*-norm; or the p*-norm per task, then the max over tasks.
+
+The blocks are independent, so when BLAS runs one thread per call they
+are spread over every usable CPU (_workers). Each thread owns its buffers,
+one chunk wide: signs, products, tables and one block of values. Each
+block's sum and sum of squares are added into the accumulator in block
+order, so the estimate has the same bits at any thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -128,8 +136,8 @@ def _sign_chunks(cols: np.ndarray, total: int, n_patterns: int, block: int, tag:
         yield at, chunk
 
 
-def _float_identities(grams: np.ndarray) -> np.ndarray:
-    """Mask of the (K, n, n) Grams with unit diagonal and off-diagonal |row| sums at most 2^-56.
+def _float_identity(gram: np.ndarray) -> bool:
+    """Whether the (n, n) Gram has unit diagonal and off-diagonal |row| sums at most 2^-56.
 
     For such a Gram, sigma' G sigma is exactly n for every sign vector
     sigma, whatever the summation order of the GEMM and whether it fuses
@@ -140,51 +148,52 @@ def _float_identities(grams: np.ndarray) -> np.ndarray:
     rounds back to +-1. So (G sigma)_i = sigma_i, each product
     sigma_i (G sigma)_i is 1.0, and their sum is n exactly.
     """
-    K, n, _ = grams.shape
-    flat = grams.reshape(K, n * n)
-    unit = (flat[:, :: n + 1] == 1.0).all(axis=1)
-    off = np.abs(flat)
-    off[:, :: n + 1] = 0.0
-    return unit & (off.reshape(K, n, n).sum(axis=2) <= 2.0**-56).all(axis=1)
+    if not (gram.diagonal() == 1.0).all():
+        return False
+    off = np.abs(gram, order="C")
+    np.fill_diagonal(off, 0.0)
+    return bool((off.sum(axis=1) <= 2.0**-56).all())
 
 
 def _contraction_plan(stacks) -> list:
     """Per task (M, n, grams, runs): all M Grams as one (M*n, n) view, and the runs that need the GEMM.
 
     runs holds (a, b, Grams a..b-1 viewed as ((b-a)*n, n)) per maximal run of
-    kernels that are not the identity in floating point (_float_identities;
-    only a trace of n can come from a unit diagonal); the default dictionary
-    typically gives two, [0:2] and the wider gaussians such as [4:11].
+    kernels that are not the identity in floating point (_float_identity,
+    tested one Gram at a time; only a trace of n can come from a unit
+    diagonal); the default dictionary typically gives two, [0:2] and the
+    wider gaussians such as [4:11]. The plan is only read, so threads share it.
     """
     plan = []
     for stack in stacks:
         M, n, _ = stack.grams.shape
-        keep = np.ones(M, dtype=bool)
-        if n in stack.traces.tolist():
-            identity = stack.traces == n
-            identity[identity] = _float_identities(stack.grams[identity])
-            keep = ~identity
-        edges = np.flatnonzero(np.diff(np.r_[0, keep, 0])).tolist()
+        keep = [not (trace == n and _float_identity(gram)) for trace, gram in zip(stack.traces.tolist(), stack.grams)]
+        edges = np.flatnonzero(np.diff([0, *keep, 0])).tolist()
         runs = [(a, b, stack.grams[a:b].reshape(-1, n)) for a, b in zip(edges[::2], edges[1::2])]
         plan.append((M, n, stack.grams.reshape(M * n, n), runs))
     return plan
 
 
-def _block_tables(plan, total: int, n_patterns: int, tag: str, seed: int, exhaustive: bool):
-    """Yield per sign block one (M, n_block) table of sigma_t' G_t^m sigma_t per task.
+def _chunk_tables(plan, total: int, n_patterns: int, blocks, tag: str, seed: int, exhaustive: bool):
+    """Yield (block, first column, per-task (M, width) tables of sigma_t' G_t^m sigma_t) per chunk of the given blocks.
 
-    One chunk of signs, one product buffer and block-wide tables, each
-    allocated once: the next block overwrites the yielded views. Identity
-    rows hold n. A full chunk makes one GEMM per task and run; a narrower
-    last chunk contracts all M kernels, since OpenBLAS rounds a partial tile
-    of columns differently for different row counts, while full-width chunks
-    gave every row the same bits at every row count tried.
+    The buffers belong to the calling thread and are allocated once, one
+    chunk wide: the signs, the products and the tables; the next chunk
+    overwrites the yielded views. Identity rows hold n. A full chunk makes
+    one GEMM per task and run, so the product buffer holds the longest run;
+    a narrower last chunk contracts all M kernels, since OpenBLAS rounds a
+    partial tile of columns differently for different row counts, while
+    full-width chunks gave every row the same bits at every row count tried.
     """
-    widest = min(CONTRACT_CHUNK, n_patterns)
+    sizes = [min(MC_BLOCK, n_patterns - block * MC_BLOCK) for block in blocks]
+    full = CONTRACT_CHUNK if max(sizes) >= CONTRACT_CHUNK else 0
+    narrow = max(size % CONTRACT_CHUNK for size in sizes)
+    widest = max(full, narrow)
     cols = np.empty(total * widest)
-    prod = np.empty(max(M * n for M, n, _, _ in plan) * widest)
-    tables = [np.full((M, min(MC_BLOCK, n_patterns)), float(n)) for M, n, _, _ in plan]
-    for block in range(-(-n_patterns // MC_BLOCK)):
+    longest = [max((b - a for a, b, _ in runs), default=0) for _, _, _, runs in plan]
+    prod = np.empty(max(n * max(full * run, narrow * M) for (M, n, _, _), run in zip(plan, longest)))
+    tables = [np.full((M, widest), float(n)) for M, n, _, _ in plan]
+    for block in blocks:
         for at, chunk in _sign_chunks(cols, total, n_patterns, block, tag, seed, exhaustive):
             width = chunk.shape[1]
             lo = 0
@@ -194,20 +203,87 @@ def _block_tables(plan, total: int, n_patterns: int, tag: str, seed: int, exhaus
                 for a, b, gemm in runs if width == CONTRACT_CHUNK else [(0, M, grams)]:
                     out = prod[: (b - a) * n * width].reshape((b - a) * n, width)
                     np.matmul(gemm, signs, out=out)
-                    np.einsum("mic,ic->mc", out.reshape(b - a, n, width), signs, out=table[a:b, at : at + width])
-        yield [table[:, : at + width] for table in tables]  # the block ends with its last chunk
+                    np.einsum("mic,ic->mc", out.reshape(b - a, n, width), signs, out=table[a:b, :width])
+            yield block, at, [table[:, :width] for table in tables]
+
+
+def _block_values(plan, total: int, n_patterns: int, blocks, tag: str, seed: int, exhaustive: bool, reduce):
+    """Yield (block, reduce's values over the block) per given block, reduced one chunk at a time.
+
+    The values of a column do not depend on the chunk's width, except that
+    numpy sums a lone column over the kernels pairwise and a wider C-order
+    table row by row; a one-column chunk of a wider block is therefore
+    reduced as two copies side by side, which gives its column the bits of a
+    block-wide reduce.
+    """
+    values = np.empty(min(MC_BLOCK, n_patterns))
+    for block, at, tables in _chunk_tables(plan, total, n_patterns, blocks, tag, seed, exhaustive):
+        width = tables[0].shape[1]
+        n_block = min(MC_BLOCK, n_patterns - block * MC_BLOCK)
+        if width < 2 <= n_block:
+            tables = [np.repeat(table, 2, axis=1) for table in tables]  # C order, as a block-wide table
+        values[at : at + width] = reduce(tables)[:width]
+        if at + width == n_block:
+            yield block, values[:n_block]
+
+
+def _workers() -> int:
+    """Threads for the sign blocks: every usable CPU when BLAS runs one thread per call, else 1.
+
+    OpenBLAS takes its thread count from the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive number. A GEMM on
+    more BLAS threads already spreads over the CPUs, and block threads beside
+    it were slower than none.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            count = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return len(os.sched_getaffinity(0)) if count == 1 and hasattr(os, "sched_getaffinity") else 1
+    return 1
 
 
 def _sign_expectation(stacks, samples, tag, seed, exhaustive, reduce) -> RademacherEstimate:
-    """Mean and standard error of reduce(per-task quadform tables), one block of tables at a time."""
+    """Mean and standard error of reduce(per-task quadform tables) over the sign blocks.
+
+    Thread k of W takes blocks k, k + W, ...; the calling thread is thread 0.
+    Each block's sum and sum of squares are added up in block order, so the
+    result has the same bits at any thread count. An exception in any thread
+    stops the others after their current block and is raised here once all
+    have ended.
+    """
     total = sum(s.n_samples for s in stacks)
     n = 1 << total if exhaustive else samples
+    plan = _contraction_plan(stacks)
+    n_blocks = -(-n // MC_BLOCK)
+    workers = min(_workers(), n_blocks)
+    moments = [None] * n_blocks
+    errors = []
+
+    def work(first):
+        try:
+            blocks = range(first, n_blocks, workers)
+            for block, values in _block_values(plan, total, n, blocks, tag, seed, exhaustive, reduce):
+                moments[block] = (float(values.sum()), float((values**2).sum()))
+                if errors:
+                    return
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     acc_sum = acc_sq = 0.0
-    for tables in _block_tables(_contraction_plan(stacks), total, n, tag, seed, exhaustive):
-        values = reduce(tables)
-        acc_sum += float(values.sum())
-        if not exhaustive:
-            acc_sq += float((values**2).sum())
+    for block_sum, block_sq in moments:
+        acc_sum += block_sum
+        acc_sq += block_sq
     mean = acc_sum / n
     var = max(0.0, (acc_sq - n * mean * mean) / max(n - 1, 1))
     std_error = 0.0 if exhaustive else float(np.sqrt(var / n))

@@ -465,6 +465,8 @@ def load_model(path, tasks) -> MtlModel:
         key, _, value = line.partition(" = ")
         if line.startswith("["):
             section = line[1:-1]
+            if section in sections:
+                raise ValueError(f"{path}: section [{section}] appears more than once")
             sections[section] = {}
         elif section == "kernels":
             labels.append(value)

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -14,9 +17,12 @@ from conicmtl.bounds import (
     bound_rhs_fixed_lambda,
     erc_upper_bound_lp,
     estimate_scale_constant,
-    _block_tables,
+    _block_values,
+    _chunk_tables,
     _contraction_plan,
+    _dual_norms,
     _sign_chunks,
+    _workers,
     model_radius,
     rademacher_mc,
 )
@@ -24,7 +30,7 @@ from conicmtl.data import Scaler, TaskDataset, synth_multitask
 from conicmtl.kernels import GramStack, build_gram_stack, default_kernel_dictionary
 from conicmtl.training import TrainConfig, fit, margin_loss
 from conicmtl.util import conjugate_exponent, derive_seed, lp_norm
-from conicmtl import verification
+from conicmtl import bounds, kernels, training, verification
 from conicmtl.verification import random_stacks, run_verification_suite
 
 
@@ -223,9 +229,10 @@ def test_estimators_match_brute_force_quadratic_forms(p, exhaustive):
 
 
 @pytest.mark.parametrize("samples", [MC_BLOCK, 3 * MC_BLOCK])
-def test_monte_carlo_memory_stays_bounded(samples):
-    # the benchmark shape: 4 tasks of 30 samples, 11 kernels; a product over
-    # a whole block per task, or two blocks alive at once, would exceed this
+def test_monte_carlo_memory_stays_bounded(samples, monkeypatch):
+    # the benchmark shape: 4 tasks of 30 samples, 11 kernels, on two threads;
+    # a product over a whole block per task, or two blocks alive per thread, would exceed this
+    monkeypatch.setattr(bounds, "_workers", lambda: 2)
     stacks = random_stacks(np.random.default_rng(14), T=4, N=30, M=11)
     tracemalloc.start()
     try:
@@ -484,7 +491,8 @@ def test_identity_grams_skip_the_gemm_with_identical_bytes(kinds):
     # chunk: the BLAS rounds some partial widths differently by row count
     total = sum(sizes)
     for width in (2 * CONTRACT_CHUNK + 3, *range(1, CONTRACT_CHUNK)):
-        (tables,) = _block_tables(plan, total, width, "identity", width, exhaustive=False)
+        chunks = [[t.copy() for t in tables] for _, _, tables in _chunk_tables(plan, total, width, [0], "identity", width, False)]
+        tables = [np.hstack(parts) for parts in zip(*chunks)]
         cols = np.ascontiguousarray(drawn_signs("identity", width, width, total).T)
         for got, want in zip(tables, full_contraction(cols, stacks)):
             assert got.tobytes() == want.tobytes()
@@ -492,6 +500,129 @@ def test_identity_grams_skip_the_gemm_with_identical_bytes(kinds):
             for m, kind in enumerate(kinds):
                 if KINDS[kind][0]:
                     assert (table[m] == n).all()
+
+
+# ------------------------------------------------- sign engine: threads
+
+def both_estimates(stacks, **kwargs):
+    """Hex of mean and std error of both estimators."""
+    lam = np.linspace(1.3, 2.9, len(stacks))
+    ests = (
+        rademacher_mc(stacks, lam, R=1.7, p=4 / 3, gamma=np.linspace(0.7, 1.9, len(stacks)), **kwargs),
+        estimate_scale_constant(stacks, R=1.7, p=4 / 3, **kwargs),
+    )
+    return [(est.mean.hex(), est.std_error.hex(), est.samples) for est in ests]
+
+
+@pytest.mark.parametrize(
+    "sizes, samples",
+    [
+        ((30, 30, 30, 30), 3 * MC_BLOCK),
+        ((30, 30, 30, 30), 2 * MC_BLOCK + 5),  # a narrow last chunk
+        ((3, 5, 7), MC_BLOCK + CONTRACT_CHUNK + 1),  # a one-column last chunk
+        ((13,), None),  # exhaustive: 2, 4 and 8 blocks
+        ((7, 7), None),
+        ((3, 5, 7), None),
+    ],
+)
+def test_estimates_have_the_same_bits_at_any_thread_count(sizes, samples, monkeypatch):
+    rng = np.random.default_rng(41)
+    stacks = [random_stacks(rng, T=1, N=n, M=9)[0] for n in sizes]
+    kwargs = {} if samples is None else dict(samples=samples, seed=3, exhaustive_limit=0)
+    digests = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(bounds, "_workers", lambda: workers)
+        digests.append(both_estimates(stacks, **kwargs))
+    assert digests[0] == digests[1] == digests[2]
+    assert digests[0][0][2] == (samples or 2 ** sum(sizes))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_one_column_chunk_is_reduced_with_the_bits_of_a_block_wide_reduce(seed):
+    # numpy sums a lone column over the kernels pairwise and a wider table row by row
+    stacks = random_stacks(np.random.default_rng(seed), T=2, N=4, M=20)
+    plan = _contraction_plan(stacks)
+    samples = MC_BLOCK + CONTRACT_CHUNK + 1
+
+    def reduce(tables):
+        return _dual_norms(sum(tables), 2.0)
+
+    got = dict(_block_values(plan, 8, samples, [0, 1], "rademacher", seed, False, reduce))
+    chunks = [[t.copy() for t in tables] for _, _, tables in _chunk_tables(plan, 8, samples, [1], "rademacher", seed, False)]
+    assert [tables[0].shape[1] for tables in chunks] == [CONTRACT_CHUNK, 1]
+    wide = reduce([np.hstack(parts) for parts in zip(*chunks)])
+    assert got[1].tobytes() == wide.tobytes()
+
+
+def test_an_error_on_a_helper_thread_is_raised_after_every_thread_ended(monkeypatch):
+    monkeypatch.setattr(bounds, "_workers", lambda: 3)
+    stacks = random_stacks(np.random.default_rng(42), T=2, N=10, M=2)
+    before = threading.active_count()
+    calls = []
+
+    def reduce(tables):
+        calls.append(threading.current_thread() is threading.main_thread())
+        if not calls[-1]:
+            raise ArithmeticError("helper block")
+        return tables[0][0]
+
+    with pytest.raises(ArithmeticError, match="helper block"):
+        bounds._sign_expectation(stacks, 8 * MC_BLOCK, "rademacher", 0, False, reduce)
+    assert threading.active_count() == before
+    assert not all(calls)
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "env, pinned",
+    [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),  # OpenBLAS reads the first one set
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+    ],
+)
+def test_block_threads_start_only_when_blas_is_pinned_to_one_thread(env, pinned, monkeypatch):
+    for name in BLAS_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert _workers() == (cpus if pinned else 1)
+    if not pinned:
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        rademacher_mc(random_stacks(np.random.default_rng(43), T=2, N=10, M=2), [1.5, 2.0], R=1.0, p=2.0,
+                      samples=4 * MC_BLOCK, exhaustive_limit=0)
+        assert started == []
+
+
+def test_helper_threads_call_no_traced_training_or_kernels_function(monkeypatch):
+    # the benchmark's tracer keeps one stack of open spans, so only the calling
+    # thread may enter a function it wraps
+    stacks = random_stacks(np.random.default_rng(44), T=3, N=12, M=4)
+    kwargs = dict(samples=4 * MC_BLOCK, seed=1, exhaustive_limit=0)
+    expected = both_estimates(stacks, **kwargs)
+    for module in (training, kernels):
+        for name, fn in list(vars(module).items()):
+            if not callable(fn) or isinstance(fn, type) or getattr(fn, "__module__", None) != module.__name__:
+                continue
+
+            def guarded(*args, _fn=fn, **kw):
+                if threading.current_thread() is not threading.main_thread():
+                    raise AssertionError(f"{_fn.__qualname__} called off the main thread")
+                return _fn(*args, **kw)
+
+            for owner in [m for key, m in list(sys.modules.items()) if key.startswith("conicmtl")]:
+                for attr, value in list(vars(owner).items()):
+                    if value is fn:
+                        monkeypatch.setattr(owner, attr, guarded)
+    monkeypatch.setattr(bounds, "_workers", lambda: 2)
+    assert both_estimates(stacks, **kwargs) == expected
 
 
 # ------------------------------------------------------------- trace bound

@@ -718,6 +718,17 @@ def test_load_ignores_a_line_before_the_first_section_like_any_unread_key(tmp_pa
     assert np.array_equal(load_model(path, tasks).task_weights, model.task_weights)
 
 
+@pytest.mark.parametrize("section", ["task synth1", "config", "kernels", "theta", "lambda", "trace"])
+def test_load_rejects_a_repeated_section_and_names_it(tmp_path, section):
+    # a second [task <id>] used to merge into the first and fail on the count of [lambda]
+    _, tasks, path = saved_model(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = lines.index(f"[{section}]")
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")), len(lines))
+    path.write_text("\n".join(lines + lines[start:end]) + "\n", encoding="utf-8")
+    assert load_error(path, tasks) == f"{path}: section [{section}] appears more than once"
+
+
 @pytest.mark.parametrize(
     "key, sizes",
     [("alpha", "11 alpha for 12 samples and 11"), ("component_sq_norms", "12 alpha for 12 samples and 10")],
