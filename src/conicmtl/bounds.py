@@ -21,10 +21,11 @@ Only the reducer differs: sum the scaled tables over tasks, then the
 p*-norm; or the p*-norm per task, then the max over tasks.
 
 The blocks are independent, so when BLAS runs one thread per call they
-are spread over every usable CPU (_workers). Each thread owns its buffers,
-one chunk wide: signs, products, tables and one block of values. Each
-block's sum and sum of squares are added into the accumulator in block
-order, so the estimate has the same bits at any thread count.
+are spread over every usable CPU (_workers). Each thread runs one
+_block_values generator, which owns that thread's buffers, one chunk wide:
+signs, products, tables and one block of values. Each block's sum and sum
+of squares are added into the accumulator in block order, so the estimate
+has the same bits at any thread count.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def _check_samples(samples) -> None:
         raise ValueError(f"samples must be positive, got {samples}")
 
 
-def _sign_chunks(cols: np.ndarray, total: int, n_patterns: int, block: int, tag: str, seed: int, exhaustive: bool):
-    """Write block `block` of MC_BLOCK sign vectors into the flat buffer cols, CONTRACT_CHUNK columns at a time.
+def _sign_chunks(cols: np.ndarray, total: int, n_block: int, block: int, tag: str, seed: int, exhaustive: bool):
+    """Write the n_block sign vectors of block `block` into the flat buffer cols, CONTRACT_CHUNK columns at a time.
 
     Yields (first column, C-contiguous (total, width) view of cols) per
     chunk; the next chunk overwrites it. Exhaustive pattern k has sign (bit
@@ -119,7 +120,6 @@ def _sign_chunks(cols: np.ndarray, total: int, n_patterns: int, block: int, tag:
     starts on a word.
     """
     start = block * MC_BLOCK
-    n_block = min(MC_BLOCK, n_patterns - start)
     philox = None if exhaustive else np.random.Philox(key=derive_seed(tag, seed, block))
     for at in range(0, n_block, CONTRACT_CHUNK):
         width = min(CONTRACT_CHUNK, n_block - at)
@@ -174,16 +174,23 @@ def _contraction_plan(stacks) -> list:
     return plan
 
 
-def _chunk_tables(plan, total: int, n_patterns: int, blocks, tag: str, seed: int, exhaustive: bool):
-    """Yield (block, first column, per-task (M, width) tables of sigma_t' G_t^m sigma_t) per chunk of the given blocks.
+def _block_values(plan, total: int, n_patterns: int, blocks, tag: str, seed: int, exhaustive: bool, reduce):
+    """Yield (block, reduce's values over the block) per given block, contracted and reduced one chunk at a time.
 
     The buffers belong to the calling thread and are allocated once, one
-    chunk wide: the signs, the products and the tables; the next chunk
-    overwrites the yielded views. Identity rows hold n. A full chunk makes
+    chunk wide: the signs, the products, the per-task (M, width) tables of
+    sigma_t' G_t^m sigma_t and one block of values; the next block
+    overwrites the yielded values. Identity rows hold n. A full chunk makes
     one GEMM per task and run, so the product buffer holds the longest run;
     a narrower last chunk contracts all M kernels, since OpenBLAS rounds a
     partial tile of columns differently for different row counts, while
     full-width chunks gave every row the same bits at every row count tried.
+
+    The values of a column do not depend on the chunk's width, except that
+    numpy sums a lone column over the kernels pairwise and a wider C-order
+    table row by row; a one-column chunk of a wider block is therefore
+    reduced as two copies side by side, which gives its column the bits of a
+    block-wide reduce.
     """
     sizes = [min(MC_BLOCK, n_patterns - block * MC_BLOCK) for block in blocks]
     full = CONTRACT_CHUNK if max(sizes) >= CONTRACT_CHUNK else 0
@@ -193,8 +200,9 @@ def _chunk_tables(plan, total: int, n_patterns: int, blocks, tag: str, seed: int
     longest = [max((b - a for a, b, _ in runs), default=0) for _, _, _, runs in plan]
     prod = np.empty(max(n * max(full * run, narrow * M) for (M, n, _, _), run in zip(plan, longest)))
     tables = [np.full((M, widest), float(n)) for M, n, _, _ in plan]
-    for block in blocks:
-        for at, chunk in _sign_chunks(cols, total, n_patterns, block, tag, seed, exhaustive):
+    values = np.empty(max(sizes))
+    for block, n_block in zip(blocks, sizes):
+        for at, chunk in _sign_chunks(cols, total, n_block, block, tag, seed, exhaustive):
             width = chunk.shape[1]
             lo = 0
             for (M, n, grams, runs), table in zip(plan, tables):
@@ -204,27 +212,11 @@ def _chunk_tables(plan, total: int, n_patterns: int, blocks, tag: str, seed: int
                     out = prod[: (b - a) * n * width].reshape((b - a) * n, width)
                     np.matmul(gemm, signs, out=out)
                     np.einsum("mic,ic->mc", out.reshape(b - a, n, width), signs, out=table[a:b, :width])
-            yield block, at, [table[:, :width] for table in tables]
-
-
-def _block_values(plan, total: int, n_patterns: int, blocks, tag: str, seed: int, exhaustive: bool, reduce):
-    """Yield (block, reduce's values over the block) per given block, reduced one chunk at a time.
-
-    The values of a column do not depend on the chunk's width, except that
-    numpy sums a lone column over the kernels pairwise and a wider C-order
-    table row by row; a one-column chunk of a wider block is therefore
-    reduced as two copies side by side, which gives its column the bits of a
-    block-wide reduce.
-    """
-    values = np.empty(min(MC_BLOCK, n_patterns))
-    for block, at, tables in _chunk_tables(plan, total, n_patterns, blocks, tag, seed, exhaustive):
-        width = tables[0].shape[1]
-        n_block = min(MC_BLOCK, n_patterns - block * MC_BLOCK)
-        if width < 2 <= n_block:
-            tables = [np.repeat(table, 2, axis=1) for table in tables]  # C order, as a block-wide table
-        values[at : at + width] = reduce(tables)[:width]
-        if at + width == n_block:
-            yield block, values[:n_block]
+            views = [table[:, :width] for table in tables]
+            if width < 2 <= n_block:
+                views = [np.repeat(view, 2, axis=1) for view in views]  # C order, as a block-wide table
+            values[at : at + width] = reduce(views)[:width]
+        yield block, values[:n_block]
 
 
 def _workers() -> int:
@@ -429,8 +421,7 @@ def model_radius(model) -> float:
     """Tightest weighted ball containing the trained model: sum_t lam_t ||w_t||^2."""
     theta = model.theta
     total = 0.0
-    for lam, dual in zip(model.task_weights, model.duals):
-        comp = np.asarray(dual.component_sq_norms, dtype=float)
+    for lam, comp in zip(model.task_weights, model.component_sq_norms):
         norm_sq = np.divide(comp, theta, out=np.zeros_like(comp), where=theta > 0).sum()
         total += lam * float(norm_sq)
     return total
@@ -467,7 +458,8 @@ def bound_report(
     """
     sizes = {task.y.size for task in model.tasks}
     if len(sizes) != 1:
-        raise ValueError("bound reporting requires all tasks to have the same sample count")
+        by_task = {task.task_id: task.y.size for task in model.tasks}
+        raise ValueError(f"bound reporting requires all tasks to have the same sample count, got {by_task}")
     N = sizes.pop()
     T = len(model.tasks)
     r_max = model.config.r_max

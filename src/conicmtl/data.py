@@ -27,7 +27,7 @@ class TaskDataset:
         if not np.all(np.isfinite(self.X)):
             raise ValueError(f"task {self.task_id!r} has non-finite features")
         if not np.all(np.abs(self.y) == 1.0):
-            raise ValueError(f"task {self.task_id!r} labels must be +1/-1")
+            raise ValueError(f"task {self.task_id!r} labels must be +1/-1, got {np.unique(self.y).tolist()}")
 
     @property
     def n(self) -> int:
@@ -171,7 +171,7 @@ def balanced_resample(task: TaskDataset, seed: int) -> TaskDataset:
 def stratified_split(task: TaskDataset, fraction: float, seed: int):
     """Per-class proportional train/test split; train and test partition the task."""
     if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie in (0, 1)")
+        raise ValueError(f"fraction must lie in (0, 1), got {fraction!r}")
     rng = np.random.default_rng(seed)
     train_idx = []
     n_test = 0
@@ -230,9 +230,9 @@ def synth_multitask(
     near -mu_t, both with isotropic gaussian noise. Labels are balanced.
     """
     if not 0.0 <= task_similarity <= 1.0:
-        raise ValueError("task_similarity must lie in [0, 1]")
+        raise ValueError(f"task_similarity must lie in [0, 1], got {task_similarity!r}")
     if noise < 0:
-        raise ValueError("noise must be nonnegative")
+        raise ValueError(f"noise must be nonnegative, got {noise!r}")
     rng = np.random.default_rng(seed)
     shared = rng.standard_normal(d)
     shared /= np.linalg.norm(shared)

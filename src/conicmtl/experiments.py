@@ -47,7 +47,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+            raise ValueError(f"runs value {self.runs!r} must be >= 1")
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds value {self.cv_folds!r} must be >= 2")
         if not 1.0 < self.r_max < math.inf:
@@ -334,7 +334,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 def student_t_two_sided_p(t: float, df: float) -> float:
     """P(|T_df| >= |t|) via the incomplete beta identity."""
     if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
+        raise ValueError(f"degrees of freedom must be positive, got {df!r}")
     if t == 0.0:
         return 1.0
     x = df / (df + t * t)
@@ -376,7 +376,7 @@ def paired_t_test(sample_a, sample_b) -> tuple[float, float]:
     if a.size != b.size:
         raise ValueError("paired test needs equally long samples")
     if a.size < 2:
-        raise ValueError("paired test needs at least two pairs")
+        raise ValueError(f"paired test needs at least two pairs, got {a.size}")
     d = a - b
     vd = float(d.var(ddof=1))
     if vd == 0.0:

@@ -40,7 +40,7 @@ class KernelSpec:
         if self.kind not in ("linear", "polynomial", "gaussian"):
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
         if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial degree must be >= 1")
+            raise ValueError(f"polynomial degree must be >= 1, got degree={self.degree!r}")
         if self.kind == "polynomial" and not math.isfinite(self.offset):
             raise ValueError(f"polynomial offset must be finite, got offset={self.offset!r}")
         if self.kind == "gaussian":
@@ -293,7 +293,7 @@ class GramStack:
         self.grams = np.asarray(self.grams, dtype=np.float64)
         if self.grams.ndim != 3 or self.grams.shape[1] != self.grams.shape[2]:
             raise ValueError(f"grams must have shape (M, N, N), got {self.grams.shape}")
-        self.traces = trace_vector(self)
+        self.traces = np.einsum("mii->m", self.grams)
 
     @property
     def n_kernels(self) -> int:
@@ -306,11 +306,6 @@ class GramStack:
     def trace_norm(self, p_star: float) -> float:
         """Conjugate-norm of the trace vector, the task's budget cost."""
         return lp_norm(self.traces, p_star)
-
-
-def trace_vector(stack: GramStack) -> np.ndarray:
-    """Per-kernel traces [tr(G_1), ..., tr(G_M)] of a stack."""
-    return np.einsum("mii->m", stack.grams)
 
 
 def build_gram_stack(task_id: str, X, specs) -> GramStack:

@@ -26,16 +26,13 @@ class DualSolution:
     """Result of one task's SVM dual solve.
 
     objective is the primal value J = 0.5 ||w||^2 + C * sum hinge, measured
-    in the combined-kernel space. component_sq_norms holds ||w^m||^2 per
-    base kernel in the separated coordinates (theta_m^2 * quadratic form),
-    so that sum_m component_sq_norms[m] / theta_m recovers ||w||^2.
-    converged is True when the solve certified duality_gap <= tol.
+    in the combined-kernel space. converged is True when the solve
+    certified duality_gap <= tol.
     """
 
     alpha: np.ndarray
     bias: float
     objective: float
-    component_sq_norms: np.ndarray
     duality_gap: float
     dual_objective: float
     iterations: int
@@ -206,7 +203,6 @@ def solve_svm_dual(
         alpha=alpha,
         bias=bias,
         objective=primal,
-        component_sq_norms=np.zeros(0),
         duality_gap=max(gap, 0.0),
         dual_objective=dual,
         iterations=iterations,
@@ -241,7 +237,7 @@ def theta_step(u, p: float) -> np.ndarray:
     """
     u = np.asarray(u, dtype=np.float64)
     if (u < 0).any():
-        raise ValueError("weight vector must be nonnegative")
+        raise ValueError(f"weight vector must be nonnegative, got {u.tolist()}")
     if not (u > 0).any():
         raise ValueError("weight vector is all zero")
     if p < 1.0:
@@ -273,7 +269,7 @@ def lambda_step(J, c, budget: float, r_max: float) -> np.ndarray:
     if (J < 0).any():
         raise ValueError("task objectives must be nonnegative")
     if (c <= 0).any():
-        raise ValueError("task costs must be positive")
+        raise ValueError(f"task costs must be positive, got {c.tolist()}")
     if not 1.0 < r_max < np.inf:
         raise ValueError(f"r_max must exceed 1 and be finite, got {r_max}")
     if np.isnan(budget):

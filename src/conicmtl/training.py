@@ -15,7 +15,7 @@ the recorded objective trace never increases in conic or average mode.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,6 +71,9 @@ class TrainConfig:
 class MtlModel:
     """Trained state: kernel and task weight arrays (config holds their bounds), duals, trace.
 
+    component_sq_norms: (T, M), row t holds ||w_t^m||^2 = theta_m^2 (a*y)' G_m (a*y)
+    of task t per base kernel at the final theta, so that
+    sum_m component_sq_norms[t, m] / theta_m recovers the task's ||w_t||^2.
     converged: the outer loop's stall test met tol_rel_obj, every accepted
     w-step met its gap, and the relative outer duality gap is at most tol_rel_obj.
     scaler: the standardization applied to the training features, if any.
@@ -83,6 +86,7 @@ class MtlModel:
     theta: np.ndarray
     task_weights: np.ndarray
     duals: list
+    component_sq_norms: np.ndarray
     objective_trace: list
     tasks: list
     converged: bool
@@ -126,7 +130,7 @@ def _validate_fit_inputs(tasks, stacks, kernel_specs):
     if len(tasks) == 0:
         raise ValueError("no tasks to train")
     if len(tasks) != len(stacks):
-        raise ValueError("tasks and gram stacks must align")
+        raise ValueError(f"{len(tasks)} tasks and {len(stacks)} gram stacks must align")
     if len({task.task_id for task in tasks}) < len(tasks):  # a model finds each task by its id
         raise ValueError(f"task ids must be unique, got {[task.task_id for task in tasks]}")
     n_kernels = stacks[0].n_kernels
@@ -134,7 +138,7 @@ def _validate_fit_inputs(tasks, stacks, kernel_specs):
         raise ValueError(f"{len(kernel_specs)} kernel specs for gram stacks of {n_kernels} kernels")
     for task, stack in zip(tasks, stacks):
         if stack.n_kernels != n_kernels:
-            raise ValueError("all tasks must share the kernel dictionary")
+            raise ValueError(f"task {task.task_id!r} has {stack.n_kernels} kernels, not the first task's {n_kernels}")
         if stack.task_id != task.task_id or stack.n_samples != task.y.size:
             raise ValueError(f"stack of task {stack.task_id!r} has {stack.n_samples} samples for task {task.task_id!r}")
         if np.all(task.y == task.y[0]):
@@ -287,7 +291,6 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs, init: MtlModel | None 
     # (alpha, theta) pair that prediction uses; the same quadratic forms
     # (a zero theta_m's too) give the outer dual value
     quads = np.array([quadratic_forms(d.alpha, task.y, stack) for d, task, stack in zip(duals, tasks, stacks)])
-    final_duals = [replace(d, component_sq_norms=theta**2 * q) for d, q in zip(duals, quads)]
 
     if not np.isfinite(lam).all():  # pareto weights follow J, which can overflow
         raise ValueError(f"task weights must be finite, got {lam}")
@@ -298,7 +301,8 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs, init: MtlModel | None 
         kernel_specs=list(kernel_specs),
         theta=theta,
         task_weights=lam,
-        duals=final_duals,
+        duals=duals,
+        component_sq_norms=theta**2 * quads,
         objective_trace=trace,
         tasks=list(tasks),
         converged=stalled and solves_converged and outer_gap <= config.tol_rel_obj,
@@ -430,12 +434,12 @@ def save_model(model: MtlModel, path) -> None:
         lines.append("[scaler]")
         lines.append(f"mean = {_hex_vector(model.scaler.mean)}")
         lines.append(f"scale = {_hex_vector(model.scaler.scale)}")
-    for task, dual in zip(model.tasks, model.duals):
+    for task, dual, comp in zip(model.tasks, model.duals, model.component_sq_norms):
         lines.append(f"[task {task.task_id}]")
         lines.append(f"hash = {task_data_hash(task)}")
         lines.extend(f"{key} = {float(getattr(dual, key)).hex()}" for key in _DUAL_SCALARS)
         lines.append(f"alpha = {_hex_vector(dual.alpha)}")
-        lines.append(f"component_sq_norms = {_hex_vector(dual.component_sq_norms)}")
+        lines.append(f"component_sq_norms = {_hex_vector(comp)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -510,7 +514,8 @@ def load_model(path, tasks) -> MtlModel:
         raise ValueError(f"{path}: task weights {lam.tolist()} lie outside the box [1, r_max = {config.r_max!r}]")
 
     model_tasks, duals = [], []
-    for section in task_sections:
+    comps = np.zeros((len(task_sections), theta.size))
+    for t, section in enumerate(task_sections):
         task_id = section[5:]
         if task_id not in by_id:
             raise ValueError(f"{path}: training task {task_id!r} not supplied to load_model")
@@ -525,10 +530,10 @@ def load_model(path, tasks) -> MtlModel:
                 f"{path}: [{section}] has {alpha.size} alpha for {task.y.size} samples and "
                 f"{comp.size} component_sq_norms for {theta.size} kernels"
             )
+        comps[t] = comp
         duals.append(
             DualSolution(
                 alpha=alpha,
-                component_sq_norms=comp,
                 dual_objective=float("nan"),
                 iterations=0,
                 converged=converged,  # set only if every solve certified
@@ -547,6 +552,7 @@ def load_model(path, tasks) -> MtlModel:
         theta=theta,
         task_weights=lam,
         duals=duals,
+        component_sq_norms=comps,
         objective_trace=list(field("trace", "values", _unhex_vector)),
         tasks=model_tasks,
         converged=converged,

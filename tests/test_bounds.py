@@ -18,7 +18,6 @@ from conicmtl.bounds import (
     erc_upper_bound_lp,
     estimate_scale_constant,
     _block_values,
-    _chunk_tables,
     _contraction_plan,
     _dual_norms,
     _sign_chunks,
@@ -382,7 +381,8 @@ def test_monte_carlo_sign_blocks_are_the_documented_stream(total, samples):
     buffer = np.empty(total * CONTRACT_CHUNK)
     for block, start in enumerate(range(0, samples, MC_BLOCK)):
         chunks = []
-        for at, chunk in _sign_chunks(buffer, total, samples, block, "rademacher", 23, exhaustive=False):
+        n_block = min(MC_BLOCK, samples - start)
+        for at, chunk in _sign_chunks(buffer, total, n_block, block, "rademacher", 23, exhaustive=False):
             assert at == sum(c.shape[1] for c in chunks) and np.shares_memory(chunk, buffer)
             assert chunk.flags.c_contiguous and chunk.dtype == np.float64
             chunks.append(chunk.copy())
@@ -491,7 +491,7 @@ def test_identity_grams_skip_the_gemm_with_identical_bytes(kinds):
     # chunk: the BLAS rounds some partial widths differently by row count
     total = sum(sizes)
     for width in (2 * CONTRACT_CHUNK + 3, *range(1, CONTRACT_CHUNK)):
-        chunks = [[t.copy() for t in tables] for _, _, tables in _chunk_tables(plan, total, width, [0], "identity", width, False)]
+        chunks = recorded_tables(plan, total, width, [0], "identity", width)
         tables = [np.hstack(parts) for parts in zip(*chunks)]
         cols = np.ascontiguousarray(drawn_signs("identity", width, width, total).T)
         for got, want in zip(tables, full_contraction(cols, stacks)):
@@ -500,6 +500,19 @@ def test_identity_grams_skip_the_gemm_with_identical_bytes(kinds):
             for m, kind in enumerate(kinds):
                 if KINDS[kind][0]:
                     assert (table[m] == n).all()
+
+
+def recorded_tables(plan, total, n_patterns, blocks, tag, seed):
+    """Copies of the per-task tables that _block_values hands its reduce, one list per chunk."""
+    chunks = []
+
+    def reduce(tables):
+        chunks.append([table.copy() for table in tables])
+        return tables[0][0]
+
+    for _ in _block_values(plan, total, n_patterns, blocks, tag, seed, False, reduce):
+        pass
+    return chunks
 
 
 # ------------------------------------------------- sign engine: threads
@@ -548,9 +561,12 @@ def test_a_one_column_chunk_is_reduced_with_the_bits_of_a_block_wide_reduce(seed
         return _dual_norms(sum(tables), 2.0)
 
     got = dict(_block_values(plan, 8, samples, [0, 1], "rademacher", seed, False, reduce))
-    chunks = [[t.copy() for t in tables] for _, _, tables in _chunk_tables(plan, 8, samples, [1], "rademacher", seed, False)]
-    assert [tables[0].shape[1] for tables in chunks] == [CONTRACT_CHUNK, 1]
-    wide = reduce([np.hstack(parts) for parts in zip(*chunks)])
+    chunks = recorded_tables(plan, 8, samples, [1], "rademacher", seed)
+    # the lone column reaches reduce twice, side by side
+    assert [tables[0].shape[1] for tables in chunks] == [CONTRACT_CHUNK, 2]
+    for table in chunks[1]:
+        assert table[:, :1].tobytes() == table[:, 1:].tobytes()
+    wide = reduce([np.hstack([full, lone[:, :1]]) for full, lone in zip(*chunks)])
     assert got[1].tobytes() == wide.tobytes()
 
 
@@ -802,6 +818,18 @@ def test_bound_report_fields_and_consistency():
     row = report.csv_row().split(",")
     assert len(header) == len(row)
     assert "complexity_mc" in header
+
+
+def test_bound_report_names_tasks_of_unequal_size():
+    data = synth_multitask(T=2, N=10, d=3, task_similarity=0.7, noise=0.6, seed=4)
+    tasks = [data[0], data[1].subset(np.arange(8))]
+    specs = default_kernel_dictionary()[:2]
+    stacks = [build_gram_stack(t.task_id, t.X, specs) for t in tasks]
+    model = fit(tasks, stacks, TrainConfig(mode="average"), kernel_specs=specs)
+    with pytest.raises(ValueError) as err:
+        bound_report(model, tasks, mc_samples=50, stacks=stacks)
+    sizes = {tasks[0].task_id: 10, tasks[1].task_id: 8}
+    assert str(err.value) == f"bound reporting requires all tasks to have the same sample count, got {sizes}"
 
 
 def test_bound_report_keeps_its_field_order():

@@ -374,3 +374,74 @@ def test_sample_data_script_reproduces_the_bundled_samples(tmp_path):
     assert sorted(path.name for path in (tmp_path / "mtl").iterdir()) == bundled
     for name in bundled:
         assert (tmp_path / "mtl" / name).read_bytes() == (sample_mtl_path() / name).read_bytes()
+
+
+# ------------------------------------------------------------- rejections
+
+@pytest.mark.parametrize(
+    "X, y, message",
+    [
+        (np.zeros((3, 2)), [1.0, -1.0], "bad shapes for task 't': (3, 2), (2,)"),
+        (np.zeros(2), [1.0, -1.0], "bad shapes for task 't': (2,), (2,)"),
+        ([[0.0], [np.inf]], [1.0, -1.0], "task 't' has non-finite features"),
+        (np.zeros((3, 1)), [1.0, 0.0, 2.0], "task 't' labels must be +1/-1, got [0.0, 1.0, 2.0]"),
+    ],
+)
+def test_task_dataset_rejects_bad_input_by_name(X, y, message):
+    with pytest.raises(ValueError) as err:
+        TaskDataset("t", X, y)
+    assert str(err.value) == message
+
+
+def test_an_unfitted_scaler_refuses_to_transform():
+    with pytest.raises(ValueError, match="^scaler not fitted$"):
+        Scaler().transform(np.zeros((2, 3)))
+
+
+def test_sparse_text_names_a_bad_label_and_an_index_above_the_dimension(tmp_path):
+    f = tmp_path / "d.txt"
+    f.write_text("1 1:0.5\npos 1:2\n")
+    with pytest.raises(ValueError) as err:
+        load_sparse_text(f, n_features=1)
+    assert str(err.value) == f"{f}:2: bad label 'pos'"
+    f.write_text("1 1:0.5\n-1 3:2\n")
+    with pytest.raises(ValueError) as err:
+        load_sparse_text(f, n_features=2)
+    assert str(err.value) == f"{f}: index 3 exceeds feature count 2"
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, float("nan")])
+def test_stratified_split_names_a_fraction_outside_the_open_unit_interval(fraction):
+    task = TaskDataset("t", np.zeros((4, 1)), [1.0, -1.0, 1.0, -1.0])
+    with pytest.raises(ValueError) as err:
+        stratified_split(task, fraction, seed=0)
+    assert str(err.value) == f"fraction must lie in (0, 1), got {fraction!r}"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(task_similarity=1.5), "task_similarity must lie in [0, 1], got 1.5"),
+        (dict(task_similarity=-0.1), "task_similarity must lie in [0, 1], got -0.1"),
+        (dict(noise=-0.2), "noise must be nonnegative, got -0.2"),
+    ],
+)
+def test_synth_multitask_names_a_value_out_of_range(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        synth_multitask(**{"T": 2, "N": 4, "d": 2, **kwargs})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("d = 2\ntasks = a\n", ":2: unknown manifest key 'tasks'"),
+        ("# no dimension\ntask = a\n", ": missing feature dimension"),
+    ],
+)
+def test_task_directory_names_an_unknown_key_and_a_missing_dimension(tmp_path, text, message):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_task_directory(tmp_path)
+    assert str(err.value) == f"{manifest}{message}"

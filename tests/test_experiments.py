@@ -511,3 +511,32 @@ def test_summary_from_real_run(tmp_path):
     text = summarize_results(read_results_csv(tmp_path / "r.csv"))
     assert "dataset=sample:mtl" in text
     assert "Conic" in text
+
+
+# ------------------------------------------------------------- rejections
+
+def test_experiment_config_names_a_run_count_below_one():
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig(dataset="sample:mtl", runs=0)
+    assert str(err.value) == "runs value 0 must be >= 1"
+
+
+@pytest.mark.parametrize("df", [0.0, -2.0])
+def test_student_t_names_degrees_of_freedom_that_are_not_positive(df):
+    with pytest.raises(ValueError) as err:
+        student_t_two_sided_p(1.0, df)
+    assert str(err.value) == f"degrees of freedom must be positive, got {df!r}"
+
+
+def test_paired_t_test_names_a_single_pair():
+    with pytest.raises(ValueError) as err:
+        experiments.paired_t_test([1.0], [2.0])
+    assert str(err.value) == "paired test needs at least two pairs, got 1"
+
+
+def test_results_csv_with_another_header_is_rejected_by_name(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("method,accuracy\nConic,0.9\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_results_csv(path)
+    assert str(err.value) == f"{path}: unexpected results header ['method', 'accuracy']"

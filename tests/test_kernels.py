@@ -17,7 +17,6 @@ from conicmtl.kernels import (
     cosine_normalize,
     default_kernel_dictionary,
     expand,
-    trace_vector,
 )
 from conicmtl.kernels import _exp, _gaussian_scale
 
@@ -415,7 +414,7 @@ def test_trace_vector_matches_diagonals():
     rng = np.random.default_rng(7)
     stack = _random_stack(rng)
     expected = np.array([np.diag(g).sum() for g in stack.grams])
-    assert np.array_equal(trace_vector(stack), expected)
+    assert np.array_equal(GramStack(task_id="u", grams=stack.grams).traces, expected)
     assert np.array_equal(stack.traces, expected)
 
 
@@ -477,8 +476,25 @@ def test_gaussian_spread_is_sigma():
         ({"kind": "gaussian", "spread": 1e-155}, "spread=1e-155 has no finite positive scale"),  # 1 / (2 s^2) is inf
         ({"kind": "polynomial", "offset": np.nan}, "offset=nan"),
         ({"kind": "polynomial", "offset": -np.inf}, "offset=-inf"),
+        ({"kind": "polynomial", "degree": 0}, "^polynomial degree must be >= 1, got degree=0$"),
+        ({"kind": "sigmoid"}, "^unknown kernel kind: 'sigmoid'$"),
     ],
 )
 def test_kernel_spec_rejects_unusable_values_by_field(fields, message):
     with pytest.raises(ValueError, match=message):
         KernelSpec(**fields)
+
+
+# ------------------------------------------------------------- rejections
+
+def test_features_that_are_not_2d_are_rejected_with_their_shape():
+    with pytest.raises(ValueError) as err:
+        build_gram_stack("t", np.zeros(5), default_kernel_dictionary())
+    assert str(err.value) == "X must be 2-d, got shape (5,)"
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4)])
+def test_gram_stack_names_a_shape_other_than_m_n_n(shape):
+    with pytest.raises(ValueError) as err:
+        GramStack(task_id="t", grams=np.zeros(shape))
+    assert str(err.value) == f"grams must have shape (M, N, N), got {shape}"

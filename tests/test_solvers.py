@@ -13,32 +13,64 @@ from conicmtl.util import lp_norm
 
 # ---------------------------------------------------------------- oracles
 
+def project_box_equality(z, y, C):
+    """Projection of z onto {a in [0, C]^n : y'a = 0} for labels y of +-1 holding both signs.
+
+    It is clip(z + mu y, 0, C) at the root mu of h(mu) = y'clip(z + mu y, 0, C),
+    which is nondecreasing and piecewise linear with kinks where z_i + mu y_i
+    meets 0 or C. The sorted kinks bracket the root, and h is linear between
+    two neighbours (Kiwiel, Math. Prog. 112, 2008).
+    """
+    kinks = np.unique(np.concatenate([-z * y, (C - z) * y]))
+    h = y @ np.clip(z[:, None] + y[:, None] * kinks, 0.0, C)
+    k = int(np.argmax(h >= 0.0))
+    mu = kinks[k]
+    if k > 0 and h[k] > 0.0:
+        lo, hi = kinks[k - 1], kinks[k]
+        mu = lo - h[k - 1] * (hi - lo) / (h[k] - h[k - 1])
+    return np.clip(z + mu * y, 0.0, C)
+
+
 def projected_gradient_qp(Q, C, y=None, iters=6000):
     """Independent maximizer of sum(a) - 0.5 a'Qa over the box [0, C]^n,
-    optionally restricted to y'a = 0 (projection via bisection on the shift).
+    optionally restricted to y'a = 0 (project_box_equality).
     """
     n = Q.shape[0]
     lip = float(np.linalg.eigvalsh(Q).max())
     step = 1.0 / max(lip, 1e-12)
     a = np.zeros(n)
+    for _ in range(iters):
+        grad = 1.0 - Q @ a
+        z = a + step * grad
+        a = np.clip(z, 0.0, C) if y is None else project_box_equality(z, y, C)
+    return a
 
-    def project(z):
-        if y is None:
-            return np.clip(z, 0.0, C)
+
+def test_breakpoint_projection_meets_the_equality_as_tightly_as_bisection():
+    def bisection_projection(z, y, C):
         lo, hi = -1e3 * (1 + C), 1e3 * (1 + C)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            val = float(y @ np.clip(z + mid * y, 0.0, C))
-            if val > 0:
+            if float(y @ np.clip(z + mid * y, 0.0, C)) > 0:
                 hi = mid
             else:
                 lo = mid
         return np.clip(z + 0.5 * (lo + hi) * y, 0.0, C)
 
-    for _ in range(iters):
-        grad = 1.0 - Q @ a
-        a = project(a + step * grad)
-    return a
+    rng = np.random.default_rng(12)
+    exact, bisected = [], []
+    for _ in range(400):
+        n = int(rng.integers(2, 31))
+        y = rng.choice([-1.0, 1.0], size=n)
+        y[:2] = [1.0, -1.0]
+        C = float(rng.uniform(0.1, 5.0))
+        z = rng.uniform(-C, 2 * C, n) * rng.choice([1e-3, 1.0, 10.0])
+        a, b = project_box_equality(z, y, C), bisection_projection(z, y, C)
+        assert a.min() >= 0.0 and a.max() <= C
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(z).max())  # the same point
+        exact.append(abs(y @ a))
+        bisected.append(abs(y @ b))
+    assert max(exact) <= max(bisected) and np.mean(exact) <= np.mean(bisected)
 
 
 def primal_value(K, y, C, alpha, bias=0.0):
@@ -172,6 +204,8 @@ def test_solver_is_deterministic():
 
 
 def test_solver_input_validation():
+    with pytest.raises(ValueError, match=r"^kernel shape \(3, 3\) does not match 2 labels$"):
+        solve_svm_dual(np.eye(3), np.array([1.0, -1.0]), C=1.0)
     with pytest.raises(ValueError, match="one class"):
         solve_svm_dual(np.eye(2), np.array([1.0, 1.0]), C=1.0, use_bias=True)
     with pytest.raises(ValueError, match="labels"):
@@ -454,6 +488,19 @@ def test_theta_rejects_zero_vector():
         theta_step(np.zeros(3), p=2.0)
 
 
+@pytest.mark.parametrize(
+    "u, p, message",
+    [
+        ([1.0, -0.5], 2.0, "weight vector must be nonnegative, got [1.0, -0.5]"),
+        ([1.0, 0.5], 0.5, "p must be >= 1, got 0.5"),
+    ],
+)
+def test_theta_step_names_a_negative_weight_and_p_below_one(u, p, message):
+    with pytest.raises(ValueError) as err:
+        theta_step(u, p)
+    assert str(err.value) == message
+
+
 # ----------------------------------------------------------- lambda step
 
 def test_lambda_symmetric_tight_budget():
@@ -586,9 +633,10 @@ def test_lambda_all_zero_objectives_take_the_upper_edge():
         ([1.0, 2.0], [1.0, 1.0], np.nan, 4.0, "budget must be a number, got nan"),
         ([1.0, 2.0], [1.0, 1.0], 1.0, np.nan, "r_max must exceed 1 and be finite, got nan"),
         ([], [], 1.0, 4.0, "non-empty"),
+        ([1.0, 2.0], [1.0, 0.0], 10.0, 4.0, r"^task costs must be positive, got \[1.0, 0.0\]$"),
+        ([1.0, 2.0], [1.0, -1.0], 10.0, 4.0, r"^task costs must be positive, got \[1.0, -1.0\]$"),
     ],
 )
 def test_lambda_rejects_nonfinite_and_empty_inputs(J, c, budget, r_max, message):
     with pytest.raises(ValueError, match=message):
         lambda_step(np.array(J), np.array(c), budget, r_max)
-

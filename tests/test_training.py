@@ -15,7 +15,7 @@ from conicmtl.kernels import (
     build_gram_stack,
     default_kernel_dictionary,
 )
-from conicmtl.solvers import DualSolution, solve_svm_dual
+from conicmtl.solvers import DualSolution, component_sq_norms, solve_svm_dual
 from conicmtl.training import (
     MtlModel,
     TrainConfig,
@@ -368,12 +368,12 @@ def handmade_model(specs, theta, alpha, bias=0.0, use_bias=False, d=4, seed=0):
     n = alpha.size
     task = TaskDataset("t", rng.standard_normal((n, d)), np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
     dual = DualSolution(
-        alpha=alpha, bias=bias, objective=0.0, component_sq_norms=np.zeros(len(specs)),
-        duality_gap=0.0, dual_objective=0.0, iterations=0, converged=True, margins=np.zeros(n),
+        alpha=alpha, bias=bias, objective=0.0, duality_gap=0.0, dual_objective=0.0, iterations=0,
+        converged=True, margins=np.zeros(n),
     )
     return MtlModel(
-        config=TrainConfig(use_bias=use_bias), kernel_specs=specs, theta=theta,
-        task_weights=np.ones(1), duals=[dual], objective_trace=[0.0],
+        config=TrainConfig(use_bias=use_bias), kernel_specs=specs, theta=theta, task_weights=np.ones(1),
+        duals=[dual], component_sq_norms=np.zeros((1, len(specs))), objective_trace=[0.0],
         tasks=[task], converged=True,
     )
 
@@ -735,8 +735,8 @@ def test_load_rejects_a_repeated_section_and_names_it(tmp_path, section):
 )
 def test_load_rejects_duals_of_the_wrong_length(tmp_path, key, sizes):
     model, tasks, path = saved_model(tmp_path)
-    dual = model.duals[1]
-    rewrite(path, "task synth1", key, hex_text(getattr(dual, key)[:-1]))
+    values = model.duals[1].alpha if key == "alpha" else model.component_sq_norms[1]
+    rewrite(path, "task synth1", key, hex_text(values[:-1]))
     assert load_error(path, tasks).endswith(f"[task synth1] has {sizes} component_sq_norms for 11 kernels")
 
 
@@ -815,3 +815,42 @@ def test_fit_rejects_non_finite_pareto_weights(monkeypatch):
     monkeypatch.setattr(training, "pareto_lambda", lambda f, p_exp: np.full(f.shape, np.inf))
     with pytest.raises(ValueError, match=r"task weights must be finite, got \[inf inf\]"):
         fit(tasks, make_stacks(tasks, SPECS), TrainConfig(mode="pareto", max_outer_iters=1), SPECS)
+
+
+# ------------------------------------------------------------- rejections
+
+def test_config_names_a_zero_outer_iteration_cap():
+    with pytest.raises(ValueError) as err:
+        TrainConfig(max_outer_iters=0)
+    assert str(err.value) == "max_outer_iters must be positive, got 0"
+
+
+def test_fit_rejects_no_tasks_unaligned_stacks_and_mixed_kernel_counts():
+    tasks = make_tasks(T=2, N=8, seed=5)
+    stacks = make_stacks(tasks, SPECS)
+    cases = [
+        (([], []), "no tasks to train"),
+        ((tasks, stacks[:1]), "2 tasks and 1 gram stacks must align"),
+        ((tasks, [stacks[0], build_gram_stack(tasks[1].task_id, tasks[1].X, SPECS[:3])]),
+         f"task {tasks[1].task_id!r} has 3 kernels, not the first task's {len(SPECS)}"),
+    ]
+    for (fit_tasks, fit_stacks), message in cases:
+        with pytest.raises(ValueError) as err:
+            fit(fit_tasks, fit_stacks, TrainConfig(mode="average"), SPECS)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", ["", "not a model\n", "[config]\nmode = conic\n"])
+def test_load_names_a_file_that_is_not_a_model_document(tmp_path, text):
+    path = tmp_path / "other.txt"
+    path.write_text(text, encoding="utf-8")
+    assert load_error(path, make_tasks(T=1, N=8)) == f"{path}: not a model document"
+
+
+def test_fit_stores_each_task_component_norms_at_the_final_theta(tmp_path):
+    model, tasks, path = saved_model(tmp_path)
+    stacks = make_stacks(tasks, SPECS)
+    assert model.component_sq_norms.shape == (len(tasks), len(SPECS))
+    for comp, dual, task, stack in zip(model.component_sq_norms, model.duals, tasks, stacks):
+        assert comp.tobytes() == component_sq_norms(dual.alpha, task.y, stack, model.theta).tobytes()
+    assert load_model(path, tasks).component_sq_norms.tobytes() == model.component_sq_norms.tobytes()
