@@ -492,8 +492,8 @@ def bound_report(
     errors = []
     for task_id in model_ids:
         test = by_id[task_id]
-        values = training.decision_values(model, task_id, test.X)
-        errors.append(float((test.y * values <= 0.0).mean()))
+        labels, _ = training.predict(model, task_id, test.X)
+        errors.append(float((labels != test.y).mean()))
 
     return BoundReport(
         values={

@@ -219,18 +219,18 @@ class _GramBlocks:
                 yield np.divide(value, np.sqrt(scratch, out=scratch), out=gram)
 
 
-def compute_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
-    """Gram matrix G[i, j] = k(rows[i], cols[j]) for one base kernel.
-
-    When `rows is cols` and the kernel is normalized, the diagonal is set
-    to exactly 1. Nothing in the package calls it; it stays because the
-    byte-identity oracle tests call it and the benchmark tracer wraps it by name.
-    """
+def compute_gram(specs, rows, cols) -> np.ndarray:
+    """Grams G[m, i, j] = k_m(rows[i], cols[j]) of every spec, shape (M, len(rows), len(cols)),
+    from one pass of shared inner products and distances. When `rows is cols`
+    they are square and a normalized kernel's diagonal is exactly 1; a Gram
+    that is +0.0 everywhere comes back as zeros."""
     rows = _check_features(rows, "rows")
-    same = cols is None or cols is rows
+    same = cols is rows
     cols = rows if same else _check_features(cols, "cols", rows.shape[1])
-    gram = next(_GramBlocks([spec], rows, cols.shape[0])(cols, same))
-    return np.zeros((rows.shape[0], cols.shape[0])) if gram is None else gram
+    grams = np.empty((len(specs), rows.shape[0], cols.shape[0]))
+    for m, gram in enumerate(_GramBlocks(specs, rows, cols.shape[0])(cols, same)):
+        grams[m] = 0.0 if gram is None else gram
+    return grams
 
 
 def expand(specs, theta, rows, coef, cols) -> np.ndarray:
@@ -309,13 +309,9 @@ class GramStack:
 
 
 def build_gram_stack(task_id: str, X, specs) -> GramStack:
-    """The full kernel stack of one task: one pass of shared inner products
-    and distances for every kernel."""
+    """The full kernel stack of one task, from `compute_gram`."""
     X = _check_features(X, "X")
-    grams = np.empty((len(specs), X.shape[0], X.shape[0]))
-    for m, gram in enumerate(_GramBlocks(specs, X, X.shape[0])(X, True)):
-        grams[m] = gram
-    return GramStack(task_id=task_id, grams=grams)
+    return GramStack(task_id=task_id, grams=compute_gram(specs, X, X))
 
 
 def combine(stack: GramStack, theta) -> np.ndarray:

@@ -246,6 +246,13 @@ def theta_step(u, p: float) -> np.ndarray:
     return raw / lp_norm(raw, p)
 
 
+def check_budget(c, budget: float, r_max: float) -> None:
+    """Raise unless some lambda in [1, r_max]^T meets sum_t c_t / lambda_t <= budget."""
+    min_use = float((c / r_max).sum())
+    if min_use > budget * (1.0 + 1e-12):
+        raise ValueError(f"infeasible budget: even at r_max the constraint needs {min_use}, budget is {budget}")
+
+
 def lambda_step(J, c, budget: float, r_max: float) -> np.ndarray:
     """Minimize sum_t lambda_t J_t over the box [1, r_max]^T with
     sum_t c_t / lambda_t <= budget.
@@ -274,11 +281,7 @@ def lambda_step(J, c, budget: float, r_max: float) -> np.ndarray:
         raise ValueError(f"r_max must exceed 1 and be finite, got {r_max}")
     if np.isnan(budget):
         raise ValueError(f"budget must be a number, got {budget}")
-    min_use = float((c / r_max).sum())
-    if min_use > budget * (1.0 + 1e-12):
-        raise ValueError(
-            f"infeasible budget: even at r_max the constraint needs {min_use}, budget is {budget}"
-        )
+    check_budget(c, budget, r_max)
 
     pos = J > 0
     lam = np.where(pos, 1.0, r_max)

@@ -21,7 +21,9 @@ import numpy as np
 
 from .data import Scaler, TaskDataset
 from .kernels import KernelSpec, combine, expand
-from .solvers import DualSolution, component_sq_norms, lambda_step, quadratic_forms, solve_svm_dual, theta_step
+from .solvers import (
+    DualSolution, check_budget, component_sq_norms, lambda_step, quadratic_forms, solve_svm_dual, theta_step,
+)
 from .util import conjugate_exponent, lp_norm
 
 MODEL_FORMAT_VERSION = 1
@@ -204,15 +206,10 @@ def fit(tasks, stacks, config: TrainConfig, kernel_specs, init: MtlModel | None 
     M = stacks[0].n_kernels
     costs = task_costs(stacks, config.p)
 
-    if config.mode == "conic":
-        if float((costs / config.r_max).sum()) > config.budget * (1.0 + 1e-12):
-            raise ValueError(
-                "infeasible budget/r_max pair: the task-weight subproblem has no feasible point"
-            )
-
     theta = np.full(M, M ** (-1.0 / config.p))
     lam = np.ones(T)
     if config.mode == "conic":
+        check_budget(costs, config.budget, config.r_max)
         # start at the feasible uniform point closest to all-ones, so the
         # first lambda-step descends instead of repairing feasibility
         kappa = float(costs.sum()) / config.budget

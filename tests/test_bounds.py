@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -818,6 +819,16 @@ def test_bound_report_fields_and_consistency():
     row = report.csv_row().split(",")
     assert len(header) == len(row)
     assert "complexity_mc" in header
+
+
+def test_bound_report_test_error_labels_a_zero_decision_value_as_predict_does():
+    model, tasks, stacks = trained_model(seed=8)
+    assert not model.config.use_bias
+    model = replace(model, duals=[replace(d, alpha=np.zeros_like(d.alpha)) for d in model.duals])
+    report = bound_report(model, tasks, mc_samples=50, stacks=stacks)
+    errors = [float((training.predict(model, t.task_id, t.X)[0] != t.y).mean()) for t in tasks]
+    assert 0.0 < np.mean(errors) < 1.0  # every value is 0, labelled +1
+    assert report.values["test_error"] == np.mean(errors)
 
 
 def test_bound_report_names_tasks_of_unequal_size():

@@ -217,6 +217,8 @@ def trained_model(tmp_path_factory):
         ("bound", ["--delta", "1.5"], "delta must lie in (0, 1)"),
         ("radcheck", ["--instances", "0"], "n_instances must be a positive integer, got 0"),
         ("experiment", ["--grid-p", "0.5"], "grid_p value 0.5 must be >= 1"),
+        ("experiment", ["--data", "{tmp}/nan.txt"], "{tmp}/nan.txt:2: bad label 'nan'"),
+        ("experiment", ["--data", "{tmp}/inf.txt"], "{tmp}/inf.txt:3: bad label 'inf'"),
         ("report", ["--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
         ("report", ["--alpha", "nan"], "alpha must lie in (0, 1), got nan"),
         ("report", ["--reference", "Nope"], "--reference 'Nope' names no method of the results; they are Average, Conic"),
@@ -225,6 +227,7 @@ def trained_model(tmp_path_factory):
         "train-budget-frac-zero", "train-budget-frac-negative", "train-budget-frac-nan",
         "train-budget-frac-below-inverse-r-max", "train-negative-C", "predict-unknown-task",
         "bound-samples-zero", "bound-delta", "radcheck-instances-zero", "experiment-grid-p-below-one",
+        "experiment-nan-label", "experiment-inf-label",
         "report-alpha-above-one", "report-alpha-nan", "report-unknown-reference",
     ],
 )
@@ -239,6 +242,8 @@ def test_rejected_input_ends_the_command_before_any_gram_fit_sampling_or_predict
         ),
         encoding="utf-8",
     )
+    (tmp_path / "nan.txt").write_text("1 1:0.5\nnan 1:1.5\n-1 1:2.5\n", encoding="utf-8")
+    (tmp_path / "inf.txt").write_text("1 1:0.5\n-1 1:1.5\ninf 1:2.5\n", encoding="utf-8")
     required = {
         "train": ["--data", "sample:mtl", "--out", str(tmp_path / "m.txt")],
         "predict": ["--model", str(model), "--train-data", str(split), "--input", str(split / "task_synth1.txt")],
@@ -253,11 +258,13 @@ def test_rejected_input_ends_the_command_before_any_gram_fit_sampling_or_predict
 
     for module, name in [
         (kernels, "build_gram_stack"), (cli, "build_gram_stack"), (experiments, "build_gram_stack"),
+        (kernels, "compute_gram"),
         (training, "fit"), (cli, "fit"), (experiments, "fit"),
         (bounds, "rademacher_mc"), (verification, "rademacher_mc"), (training, "decision_values"),
     ]:
         monkeypatch.setattr(module, name, never)
-    assert error_message(capsys, [command, *required, *options]) == message
+    options = [option.format(tmp=tmp_path) for option in options]
+    assert error_message(capsys, [command, *required, *options]) == message.format(tmp=tmp_path)
     assert not (tmp_path / "m.txt").exists() and not (tmp_path / "r.csv").exists()
 
 
@@ -311,6 +318,18 @@ def test_train_bound_and_experiment_run_at_p_infinity(tmp_path, capsys):
     assert main(["experiment", "--grid-p", "inf", "--runs", "1", "--grid-C", "1", "--out", str(out)]) == 0
     rows = read_results_csv(out)
     assert [(row["method"], row["p"], row["converged"]) for row in rows] == [("Conic", "inf", "1"), ("Average", "inf", "1")]
+
+
+def test_experiment_measure_wall_changes_only_the_wall_ms_column(tmp_path):
+    grid = ["--grid-C", "1", "--grid-p", "2", "--grid-a-frac", "0.5", "--grid-p-exp", "0.5", "--runs", "1"]
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert main(["experiment", "--data", "sample:mtl", *grid, "--out", str(plain)]) == 0
+    assert main(["experiment", "--data", "sample:mtl", *grid, "--measure-wall", "--out", str(timed)]) == 0
+    plain_rows, timed_rows = read_results_csv(plain), read_results_csv(timed)
+    walls = [row.pop("wall_ms") for row in timed_rows]
+    assert [row.pop("wall_ms") for row in plain_rows] == ["0"] * len(walls) and len(walls) >= 2
+    assert plain_rows == timed_rows  # every other column is unchanged
+    assert all(re.fullmatch(r"\d+", wall) for wall in walls) and any(int(wall) > 0 for wall in walls)
 
 
 def test_predict_names_an_input_file_without_samples(tmp_path, capsys):

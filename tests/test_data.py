@@ -109,6 +109,11 @@ def test_ovo_needs_two_classes():
         build_ovo_tasks(np.zeros((3, 2)), np.zeros(3))
 
 
+def test_ovo_names_a_non_finite_label():
+    with pytest.raises(ValueError, match="^labels must be finite, got nan$"):
+        build_ovo_tasks(np.zeros((3, 2)), np.array([0.0, np.nan, 1.0]))
+
+
 # -------------------------------------------------------------- resampling
 
 def make_unbalanced(n_pos=30, n_neg=10, seed=0):

@@ -33,21 +33,21 @@ def test_default_dictionary_has_eleven_kernels():
 
 def test_gaussian_point_values():
     spec = KernelSpec(kind="gaussian", spread=1.0)
-    assert compute_gram(spec, np.zeros((1, 2)), np.zeros((1, 2)))[0, 0] == 1.0
+    assert compute_gram([spec], np.zeros((1, 2)), np.zeros((1, 2)))[0][0, 0] == 1.0
     # exp(-||0-2||^2 / 2) with unit spread
-    got = compute_gram(spec, np.array([[0.0]]), np.array([[2.0]]))[0, 0]
+    got = compute_gram([spec], np.array([[0.0]]), np.array([[2.0]]))[0][0, 0]
     assert got == pytest.approx(np.exp(-2.0), abs=1e-12)
 
 
 def test_linear_dot_product():
     spec = KernelSpec(kind="linear")
-    got = compute_gram(spec, np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))[0, 0]
+    got = compute_gram([spec], np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))[0][0, 0]
     assert got == 11.0
 
 
 def test_polynomial_formula():
     spec = KernelSpec(kind="polynomial", degree=2, offset=1.0)
-    got = compute_gram(spec, np.array([[1.0, 1.0]]), np.array([[2.0, 0.0]]))[0, 0]
+    got = compute_gram([spec], np.array([[1.0, 1.0]]), np.array([[2.0, 0.0]]))[0][0, 0]
     assert got == (1.0 + 2.0) ** 2
 
 
@@ -55,7 +55,7 @@ def test_unit_diagonal_for_every_normalized_dictionary_entry():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((12, 4))
     for spec in default_kernel_dictionary():
-        gram = compute_gram(spec, X, X)
+        gram = compute_gram([spec], X, X)[0]
         assert np.all(np.abs(np.diag(gram) - 1.0) <= 1e-12), spec.label()
 
 
@@ -63,8 +63,8 @@ def test_cross_gram_normalization_consistent_with_square():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((8, 3))
     spec = KernelSpec(kind="polynomial", degree=2, offset=1.0, normalize=True)
-    square = compute_gram(spec, X, X)
-    cross = compute_gram(spec, X, X.copy())
+    square = compute_gram([spec], X, X)[0]
+    cross = compute_gram([spec], X, X.copy())[0]
     assert np.allclose(square, cross, atol=1e-12)
 
 
@@ -89,9 +89,9 @@ def test_cosine_normalize_rejects_nonpositive_diagonal():
 def test_compute_gram_errors():
     spec = KernelSpec(kind="linear")
     with pytest.raises(ValueError, match="dimension mismatch"):
-        compute_gram(spec, np.zeros((2, 3)), np.zeros((2, 4)))
+        compute_gram([spec], np.zeros((2, 3)), np.zeros((2, 4)))
     with pytest.raises(ValueError, match="non-finite"):
-        compute_gram(spec, np.array([[np.nan, 0.0]]), np.zeros((1, 2)))
+        compute_gram([spec], np.array([[np.nan, 0.0]]), np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------- expansion
@@ -108,7 +108,7 @@ EXPANSION_SPECS = [
 
 
 def brute_force_expansion(specs, theta, rows, coef, cols):
-    return sum(w * (coef @ compute_gram(spec, rows, cols)) for w, spec in zip(theta, specs) if w != 0.0)
+    return sum(w * (coef @ compute_gram([spec], rows, cols)[0]) for w, spec in zip(theta, specs) if w != 0.0)
 
 
 @pytest.mark.parametrize("n_cols", [0, 1, 2 * EXPAND_BLOCK + 1])
@@ -277,7 +277,7 @@ def test_compute_gram_is_byte_identical_to_the_oracle(regime, n_cols):
         for other in (cols, rows):
             with np.errstate(over="ignore"):
                 want = oracle_compute_gram(spec, rows, other)
-            assert compute_gram(spec, rows, other).tobytes() == want.tobytes(), spec.label()
+            assert compute_gram([spec], rows, other)[0].tobytes() == want.tobytes(), spec.label()
 
 
 def test_build_gram_stack_is_byte_identical_to_the_oracle():
@@ -286,6 +286,20 @@ def test_build_gram_stack_is_byte_identical_to_the_oracle():
     specs = default_kernel_dictionary() + EXPANSION_SPECS
     want = [oracle_compute_gram(spec, X, X).tobytes() for spec in specs]
     assert [g.tobytes() for g in build_gram_stack("t", X, specs).grams] == want
+
+
+@pytest.mark.parametrize("case", ["square", "cross"])
+def test_compute_gram_of_all_specs_is_byte_identical_to_one_spec_at_a_time(case):
+    specs, rows, cols = exp_regime("zero", 30)  # two gaussians that are +0.0 on every cross pair
+    specs = specs + EXPANSION_SPECS
+    other = rows if case == "square" else cols
+    grams = compute_gram(specs, rows, other)
+    assert grams.shape == (len(specs), rows.shape[0], other.shape[0])
+    assert any(spec.normalize for spec in specs)
+    zero = np.zeros(grams.shape[1:]).tobytes()
+    assert (case == "cross") == any(g.tobytes() == zero for g in grams)
+    for m, spec in enumerate(specs):
+        assert grams[m].tobytes() == compute_gram([spec], rows, other)[0].tobytes(), spec.label()
 
 
 @pytest.mark.parametrize(
@@ -460,7 +474,7 @@ def test_gaussian_spread_is_sigma():
     x = np.array([[0.0]])
     y = np.array([[2.0]])
     sq = 4.0
-    sigma = compute_gram(KernelSpec(kind="gaussian", spread=2.0), x, y)[0, 0]
+    sigma = compute_gram([KernelSpec(kind="gaussian", spread=2.0)], x, y)[0][0, 0]
     assert sigma == pytest.approx(np.exp(-sq / (2 * 2.0**2)), rel=1e-15)
 
 

@@ -317,7 +317,7 @@ def test_bias_mode_certifies_singular_and_nearly_constant_kernels():
             K = X @ X.T
         else:
             X = rng.standard_normal((n, 2))
-            K = compute_gram(KernelSpec(kind="gaussian", spread=8.0), X, X)
+            K = compute_gram([KernelSpec(kind="gaussian", spread=8.0)], X, X)[0]
         y = rng.choice([-1.0, 1.0], size=n)
         y[:2] = [1.0, -1.0]
         C = float(10 ** rng.uniform(-3, 3))

@@ -134,8 +134,10 @@ def test_determinism_across_runs():
 def test_infeasible_budget_pair_raises():
     tasks = make_tasks(T=2, N=10, seed=6)
     stacks = make_stacks(tasks, SPECS)
-    with pytest.raises(ValueError, match="infeasible"):
+    with pytest.raises(ValueError, match="infeasible") as err:
         fit(tasks, stacks, TrainConfig(C=1.0, p=2.0, budget=0.5, r_max=2.0, mode="conic"), SPECS)
+    needed = float((training.task_costs(stacks, 2.0) / 2.0).sum())
+    assert f"needs {needed}, budget is 0.5" in str(err.value)
 
 
 def test_degenerate_task_raises():
@@ -499,8 +501,8 @@ def test_single_task_concentrates_weight_on_informative_kernel(monkeypatch):
 
     spec = KernelSpec(kind="gaussian", spread=1.0)
     grams = np.stack([
-        compute_gram(spec, informative, informative),
-        compute_gram(spec, noise_only, noise_only),
+        compute_gram([spec], informative, informative)[0],
+        compute_gram([spec], noise_only, noise_only)[0],
     ])
     stack = GramStack(task_id="t", grams=grams)
     solves, starts = [], []
