@@ -77,12 +77,6 @@ def _check_inputs(stacks, R: float, samples: int = 1, **per_task) -> int:
                 f"task {stack.task_id!r} has {stack.n_kernels} kernels, "
                 f"task {stacks[0].task_id!r} has {stacks[0].n_kernels}"
             )
-        if stack.n_samples < 1:
-            raise ValueError(f"task {stack.task_id!r} has no samples")
-        finite = np.isfinite(stack.grams)
-        if np.count_nonzero(finite) < finite.size:
-            m = int(np.argmin(finite.all(axis=(1, 2))))
-            raise ValueError(f"task {stack.task_id!r} kernel {m} has a non-finite Gram entry")
     for name, values in per_task.items():
         if values.shape != (len(stacks),):
             ids = [s.task_id for s in stacks]

@@ -9,7 +9,8 @@ need repeatedly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +20,7 @@ EXPAND_BLOCK = 2048  # columns per block of an `expand` call
 EXP_ZERO = -745.2  # np.exp is exactly +0.0 below this argument
 EXP_FAST = -707.0  # np.exp takes its fast path above -1021 ln 2 = -707.70 (numpy 2.4, AVX-512)
 EXP_SPLIT_MIN = 2048  # lanes; on fewer, exp's slow lanes cost less than splitting them off
+_KIND_FIELDS = {"linear": (), "polynomial": ("degree", "offset"), "gaussian": ("spread",)}  # what each label writes
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,11 @@ class KernelSpec:
 
     normalize applies cosine normalization so the induced feature vectors
     have unit length; gaussian kernels already do.
+
+    A spec holds only what its label can say: degree is an int, normalize a
+    bool, offset and spread are stored as floats, and a field that the kind
+    does not use keeps its default. So every spec's label parses back to an
+    equal spec.
     """
 
     kind: str
@@ -37,8 +44,22 @@ class KernelSpec:
     normalize: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("linear", "polynomial", "gaussian"):
+        if self.kind not in _KIND_FIELDS:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
+        if isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral):
+            raise ValueError(f"degree must be an integer, got degree={self.degree!r}")
+        if not isinstance(self.normalize, (bool, np.bool_)):
+            raise ValueError(f"normalize must be a bool, got normalize={self.normalize!r}")
+        for name in ("offset", "spread"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {name}={value!r}")
+        for name, cast in (("degree", int), ("offset", float), ("spread", float), ("normalize", bool)):
+            object.__setattr__(self, name, cast(getattr(self, name)))  # an int offset labels as off=1.0
+        for f in fields(self)[1:4]:  # degree, offset, spread
+            value = getattr(self, f.name)
+            if f.name not in _KIND_FIELDS[self.kind] and value != f.default:
+                raise ValueError(f"a {self.kind} kernel has no {f.name}, got {f.name}={value!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError(f"polynomial degree must be >= 1, got degree={self.degree!r}")
         if self.kind == "polynomial" and not math.isfinite(self.offset):
@@ -83,7 +104,9 @@ class KernelSpec:
             elif key != "conv":  # label() writes conv=sigma only; the canonical check rejects any other value
                 raise ValueError(f"unknown field {key!r} in kernel label {label!r}")
         kind = {"poly": "polynomial", "gauss": "gaussian"}.get(kind, kind)
-        spec = KernelSpec(kind=kind, normalize=norm, **fields)
+        # a field the kind does not use is left out here, and so fails the canonical check
+        used = {key: value for key, value in fields.items() if key in _KIND_FIELDS.get(kind, ())}
+        spec = KernelSpec(kind=kind, normalize=norm, **used)
         if spec.label() != label:
             raise ValueError(f"kernel label {label!r} is not canonical: its spec writes {spec.label()!r}")
         return spec
@@ -280,7 +303,8 @@ def cosine_normalize(gram) -> np.ndarray:
 class GramStack:
     """All base-kernel Gram matrices of one task plus their traces.
 
-    grams has shape (M, N, N); traces[m] is the exact diagonal sum of
+    grams has shape (M, N, N) with N >= 1 and every entry finite, checked
+    here once for every reader; traces[m] is the exact diagonal sum of
     grams[m]. Instances are immutable by convention after construction and
     safe for concurrent read access.
     """
@@ -293,6 +317,11 @@ class GramStack:
         self.grams = np.asarray(self.grams, dtype=np.float64)
         if self.grams.ndim != 3 or self.grams.shape[1] != self.grams.shape[2]:
             raise ValueError(f"grams must have shape (M, N, N), got {self.grams.shape}")
+        if self.n_samples < 1:
+            raise ValueError(f"task {self.task_id!r} has no samples")
+        if not np.isfinite(self.grams).all():
+            m = int(np.argmin(np.isfinite(self.grams).all(axis=(1, 2))))
+            raise ValueError(f"task {self.task_id!r} kernel {m} has a non-finite Gram entry")
         self.traces = np.einsum("mii->m", self.grams)
 
     @property

@@ -398,6 +398,7 @@ _CONFIG_KEYS = (
     *((name, str, int) for name in ("max_outer_iters", "svm_max_iter", "seed")),
 )
 _DUAL_SCALARS = ("bias", "objective", "duality_gap")  # the floats of a [task] section, in document order
+_SECTIONS = ("config", "kernels", "theta", "lambda", "trace", "scaler")  # and one [task <id>] per task
 
 
 def _config_copies(config: TrainConfig):
@@ -447,6 +448,8 @@ def load_model(path, tasks) -> MtlModel:
     tasks may be any iterable of TaskDataset. Each referenced task must be
     present and hash-identical to what was trained on. Every error names the
     file; a value that is missing or does not decode names its section and key.
+    Every line is read or rejected: a line before the first section, an
+    unknown section, and a repeated or unknown key are errors.
     """
     by_id = {t.task_id: t for t in tasks}
 
@@ -457,28 +460,36 @@ def load_model(path, tasks) -> MtlModel:
     if content[0] != f"conicmtl-model v{MODEL_FORMAT_VERSION}":
         raise ValueError(f"{path}: unsupported model version header {content[0]!r}")
 
-    sections: dict = {"": {}}  # section name -> {key: text}, in document order; "" holds any line before the first
+    sections: dict = {}  # section name -> {key: text}, in document order
     labels = []  # the spec lines of [kernels], in order
-    section = ""
-    for line in map(str.strip, content[1:]):
+    section = None
+    for lineno, line in enumerate(map(str.strip, content[1:]), start=2):
         if not line:
             continue
         key, _, value = line.partition(" = ")
         if line.startswith("["):
             section = line[1:-1]
+            if section not in _SECTIONS and not section.startswith("task "):
+                raise ValueError(f"{path}: line {lineno}: unknown section {line}")
             if section in sections:
                 raise ValueError(f"{path}: section [{section}] appears more than once")
             sections[section] = {}
-        elif section == "kernels":
+        elif section is None:
+            raise ValueError(f"{path}: line {lineno}: {line!r} comes before the first section")
+        elif section == "kernels" and key == "spec":
             labels.append(value)
+        elif key in sections[section]:
+            raise ValueError(f"{path}: line {lineno}: key {key!r} appears more than once in [{section}]")
         else:
             sections[section][key] = value
+    read = set()  # the (section, key) pairs that field() has decoded
 
     def field(section, key, decode=str, text=None):
         if text is None:
             if key not in sections.get(section, {}):
                 raise ValueError(f"{path}: no key {key!r} in section [{section}]")
             text = sections[section][key]
+            read.add((section, key))
         try:
             return decode(text)
         except (ValueError, OverflowError) as exc:
@@ -542,6 +553,11 @@ def load_model(path, tasks) -> MtlModel:
     scaler = None
     if "scaler" in sections:
         scaler = Scaler(field("scaler", "mean", _unhex_vector), field("scaler", "scale", _unhex_vector))
+    trace = list(field("trace", "values", _unhex_vector))
+    for section, keys in sections.items():
+        for key in keys:
+            if (section, key) not in read:
+                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
 
     return MtlModel(
         config=config,
@@ -550,7 +566,7 @@ def load_model(path, tasks) -> MtlModel:
         task_weights=lam,
         duals=duals,
         component_sq_norms=comps,
-        objective_trace=list(field("trace", "values", _unhex_vector)),
+        objective_trace=trace,
         tasks=model_tasks,
         converged=converged,
         scaler=scaler,

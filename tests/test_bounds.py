@@ -300,11 +300,9 @@ def test_rejects_gamma_of_wrong_length():
 
 
 def test_rejects_task_without_samples():
-    stacks = [one_kernel_stack(np.eye(2), "a"), one_kernel_stack(np.zeros((0, 0)), "empty")]
+    # the stack rejects itself when made, so no estimator can be handed one
     with pytest.raises(ValueError, match="task 'empty' has no samples"):
-        rademacher_mc(stacks, [1.0, 1.0], R=1.0, p=2.0)
-    with pytest.raises(ValueError, match="task 'empty' has no samples"):
-        estimate_scale_constant(stacks, R=1.0, p=2.0)
+        one_kernel_stack(np.zeros((0, 0)), "empty")
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
@@ -328,14 +326,16 @@ def test_rejects_non_finite_task_weight_and_gamma(value):
 @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
 @pytest.mark.parametrize("exhaustive_limit", [20, 0])
 def test_both_estimators_reject_non_finite_gram_entries(value, exhaustive_limit):
+    # the stack rejects itself when made; the estimators read only stacks that passed
     grams = np.stack([np.eye(3), np.eye(3), np.eye(3)])
     grams[2, 0, 1] = value
+    with pytest.raises(ValueError, match="task 'b' kernel 2 has a non-finite Gram entry"):
+        GramStack(task_id="b", grams=grams)
+    grams[2, 0, 1] = 0.0
     stacks = [GramStack(task_id="a", grams=np.stack([np.eye(3)] * 3)), GramStack(task_id="b", grams=grams)]
     kwargs = dict(samples=64, exhaustive_limit=exhaustive_limit)
-    with pytest.raises(ValueError, match="task 'b' kernel 2 has a non-finite Gram entry"):
-        rademacher_mc(stacks, [1.0, 1.0], R=1.0, p=2.0, **kwargs)
-    with pytest.raises(ValueError, match="task 'b' kernel 2 has a non-finite Gram entry"):
-        estimate_scale_constant(stacks, R=1.0, p=2.0, **kwargs)
+    assert np.isfinite(rademacher_mc(stacks, [1.0, 1.0], R=1.0, p=2.0, **kwargs).mean)
+    assert np.isfinite(estimate_scale_constant(stacks, R=1.0, p=2.0, **kwargs).mean)
 
 
 @pytest.mark.parametrize("samples", [5000.0, True, "64"])
@@ -742,7 +742,7 @@ def test_log_argument_exceeds_one_for_any_in_box_weights():
 
 
 def test_adaptive_bound_clamps_nonpositive_log_for_out_of_box_weights():
-    with pytest.warns(UserWarning, match="clamped"):
+    with pytest.warns(UserWarning, match="clamped"), pytest.warns(UserWarning, match="on the box boundary"):
         terms = bound_rhs_any_lambda(0.0, 0.0, task_weights=np.full(4, 30.0), **bound_values(4.0, T=4))
     assert terms.weight_range == 0.0
 

@@ -340,6 +340,42 @@ def test_predict_names_an_input_file_without_samples(tmp_path, capsys):
     assert error_message(capsys, argv) == f"{empty}: no samples to predict"
 
 
+def test_predict_out_writes_the_prediction_lines_it_would_print(tmp_path, capsys, trained_model):
+    model_path, split = trained_model
+    args = ["predict", "--model", str(model_path), "--train-data", str(split),
+            "--input", str(split / "task_synth1.txt"), "--task", "synth1", "--pre-scaled"]
+    capsys.readouterr()
+    assert main(args) == 0
+    printed = capsys.readouterr().out.splitlines()
+    out = tmp_path / "predictions.txt"
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines() == printed[:-1]
+    assert capsys.readouterr().out.splitlines() == [f"wrote {len(printed) - 1} predictions to {out}", printed[-1]]
+
+
+def test_bound_out_writes_the_report_csv_header_and_row(tmp_path, capsys, trained_model):
+    model_path, split = trained_model
+    out = tmp_path / "bound.csv"
+    args = ["bound", "--model", str(model_path), "--train-data", str(split), "--test-data", "sample:mtl"]
+    capsys.readouterr()
+    assert main(args + ["--samples", "300", "--seed", "4", "--out", str(out)]) == 0
+    model = load_model(model_path, load_task_directory(split))
+    _, test = resolve_dataset("sample:mtl")
+    report = bound_report(model, model.scaler.transform_tasks(test), mc_samples=300, seed=4)
+    assert out.read_text(encoding="utf-8") == report.csv_header() + "\n" + report.csv_row() + "\n"
+    assert capsys.readouterr().out.splitlines() == report.lines() + [f"wrote bound csv: {out}"]
+
+
+def test_radcheck_prints_a_fail_line_and_exits_one_when_a_check_fails(capsys, monkeypatch):
+    calls = []
+    results = [verification.CheckResult("a", True, "held"), verification.CheckResult("b", False, "off by 2")]
+    monkeypatch.setattr(cli, "run_verification_suite", lambda **kwargs: calls.append(kwargs) or results)
+    capsys.readouterr()
+    assert main(["radcheck", "--seed", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["PASS a: held", "FAIL b: off by 2"]
+    assert calls == [{"seed": 1}]
+
+
 def write_config(tmp_path, text):
     path = tmp_path / "run.ini"
     path.write_text(text, encoding="utf-8")
@@ -357,6 +393,14 @@ def test_train_config_reads_its_keys_and_rejects_others(tmp_path, capsys):
     message = error_message(capsys, argv)
     assert re.search(r"unknown key 'c' in \[train\].*fraction, mode, seed", message)
     assert not (tmp_path / "c.txt").exists()
+
+
+def test_a_config_without_the_commands_section_leaves_its_options_unset(tmp_path):
+    config = write_config(tmp_path, "[experiment]\nruns = 1\n")
+    model_a, split_a = train(tmp_path, "a", "--config", config)
+    model_b, split_b = train(tmp_path, "b")
+    assert model_a.read_bytes() == model_b.read_bytes()
+    assert directory_bytes(split_a) == directory_bytes(split_b)
 
 
 def test_experiment_config_rejects_unknown_keys(tmp_path, capsys):

@@ -40,6 +40,17 @@ def test_parse_empty_feature_list(tmp_path):
     assert np.array_equal(y, [-1.0, 1.0])
 
 
+def test_parse_skips_comments_and_blank_lines_and_counts_them_in_line_numbers(tmp_path):
+    f = tmp_path / "d.txt"
+    f.write_text("# two samples\n\n1 1:0.5\n   \n  # indented comment\n-1 2:3\n")
+    X, y = load_sparse_text(f)
+    assert np.array_equal(X, [[0.5, 0.0], [0.0, 3.0]])
+    assert np.array_equal(y, [1.0, -1.0])
+    f.write_text("# header\n\n1 1:1\n1 junk\n")
+    with pytest.raises(ValueError, match=":4:"):
+        load_sparse_text(f)
+
+
 def test_parse_rejects_non_ascending_indices(tmp_path):
     f = tmp_path / "d.txt"
     f.write_text("1 2:1 1:1\n")

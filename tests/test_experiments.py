@@ -10,6 +10,7 @@ from conicmtl.experiments import (
     ExperimentConfig,
     budget_from_fraction,
     cross_validate,
+    paired_t_test,
     read_results_csv,
     regularized_incomplete_beta,
     resolve_dataset,
@@ -29,6 +30,10 @@ from conicmtl.util import derive_seed
 
 def test_welch_identical_samples():
     assert welch_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == (0.0, 1.0)
+
+
+def test_welch_equal_constant_samples_give_t_zero_and_p_one():
+    assert welch_t_test([2.5, 2.5, 2.5], [2.5, 2.5]) == (0.0, 1.0)
 
 
 def test_welch_zero_variance_separated():
@@ -61,8 +66,6 @@ def test_welch_needs_two_values():
 
 
 def test_paired_t_matches_scipy():
-    from conicmtl.experiments import paired_t_test
-
     rng = np.random.default_rng(3)
     for _ in range(50):
         n = int(rng.integers(2, 30))
@@ -75,6 +78,19 @@ def test_paired_t_matches_scipy():
     assert paired_t_test([1.0, 2.0], [1.0, 2.0]) == (0.0, 1.0)
     with pytest.raises(ValueError, match="equally long"):
         paired_t_test([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def test_paired_t_of_a_constant_nonzero_difference_is_finite_with_a_tiny_p():
+    # zero variance of the differences takes the 1e-24 floor, as the Welch test does
+    t, p = paired_t_test([1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
+    assert t == 0.5 / (1e-24 / 3) ** 0.5
+    assert 0.0 <= p < 1e-10
+
+
+@pytest.mark.parametrize("x, value", [(0.0, 0.0), (-0.5, 0.0), (1.0, 1.0), (3.0, 1.0)])
+def test_incomplete_beta_is_zero_below_and_one_above_the_unit_interval(x, value):
+    assert regularized_incomplete_beta(2.0, 3.0, x) == value
+    assert float(scipy.stats.beta.cdf(x, 2.0, 3.0)) == value
 
 
 def test_incomplete_beta_against_scipy():

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import re
 
@@ -232,6 +233,16 @@ def gaussian_arguments(spec, rows, cols):
     return -_gaussian_scale(spec) * sq
 
 
+def overflow_warning(specs, rows, cols):
+    """pytest.warns for numpy's overflow warning where a gaussian argument reaches -inf
+    (the -inf regime), which the kernels let through; else a null context."""
+    with np.errstate(over="ignore"):
+        reach = [np.isinf(gaussian_arguments(s, rows, cols)).any() for s in specs if s.kind == "gaussian"]
+    if any(reach):
+        return pytest.warns(RuntimeWarning, match="overflow encountered in multiply")
+    return contextlib.nullcontext()
+
+
 @pytest.mark.parametrize(
     "regime, lanes",
     [
@@ -265,7 +276,8 @@ def test_expand_is_byte_identical_to_the_fresh_temporary_oracle(regime, n_cols):
         theta[1] = 0.0
     with np.errstate(over="ignore"):
         want = oracle_expand(specs, theta, rows, coef, cols)
-    got = expand(specs, theta, rows, coef, cols)
+    with overflow_warning([spec for spec, weight in zip(specs, theta) if weight], rows, cols):
+        got = expand(specs, theta, rows, coef, cols)
     assert got.tobytes() == want.tobytes()
 
 
@@ -277,7 +289,9 @@ def test_compute_gram_is_byte_identical_to_the_oracle(regime, n_cols):
         for other in (cols, rows):
             with np.errstate(over="ignore"):
                 want = oracle_compute_gram(spec, rows, other)
-            assert compute_gram([spec], rows, other)[0].tobytes() == want.tobytes(), spec.label()
+            with overflow_warning([spec], rows, other):
+                got = compute_gram([spec], rows, other)[0]
+            assert got.tobytes() == want.tobytes(), spec.label()
 
 
 def test_build_gram_stack_is_byte_identical_to_the_oracle():
@@ -492,11 +506,35 @@ def test_gaussian_spread_is_sigma():
         ({"kind": "polynomial", "offset": -np.inf}, "offset=-inf"),
         ({"kind": "polynomial", "degree": 0}, "^polynomial degree must be >= 1, got degree=0$"),
         ({"kind": "sigmoid"}, "^unknown kernel kind: 'sigmoid'$"),
+        ({"kind": "polynomial", "degree": 2.5}, "^degree must be an integer, got degree=2.5$"),
+        ({"kind": "polynomial", "degree": True, "offset": -5.0}, "^degree must be an integer, got degree=True$"),
+        ({"kind": "linear", "normalize": 2}, "^normalize must be a bool, got normalize=2$"),
+        ({"kind": "gaussian", "spread": "2"}, "^spread must be a real number, got spread='2'$"),
+        ({"kind": "polynomial", "offset": False}, "^offset must be a real number, got offset=False$"),
+        ({"kind": "linear", "degree": 3}, "^a linear kernel has no degree, got degree=3$"),
+        ({"kind": "gaussian", "offset": np.nan}, "^a gaussian kernel has no offset, got offset=nan$"),
+        ({"kind": "polynomial", "spread": 2}, "^a polynomial kernel has no spread, got spread=2.0$"),
     ],
 )
 def test_kernel_spec_rejects_unusable_values_by_field(fields, message):
     with pytest.raises(ValueError, match=message):
         KernelSpec(**fields)
+
+
+@pytest.mark.parametrize(
+    "kind, field, values",
+    [
+        ("gaussian", "spread", [2, 2.0, 0.3, np.int64(3), np.float64(2.0**-7)]),
+        ("polynomial", "offset", [1, 0, -2, 0.5, -0.0, np.int64(3), np.float32(0.1)]),
+    ],
+)
+def test_int_and_float_spreads_and_offsets_label_back_to_an_equal_spec(kind, field, values):
+    # an int written as s=2 or off=1 would not parse back: from_label reads floats
+    for value in values:
+        for normalize in (False, True, np.True_):
+            spec = KernelSpec(kind=kind, normalize=normalize, **{field: value})
+            assert getattr(spec, field) == value and type(getattr(spec, field)) is float
+            assert KernelSpec.from_label(spec.label()) == spec
 
 
 # ------------------------------------------------------------- rejections

@@ -713,11 +713,51 @@ def test_load_names_the_file_section_and_key_that_is_missing(tmp_path, section, 
     assert load_error(path, tasks).endswith(f"no key {expected!r} in section [{section}]")
 
 
-def test_load_ignores_a_line_before_the_first_section_like_any_unread_key(tmp_path):
-    model, tasks, path = saved_model(tmp_path)
+def test_load_rejects_a_line_before_the_first_section(tmp_path):
+    _, tasks, path = saved_model(tmp_path)
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([lines[0], "note = tampered"] + lines[1:]) + "\n", encoding="utf-8")
-    assert np.array_equal(load_model(path, tasks).task_weights, model.task_weights)
+    assert load_error(path, tasks) == f"{path}: line 2: 'note = tampered' comes before the first section"
+
+
+def test_load_rejects_an_unknown_section_such_as_a_misspelt_scaler(tmp_path):
+    # read as a model without a scaler, predict would score unstandardized features without saying so
+    model, tasks, path = saved_model(tmp_path)
+    model.scaler = Scaler().fit(np.vstack([t.X for t in tasks]))
+    save_model(model, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = lines.index("[scaler]")
+    lines[at] = "[scalar]"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_error(path, tasks) == f"{path}: line {at + 1}: unknown section [scalar]"
+
+
+@pytest.mark.parametrize("section", ["config", "kernels", "theta", "lambda", "trace", "task synth0"])
+def test_load_rejects_an_unknown_key_and_names_its_section(tmp_path, section):
+    _, tasks, path = saved_model(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = lines.index(f"[{section}]")
+    path.write_text("\n".join(lines[: at + 1] + ["extra = 1"] + lines[at + 1 :]) + "\n", encoding="utf-8")
+    assert load_error(path, tasks) == f"{path}: unknown key 'extra' in [{section}]"
+
+
+def test_load_rejects_a_repeated_key_and_names_its_line(tmp_path):
+    _, tasks, path = saved_model(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = lines.index("[config]") + 1
+    path.write_text("\n".join(lines[: at + 1] + [lines[at]] + lines[at + 1 :]) + "\n", encoding="utf-8")
+    key = lines[at].partition(" = ")[0]
+    assert load_error(path, tasks) == f"{path}: line {at + 2}: key {key!r} appears more than once in [config]"
+
+
+def test_load_skips_blank_lines(tmp_path):
+    _, tasks, path = saved_model(tmp_path)
+    original = path.read_bytes()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([lines[0]] + [text for line in lines[1:] for text in ("", line, "   ")]), encoding="utf-8")
+    again = tmp_path / "again.txt"
+    save_model(load_model(path, tasks), again)
+    assert again.read_bytes() == original
 
 
 @pytest.mark.parametrize("section", ["task synth1", "config", "kernels", "theta", "lambda", "trace"])
@@ -840,6 +880,20 @@ def test_fit_rejects_no_tasks_unaligned_stacks_and_mixed_kernel_counts():
         with pytest.raises(ValueError) as err:
             fit(fit_tasks, fit_stacks, TrainConfig(mode="average"), SPECS)
         assert str(err.value) == message
+
+
+def test_an_overflowing_polynomial_gram_fails_in_its_stack_build_naming_task_and_kernel(monkeypatch):
+    tasks = [TaskDataset(t.task_id, t.X * 1e80, t.y) for t in make_tasks(T=2, N=8, seed=5)]
+    specs = [KernelSpec(kind="linear"), KernelSpec(kind="polynomial", degree=3)]
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the Gram build")
+
+    monkeypatch.setattr(GramStack, "trace_norm", never)
+    monkeypatch.setattr(training, "solve_svm_dual", never)
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError) as err:
+        fit(tasks, make_stacks(tasks, specs), TrainConfig(mode="conic"), specs)
+    assert str(err.value) == f"task {tasks[0].task_id!r} kernel 1 has a non-finite Gram entry"
 
 
 @pytest.mark.parametrize("text", ["", "not a model\n", "[config]\nmode = conic\n"])
