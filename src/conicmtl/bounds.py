@@ -21,24 +21,22 @@ Only the reducer differs: sum the scaled tables over tasks, then the
 p*-norm; or the p*-norm per task, then the max over tasks.
 
 The blocks are independent, so when BLAS runs one thread per call they
-are spread over every usable CPU (_workers). Each thread runs one
-_block_values generator, which owns that thread's buffers, one chunk wide:
-signs, products, tables and one block of values. Each block's sum and sum
-of squares are added into the accumulator in block order, so the estimate
-has the same bits at any thread count.
+are spread over every usable CPU (util.thread_count, util.run_threads).
+Each thread runs one _block_values generator, which owns that thread's
+buffers, one chunk wide: signs, products, tables and one block of values.
+Each block's sum and sum of squares are added into the accumulator in
+block order, so the estimate has the same bits at any thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, training
+from . import kernels, training, util
 from .util import conjugate_exponent, derive_seed
 
 EXHAUSTIVE_LIMIT = 20
@@ -213,24 +211,6 @@ def _block_values(plan, total: int, n_patterns: int, blocks, tag: str, seed: int
         yield block, values[:n_block]
 
 
-def _workers() -> int:
-    """Threads for the sign blocks: every usable CPU when BLAS runs one thread per call, else 1.
-
-    OpenBLAS takes its thread count from the first of OPENBLAS_NUM_THREADS,
-    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive number. A GEMM on
-    more BLAS threads already spreads over the CPUs, and block threads beside
-    it were slower than none.
-    """
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            count = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if count > 0:
-            return len(os.sched_getaffinity(0)) if count == 1 and hasattr(os, "sched_getaffinity") else 1
-    return 1
-
-
 def _sign_expectation(stacks, samples, tag, seed, exhaustive, reduce) -> RademacherEstimate:
     """Mean and standard error of reduce(per-task quadform tables) over the sign blocks.
 
@@ -238,34 +218,22 @@ def _sign_expectation(stacks, samples, tag, seed, exhaustive, reduce) -> Rademac
     Each block's sum and sum of squares are added up in block order, so the
     result has the same bits at any thread count. An exception in any thread
     stops the others after their current block and is raised here once all
-    have ended.
+    have ended (util.run_threads).
     """
     total = sum(s.n_samples for s in stacks)
     n = 1 << total if exhaustive else samples
     plan = _contraction_plan(stacks)
     n_blocks = -(-n // MC_BLOCK)
-    workers = min(_workers(), n_blocks)
+    workers = min(util.thread_count(), n_blocks)
     moments = [None] * n_blocks
-    errors = []
 
     def work(first):
-        try:
-            blocks = range(first, n_blocks, workers)
-            for block, values in _block_values(plan, total, n, blocks, tag, seed, exhaustive, reduce):
-                moments[block] = (float(values.sum()), float((values**2).sum()))
-                if errors:
-                    return
-        except BaseException as exc:
-            errors.append(exc)
+        blocks = range(first, n_blocks, workers)
+        for block, values in _block_values(plan, total, n, blocks, tag, seed, exhaustive, reduce):
+            moments[block] = (float(values.sum()), float((values**2).sum()))
+            yield
 
-    helpers = [threading.Thread(target=work, args=(first,)) for first in range(1, workers)]
-    for helper in helpers:
-        helper.start()
-    work(0)
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
+    util.run_threads(work, workers)
     acc_sum = acc_sq = 0.0
     for block_sum, block_sq in moments:
         acc_sum += block_sum

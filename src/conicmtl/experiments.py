@@ -402,6 +402,8 @@ def summarize_results(rows, alpha: float = 0.05, reference: str = "Conic", paire
 
     The default comparison is the unequal-variance two-sample test; paired
     uses the differences at the seeds both methods have ("-" below two).
+    Each group's header names the test (test=welch or test=paired), and a
+    paired summary gives each method the number of pairs that entered.
     Everything is recomputed from the raw per-run rows, so the stars are
     reproducible from the CSV alone. alpha must lie in (0, 1).
     """
@@ -418,29 +420,32 @@ def summarize_results(rows, alpha: float = 0.05, reference: str = "Conic", paire
     out = StringIO()
     for (dataset, fraction), methods in groups.items():
         by_method = {m: [v for _, v in sorted(pairs)] for m, pairs in methods.items()}
-        out.write(f"dataset={dataset} fraction={fraction}\n")
+        out.write(f"dataset={dataset} fraction={fraction} test={'paired' if paired else 'welch'}\n")
         ref = by_method.get(reference)
         means = {m: float(np.mean(v)) for m, v in by_method.items()}
         best = max(means.values())
-        out.write(f"  {'method':<12} {'mean':>8} {'std':>8} {'runs':>5} {'p_vs_' + reference:>12}\n")
+        pairs_head = f" {'pairs':>5}" if paired else ""
+        out.write(f"  {'method':<12} {'mean':>8} {'std':>8} {'runs':>5}{pairs_head} {'p_vs_' + reference:>12}\n")
         for method, values in sorted(by_method.items()):
             mean = means[method]
             std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
             star = " "
-            p_text = "-"
+            p_text = pairs_text = "-"
             if ref is not None and method != reference:
                 a, b = ref, values
                 if paired:  # the runs of the seeds both methods have, in seed order
                     common = {s for s, _ in methods[reference]} & {s for s, _ in methods[method]}
                     a, b = ([v for s, v in sorted(methods[m]) if s in common] for m in (reference, method))
+                    pairs_text = str(len(common))
                 if len(a) >= 2 and len(b) >= 2:
                     _, p = (paired_t_test if paired else welch_t_test)(a, b)
                     p_text = f"{p:.4f}"
                     if p < alpha and mean < means[reference]:
                         star = "*"
             marker = "<best" if mean == best else ""
+            pairs_cell = f" {pairs_text:>5}" if paired else ""
             out.write(
-                f"  {method:<12} {mean:>8.4f} {std:>8.4f} {len(values):>5} {p_text:>12} {star}{marker}\n"
+                f"  {method:<12} {mean:>8.4f} {std:>8.4f} {len(values):>5}{pairs_cell} {p_text:>12} {star}{marker}\n"
             )
         out.write("\n")
     return out.getvalue()

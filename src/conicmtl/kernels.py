@@ -14,9 +14,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import util
 from .util import lp_norm
 
-EXPAND_BLOCK = 2048  # columns per block of an `expand` call
+EXPAND_BLOCK = 1024  # columns per block of an `expand` call
 EXP_ZERO = -745.2  # np.exp is exactly +0.0 below this argument
 EXP_FAST = -707.0  # np.exp takes its fast path above -1021 ln 2 = -707.70 (numpy 2.4, AVX-512)
 EXP_SPLIT_MIN = 2048  # lanes; on fewer, exp's slow lanes cost less than splitting them off
@@ -259,11 +260,16 @@ def compute_gram(specs, rows, cols) -> np.ndarray:
 def expand(specs, theta, rows, coef, cols) -> np.ndarray:
     """Kernel expansion sum_m theta_m * (coef @ k_m(rows, cols)), one value per column.
 
-    cols is walked in blocks of EXPAND_BLOCK columns, all evaluated in the
-    same few buffers, so memory is O(len(rows) * EXPAND_BLOCK); per block
-    the inner products and distances are shared by every kernel with
-    theta_m != 0, and a gaussian that is +0.0 on the whole block adds
-    nothing and is skipped.
+    cols is walked in blocks of EXPAND_BLOCK columns; per block the inner
+    products and distances are shared by every kernel with theta_m != 0,
+    and a gaussian that is +0.0 on the whole block adds nothing and is
+    skipped. The blocks are spread over util.thread_count() threads: thread
+    k of W takes blocks k, k + W, ... in its own few buffers, so memory is
+    O(W * len(rows) * EXPAND_BLOCK). The buffers are allocated here before
+    any thread starts: made in a helper thread, they would sit in that
+    thread's own malloc arena and raise the peak memory. Each block writes only its own slice of the output,
+    adding the kernels in spec order, so a column has the same bits at any
+    thread count.
     """
     rows = _check_features(rows, "rows")
     cols = _check_features(cols, "cols", rows.shape[1])
@@ -272,12 +278,20 @@ def expand(specs, theta, rows, coef, cols) -> np.ndarray:
         raise ValueError(f"theta has shape {theta.shape}, expected ({len(specs)},)")
     active = np.flatnonzero(theta)
     out = np.zeros(cols.shape[0])
-    grams = _GramBlocks([specs[m] for m in active], rows, min(EXPAND_BLOCK, cols.shape[0]))
-    for start in range(0, cols.shape[0], EXPAND_BLOCK):
-        block = out[start : start + EXPAND_BLOCK]
-        for m, gram in zip(active, grams(cols[start : start + EXPAND_BLOCK], False)):
-            if gram is not None:
-                block += theta[m] * (coef @ gram)
+    n_blocks = -(-cols.shape[0] // EXPAND_BLOCK)
+    workers = max(1, min(util.thread_count(), n_blocks))
+    width = min(EXPAND_BLOCK, cols.shape[0])
+    buffers = [_GramBlocks([specs[m] for m in active], rows, width) for _ in range(workers)]
+
+    def work(first):
+        for start in range(first * EXPAND_BLOCK, cols.shape[0], workers * EXPAND_BLOCK):
+            block = out[start : start + EXPAND_BLOCK]
+            for m, gram in zip(active, buffers[first](cols[start : start + EXPAND_BLOCK], False)):
+                if gram is not None:
+                    block += theta[m] * (coef @ gram)
+            yield
+
+    util.run_threads(work, workers)
     return out
 
 

@@ -222,9 +222,13 @@ def component_sq_norms(alpha: np.ndarray, y: np.ndarray, stack: GramStack, theta
 
 
 def quadratic_forms(alpha: np.ndarray, y: np.ndarray, stack: GramStack) -> np.ndarray:
-    """Per-kernel quadratic forms (a*y)' G_m (a*y), for every kernel whatever its weight."""
+    """Per-kernel quadratic forms (a*y)' G_m (a*y), for every kernel whatever its weight.
+
+    A Gram that is PSD only up to rounding can give a form a few ulps below
+    zero, where the exact form is 0; such a form is returned as 0.
+    """
     coef = np.asarray(alpha, dtype=float) * np.asarray(y, dtype=float)
-    return np.einsum("i,mij,j->m", coef, stack.grams, coef)
+    return np.maximum(np.einsum("i,mij,j->m", coef, stack.grams, coef), 0.0)
 
 
 def theta_step(u, p: float) -> np.ndarray:

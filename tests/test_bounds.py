@@ -22,15 +22,14 @@ from conicmtl.bounds import (
     _contraction_plan,
     _dual_norms,
     _sign_chunks,
-    _workers,
     model_radius,
     rademacher_mc,
 )
 from conicmtl.data import Scaler, TaskDataset, synth_multitask
 from conicmtl.kernels import GramStack, build_gram_stack, default_kernel_dictionary
 from conicmtl.training import TrainConfig, fit, margin_loss
-from conicmtl.util import conjugate_exponent, derive_seed, lp_norm
-from conicmtl import bounds, kernels, training, verification
+from conicmtl.util import conjugate_exponent, derive_seed, lp_norm, thread_count
+from conicmtl import bounds, kernels, training, util, verification
 from conicmtl.verification import random_stacks, run_verification_suite
 
 
@@ -232,7 +231,7 @@ def test_estimators_match_brute_force_quadratic_forms(p, exhaustive):
 def test_monte_carlo_memory_stays_bounded(samples, monkeypatch):
     # the benchmark shape: 4 tasks of 30 samples, 11 kernels, on two threads;
     # a product over a whole block per task, or two blocks alive per thread, would exceed this
-    monkeypatch.setattr(bounds, "_workers", lambda: 2)
+    monkeypatch.setattr(util, "thread_count", lambda: 2)
     stacks = random_stacks(np.random.default_rng(14), T=4, N=30, M=11)
     tracemalloc.start()
     try:
@@ -545,7 +544,7 @@ def test_estimates_have_the_same_bits_at_any_thread_count(sizes, samples, monkey
     kwargs = {} if samples is None else dict(samples=samples, seed=3, exhaustive_limit=0)
     digests = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(bounds, "_workers", lambda: workers)
+        monkeypatch.setattr(util, "thread_count", lambda: workers)
         digests.append(both_estimates(stacks, **kwargs))
     assert digests[0] == digests[1] == digests[2]
     assert digests[0][0][2] == (samples or 2 ** sum(sizes))
@@ -572,7 +571,7 @@ def test_a_one_column_chunk_is_reduced_with_the_bits_of_a_block_wide_reduce(seed
 
 
 def test_an_error_on_a_helper_thread_is_raised_after_every_thread_ended(monkeypatch):
-    monkeypatch.setattr(bounds, "_workers", lambda: 3)
+    monkeypatch.setattr(util, "thread_count", lambda: 3)
     stacks = random_stacks(np.random.default_rng(42), T=2, N=10, M=2)
     before = threading.active_count()
     calls = []
@@ -609,7 +608,7 @@ def test_block_threads_start_only_when_blas_is_pinned_to_one_thread(env, pinned,
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    assert _workers() == (cpus if pinned else 1)
+    assert thread_count() == (cpus if pinned else 1)
     if not pinned:
         started = []
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
@@ -638,7 +637,7 @@ def test_helper_threads_call_no_traced_training_or_kernels_function(monkeypatch)
                 for attr, value in list(vars(owner).items()):
                     if value is fn:
                         monkeypatch.setattr(owner, attr, guarded)
-    monkeypatch.setattr(bounds, "_workers", lambda: 2)
+    monkeypatch.setattr(util, "thread_count", lambda: 2)
     assert both_estimates(stacks, **kwargs) == expected
 
 

@@ -282,8 +282,12 @@ def test_report_paired_prints_the_paired_t_test_p_value(tmp_path, capsys):
     def printed_p(*flags):
         capsys.readouterr()
         assert main(["report", "--results", str(results), *flags]) == 0
-        row = next(line for line in capsys.readouterr().out.splitlines() if line.split()[:1] == ["Average"])
-        return row.split()[4]
+        out = capsys.readouterr().out
+        assert out.startswith(f"dataset=sample:mtl fraction=0.5 test={'paired' if flags else 'welch'}\n")
+        row = next(line for line in out.splitlines() if line.split()[:1] == ["Average"]).split()
+        if flags:  # the pairs column: all five seeds pair
+            assert row.pop(4) == "5"
+        return row[4]
 
     assert printed_p("--paired") == f"{scipy.stats.ttest_rel(conic, average).pvalue:.4f}"
     assert printed_p() == f"{scipy.stats.ttest_ind(conic, average, equal_var=False).pvalue:.4f}" != printed_p("--paired")

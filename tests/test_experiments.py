@@ -479,30 +479,30 @@ def test_summary_paired_pairs_runs_by_seed_when_methods_lost_different_runs():
     conic, average = [0.81, 0.74, 0.90, 0.68, 0.77], [0.78, 0.73, 0.85, 0.66, 0.76]
     rows = accuracy_rows({"Conic": conic, "Average": average}, lost={("Conic", 0), ("Average", 1)})
     expected = scipy.stats.ttest_rel(conic[2:], average[2:]).pvalue  # seeds 2, 3 and 4 are common
-    _, _, _, runs, p_text = printed_row(summarize_results(rows, paired=True), "Average")
-    assert (runs, p_text) == ("4", f"{expected:.4f}") == ("4", "0.1567")
+    _, _, _, runs, pairs, p_text = printed_row(summarize_results(rows, paired=True), "Average")
+    assert (runs, pairs, p_text) == ("4", "3", f"{expected:.4f}") == ("4", "3", "0.1567")
     # one common seed pairs nothing; the paired test never falls back to the two-sample one
     rows = accuracy_rows({"Conic": conic, "Average": average}, lost={("Conic", 0), ("Conic", 1), ("Conic", 2), ("Average", 3)})
-    assert printed_row(summarize_results(rows, paired=True), "Average")[4] == "-"
+    assert printed_row(summarize_results(rows, paired=True), "Average")[4:6] == ["1", "-"]
     assert printed_row(summarize_results(rows), "Average")[4] == f"{scipy.stats.ttest_ind(conic[3:], average[:3] + average[4:], equal_var=False).pvalue:.4f}"
 
 
-SUMMARY_PINS = {  # summarize_results of the rows below before the paired test paired runs by seed
+SUMMARY_PINS = {  # summarize_results of the rows below; the p values are those from before the paired test paired runs by seed
     False: (
-        "dataset=demo fraction=0.3\n  method           mean      std  runs   p_vs_Conic\n"
+        "dataset=demo fraction=0.3 test=welch\n  method           mean      std  runs   p_vs_Conic\n"
         "  Average        0.8210   0.0189     5       0.0029 *\n  Conic          0.8665   0.0118     5            -  <best\n"
         "  ParetoPath     0.8312   0.0194     5       0.0114 *\n\n"
-        "dataset=demo fraction=0.5\n  method           mean      std  runs   p_vs_Conic\n"
+        "dataset=demo fraction=0.5 test=welch\n  method           mean      std  runs   p_vs_Conic\n"
         "  Average        0.8264   0.0101     5       0.0008 *\n  Conic          0.8667   0.0132     5            -  <best\n"
         "  ParetoPath     0.8302   0.0170     5       0.0061 *\n\n"
     ),
     True: (
-        "dataset=demo fraction=0.3\n  method           mean      std  runs   p_vs_Conic\n"
-        "  Average        0.8210   0.0189     5       0.0010 *\n  Conic          0.8665   0.0118     5            -  <best\n"
-        "  ParetoPath     0.8312   0.0194     5       0.0327 *\n\n"
-        "dataset=demo fraction=0.5\n  method           mean      std  runs   p_vs_Conic\n"
-        "  Average        0.8264   0.0101     5       0.0012 *\n  Conic          0.8667   0.0132     5            -  <best\n"
-        "  ParetoPath     0.8302   0.0170     5       0.0342 *\n\n"
+        "dataset=demo fraction=0.3 test=paired\n  method           mean      std  runs pairs   p_vs_Conic\n"
+        "  Average        0.8210   0.0189     5     5       0.0010 *\n  Conic          0.8665   0.0118     5     -            -  <best\n"
+        "  ParetoPath     0.8312   0.0194     5     5       0.0327 *\n\n"
+        "dataset=demo fraction=0.5 test=paired\n  method           mean      std  runs pairs   p_vs_Conic\n"
+        "  Average        0.8264   0.0101     5     5       0.0012 *\n  Conic          0.8667   0.0132     5     -            -  <best\n"
+        "  ParetoPath     0.8302   0.0170     5     5       0.0342 *\n\n"
     ),
 }
 

@@ -1,6 +1,12 @@
 import contextlib
 import hashlib
+import importlib
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,8 @@ from conicmtl.kernels import (
     expand,
 )
 from conicmtl.kernels import _exp, _gaussian_scale
+from conicmtl import util
+from test_traced_names import traced_names
 
 
 def test_default_dictionary_has_eleven_kernels():
@@ -334,6 +342,135 @@ def test_gram_stack_bytes_are_pinned(specs, digest):
     X = np.random.default_rng(60).standard_normal((60, 6))
     assert hashlib.sha256(build_gram_stack("t", X, specs).grams.tobytes()).hexdigest() == digest
 
+
+
+# -------------------------------------------------------- expansion threads
+
+THREAD_COLS = [0, 1, 2, EXPAND_BLOCK - 1, EXPAND_BLOCK + 1, 3 * EXPAND_BLOCK + 2]
+
+
+def expand_case(regime, n_cols):
+    specs, rows, cols = exp_regime(regime, n_cols)
+    rng = np.random.default_rng(54)
+    theta = rng.uniform(0.1, 1.0, len(specs))
+    if len(specs) > 2:
+        theta[1] = 0.0
+    return specs, theta, rows, rng.standard_normal(rows.shape[0]), cols
+
+
+@pytest.mark.parametrize("n_cols", THREAD_COLS)
+@pytest.mark.parametrize("regime", EXP_REGIMES)
+def test_expand_has_the_same_bytes_at_any_thread_count(regime, n_cols, monkeypatch):
+    # the -inf regime overflows in a multiply: the caller's error state must reach every
+    # thread, or a helper would warn and the warning filter would make that an error
+    case = expand_case(regime, n_cols)
+    got = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(util, "thread_count", lambda: workers)
+        with np.errstate(over="ignore"):
+            got.append(expand(*case).tobytes())
+    assert got[0] == got[1] == got[2]
+
+
+def test_more_threads_than_cpus_under_frequent_switches_keep_the_bytes(monkeypatch):
+    case = expand_case("straddle", 8 * EXPAND_BLOCK + 3)
+    monkeypatch.setattr(util, "thread_count", lambda: 1)
+    want = expand(*case).tobytes()
+    monkeypatch.setattr(util, "thread_count", lambda: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [expand(*case).tobytes() for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 3
+
+
+def test_a_warning_on_a_helper_thread_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(util, "thread_count", lambda: 3)
+    specs, theta, rows, coef, cols = expand_case("-inf", 3 * EXPAND_BLOCK + 2)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+        expand(specs, theta, rows, coef, cols)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_nonpositive_self_kernel_in_block_two_is_raised_in_the_caller(workers, monkeypatch):
+    monkeypatch.setattr(util, "thread_count", lambda: workers)
+    rng = np.random.default_rng(55)
+    cols = rng.standard_normal((3 * EXPAND_BLOCK + 2, 3))
+    cols[2 * EXPAND_BLOCK + 5] = 0.0  # the linear kernel's self-kernel is 0 there
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="cosine normalization hit a nonpositive self-kernel value"):
+        expand(EXPANSION_SPECS, np.full(len(EXPANSION_SPECS), 0.5), rng.standard_normal((5, 3)), np.ones(5), cols)
+    assert threading.active_count() == before
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(util, "thread_count", lambda: 3)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    got = expand(*expand_case("dictionary", EXPAND_BLOCK))
+    assert started == [] and got.shape == (EXPAND_BLOCK,)
+
+
+def test_expansion_threads_call_no_traced_name(monkeypatch):
+    # the benchmark's tracer keeps one stack of open spans, so only the calling
+    # thread may enter a function it wraps
+    case = expand_case("dictionary", 3 * EXPAND_BLOCK + 2)
+    expected = expand(*case).tobytes()
+    modules = [importlib.import_module(f"conicmtl.{module}") for module, _ in traced_names()]
+    for module, attribute in traced_names():
+        *path, name = attribute.split(".")
+        owner = importlib.import_module(f"conicmtl.{module}")
+        for part in path:
+            owner = getattr(owner, part)
+        fn = getattr(owner, name)
+
+        def guarded(*args, _fn=fn, **kw):
+            if threading.current_thread() is not threading.main_thread():
+                raise AssertionError(f"{_fn.__qualname__} called off the main thread")
+            return _fn(*args, **kw)
+
+        # a method on its class; a function under every name a package module binds it to
+        for binder in [owner] if path else modules:
+            for key, value in list(vars(binder).items()):
+                if value is fn:
+                    monkeypatch.setattr(binder, key, guarded)
+    monkeypatch.setattr(util, "thread_count", lambda: 2)
+    assert expand(*case).tobytes() == expected
+
+
+PINNED_BLAS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from conicmtl import bounds, util
+from conicmtl.verification import random_stacks
+sys.path.insert(0, sys.argv[1])
+from test_kernels import expand, expand_case, EXPAND_BLOCK
+est = bounds.rademacher_mc(random_stacks(np.random.default_rng(45), T=3, N=12, M=4), [1.5, 2.0, 1.0], R=1.0,
+                           p=2.0, samples=4 * bounds.MC_BLOCK, seed=2, exhaustive_limit=0)
+values = expand(*expand_case("dictionary", 3 * EXPAND_BLOCK + 2))
+print(util.thread_count(), hashlib.sha256(values.tobytes()).hexdigest(), repr(est.mean), repr(est.std_error))
+"""
+
+
+def test_blas_pinned_to_one_thread_gives_the_bytes_of_one_worker(monkeypatch):
+    # tier-1 runs with BLAS unpinned, where the gate gives 1; this runs the gate's other branch for real
+    from conicmtl import bounds
+    from conicmtl.verification import random_stacks
+
+    env = {k: v for k, v in os.environ.items() if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    root = Path(__file__).resolve().parents[1]
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-c", PINNED_BLAS_SCRIPT, str(root / "tests")], env=env,
+                         capture_output=True, text=True, check=True)
+    monkeypatch.setattr(util, "thread_count", lambda: 1)
+    est = bounds.rademacher_mc(random_stacks(np.random.default_rng(45), T=3, N=12, M=4), [1.5, 2.0, 1.0], R=1.0,
+                               p=2.0, samples=4 * bounds.MC_BLOCK, seed=2, exhaustive_limit=0)
+    values = expand(*expand_case("dictionary", 3 * EXPAND_BLOCK + 2))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    want = f"{cpus} {hashlib.sha256(values.tobytes()).hexdigest()} {est.mean!r} {est.std_error!r}"
+    assert run.stdout.strip() == want
 
 def exp_sweep():
     specials = [-745.2, -745.1332, -745.1332191019412, -708.3964, -707.7032713517042, -0.0, -np.inf]

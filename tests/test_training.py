@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conicmtl import training
+from conicmtl import training, util
 from conicmtl.data import Scaler, TaskDataset, prepare_run, synth_multitask
 from conicmtl.experiments import budget_from_fraction, resolve_dataset
 from conicmtl.kernels import (
@@ -27,7 +27,7 @@ from conicmtl.training import (
     save_model,
     weighted_empirical_loss,
 )
-from conicmtl.util import conjugate_exponent
+from conicmtl.util import conjugate_exponent, derive_seed, lp_norm
 from test_kernels import EXPANSION_SPECS, brute_force_expansion
 
 
@@ -200,6 +200,53 @@ def test_stall_test_exit_with_the_gap_above_tolerance_is_not_converged(monkeypat
     assert model.outer_gap > cfg.tol_rel_obj
     assert model.converged is False
 
+
+
+def test_fit_takes_a_task_whose_rounded_quadratic_form_is_below_zero():
+    # three equal points: the Grams are PSD only up to rounding, and the
+    # linear kernel's form (a*y)' G (a*y) came out as -3.3e-17
+    X = np.array([[77.8011750363777], [14.11845957872383], [14.11845957872383], [14.11845957872383]])
+    tasks = [TaskDataset("t", X, [1.0, 1.0, -1.0, -1.0])]
+    stacks = make_stacks(tasks, SPECS)
+    cfg = TrainConfig(C=0.8081891652131564, p=4.0, budget=total_cost(stacks, 4.0), mode="average")
+    model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
+    assert model.converged
+    assert (model.theta >= 0).all() and (model.component_sq_norms >= 0).all()
+
+
+P_VALUES = (1.0, 1.1, 4.0 / 3.0, 2.0, 4.0, np.inf)
+SWEEP = [(mode, p, bias) for mode in training.MODES for p in P_VALUES for bias in (False, True)]
+
+
+def sweep_instance(k, mode, p, use_bias):
+    """Instance k of the fit sweep, seeded from k alone: one or two small tasks,
+    features scaled by 10^+-3, half of the instances with repeated points."""
+    rng = np.random.default_rng(derive_seed("fit-sweep", k))
+    tasks = []
+    for t in range(int(rng.integers(1, 3))):
+        n, d = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
+        if k % 4 < 2:  # half of the instances, across every mode, p and bias setting
+            X[rng.choice(n, size=max(2, n // 2), replace=False)] = X[0]
+        y = np.where(rng.permutation(n) % 2 == 0, 1.0, -1.0)
+        tasks.append(TaskDataset(f"t{t}", X, y))
+    stacks = make_stacks(tasks, SPECS)
+    budget = float(rng.uniform(0.125, 1.2)) * total_cost(stacks, p)
+    return tasks, stacks, TrainConfig(C=10.0 ** rng.uniform(-3, 3), p=p, budget=budget, mode=mode, use_bias=use_bias)
+
+
+@pytest.mark.parametrize("k", range(len(SWEEP)))
+def test_fit_sweep_over_small_instances_keeps_its_invariants(k):
+    tasks, stacks, cfg = sweep_instance(k, *SWEEP[k])
+    model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
+    if cfg.mode != "pareto":
+        assert trace_is_monotone(model.objective_trace)
+    assert (model.theta >= 0).all()
+    assert lp_norm(model.theta, cfg.p) == pytest.approx(1.0, rel=1e-12)
+    assert (1.0 <= model.task_weights).all()
+    if cfg.mode != "pareto":  # pareto weights follow the objectives, with no cap
+        assert (model.task_weights <= cfg.r_max).all()
+    assert_same_fit(fit(tasks, stacks, cfg, kernel_specs=SPECS), model)
 
 # ------------------------------------------------------------- warm starts
 
@@ -415,10 +462,13 @@ def test_decision_values_reject_bad_test_features(alpha):
         decision_values(model, "t", np.array([[0.0, np.nan, 0.0, 0.0]]))
 
 
-def test_decision_values_memory_is_bounded_by_the_column_block():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_decision_values_memory_is_bounded_by_the_column_block(workers, monkeypatch):
     # every one of 160 training points a support vector, 20,000 test points:
     # one full cross Gram alone would take 25.6 MB, a 2048-column block of
-    # one 2.6 MB; fresh temporaries per kernel and block peaked at 15 MB
+    # one 2.6 MB; fresh temporaries per kernel and block peaked at 15 MB.
+    # Each thread holds its own buffers of EXPAND_BLOCK columns.
+    monkeypatch.setattr(util, "thread_count", lambda: workers)
     rng = np.random.default_rng(42)
     model = handmade_model(SPECS, np.full(len(SPECS), len(SPECS) ** -0.5), rng.uniform(0.1, 1.0, 160), d=10)
     X_test = rng.standard_normal((20_000, 10))
