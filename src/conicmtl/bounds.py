@@ -57,8 +57,6 @@ def _dual_norms(U: np.ndarray, p_star: float) -> np.ndarray:
     U = np.maximum(U, 0.0)
     if math.isinf(p_star):
         return U.max(axis=0)
-    if p_star == 1.0:
-        return U.sum(axis=0)
     return (U**p_star).sum(axis=0) ** (1.0 / p_star)
 
 
@@ -323,6 +321,15 @@ def _check_bound_values(r_max: float, rho: float, delta: float) -> None:
         raise ValueError("rho must be positive")
 
 
+def _check_task_weights(lam: np.ndarray, r_max: float) -> None:
+    """Task weights are finite and lie in the box [1, r_max], where the uniform bound holds."""
+    if not np.isfinite(lam).all():
+        raise ValueError(f"task weights must be finite, got {lam}")
+    for t, value in enumerate(lam.tolist()):
+        if not 1.0 <= value <= r_max:
+            raise ValueError(f"task weight {t} is {value}, outside [1, r_max = {r_max}] where the uniform bound holds")
+
+
 @dataclass
 class BoundTerms:
     complexity: float
@@ -342,26 +349,18 @@ def bound_rhs_any_lambda(
         + sqrt(9 ln(1/delta) / (2 total))
 
     total is the sample count TN. The uniform argument needs an integer
-    weight cap, so a fractional cap is rounded up and used as r. Weights on
-    the box boundary draw a warning, not an error; a nonpositive log
-    argument clamps the third term at zero with a warning.
+    weight cap, so a fractional cap is rounded up and used as r. Weights
+    outside [1, r_max] are an error; weights on the box boundary draw a
+    warning. In the box the log argument is at least 2.
     """
     lam = np.asarray(task_weights, dtype=float)
-    if not np.isfinite(lam).all():
-        raise ValueError(f"task weights must be finite, got {lam}")
     _check_bound_values(r_max, rho, delta)
+    _check_task_weights(lam, r_max)
     r_used = float(np.ceil(r_max))
     if np.any(lam <= 1.0) or np.any(lam >= r_max):
-        warnings.warn(
-            "task weights on the box boundary: the uniform bound assumes the open box",
-            stacklevel=2,
-        )
+        warnings.warn("task weights on the box boundary: the uniform bound assumes the open box", stacklevel=2)
     log_arg = (2.0 * r_used / lam.size) * float((1.0 / lam).sum())
-    if np.log(log_arg) <= 0.0:
-        warnings.warn("weight-range term clamped at zero (log argument <= 1)", stacklevel=2)
-        weight_range = 0.0
-    else:
-        weight_range = float(np.sqrt(9.0 / total * np.log(log_arg)))
+    weight_range = float(np.sqrt(9.0 / total * np.log(log_arg)))
     complexity = float(np.sqrt(2.0) * r_used / rho * erc)
     confidence = float(np.sqrt(9.0 * np.log(1.0 / delta) / (2.0 * total)))
     return BoundTerms(
@@ -416,15 +415,17 @@ def bound_report(
 
     test_tasks, any iterable of TaskDataset, pairs with the model's tasks
     by task_id; pass stacks to reuse precomputed training Grams, otherwise
-    they are rebuilt from the model's training data.
+    they are rebuilt from the model's training data. A model whose task
+    weights leave [1, r_max], as a pareto model's can, is rejected first.
     """
+    r_max, lam = model.config.r_max, model.task_weights
+    _check_task_weights(lam, r_max)
     sizes = {task.y.size for task in model.tasks}
     if len(sizes) != 1:
         by_task = {task.task_id: task.y.size for task in model.tasks}
         raise ValueError(f"bound reporting requires all tasks to have the same sample count, got {by_task}")
     N = sizes.pop()
     T = len(model.tasks)
-    r_max = model.config.r_max
     _check_bound_values(r_max, rho, delta)
     _check_samples(mc_samples)
     by_id = {t.task_id: t for t in test_tasks}
@@ -440,14 +441,13 @@ def bound_report(
 
     R = model_radius(model)
     p = model.config.p
-    lam = model.task_weights
     radius = max(R, 1e-300)
     emp = training.weighted_empirical_loss(model, rho, stacks)
     est = rademacher_mc(stacks, lam, radius, p, samples=mc_samples, seed=seed)
     upper = erc_upper_bound_lp(stacks, lam, radius, p)
     bound = {"r_max": r_max, "total": T * N, "rho": rho, "delta": delta}
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.filterwarnings("ignore", "task weights on the box boundary")
         terms = bound_rhs_any_lambda(emp, est.mean, task_weights=lam, **bound)
     fixed_total = bound_rhs_fixed_lambda(emp, est.mean, **bound)
 

@@ -29,8 +29,6 @@ def lp_norm(v, p: float) -> float:
     v = np.abs(v)
     if np.isinf(p):
         return float(v.max()) if v.size else 0.0
-    if p == 1.0:
-        return float(v.sum())
     return float((v**p).sum() ** (1.0 / p))
 
 

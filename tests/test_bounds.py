@@ -31,6 +31,7 @@ from conicmtl.training import TrainConfig, fit, margin_loss
 from conicmtl.util import conjugate_exponent, derive_seed, lp_norm, thread_count
 from conicmtl import bounds, kernels, training, util, verification
 from conicmtl.verification import random_stacks, run_verification_suite
+from test_training import SPECS, SWEEP, sweep_instance
 
 
 # ------------------------------------------------------------- margin loss
@@ -730,8 +731,8 @@ def test_adaptive_bound_confidence_term_vanishes_as_delta_to_one():
 
 
 def test_log_argument_exceeds_one_for_any_in_box_weights():
-    # with 1 <= lam <= r the log argument is at least 2, so the clamp
-    # can only ever fire on out-of-box exploratory calls
+    # with 1 <= lam <= r the log argument is at least 2, so the weight-range
+    # term is real and positive for every weight vector the bound accepts
     rng = np.random.default_rng(11)
     for _ in range(50):
         T = int(rng.integers(1, 8))
@@ -740,10 +741,26 @@ def test_log_argument_exceeds_one_for_any_in_box_weights():
         assert (2.0 * np.ceil(r) / T) * (1.0 / lam).sum() >= 2.0
 
 
-def test_adaptive_bound_clamps_nonpositive_log_for_out_of_box_weights():
-    with pytest.warns(UserWarning, match="clamped"), pytest.warns(UserWarning, match="on the box boundary"):
-        terms = bound_rhs_any_lambda(0.0, 0.0, task_weights=np.full(4, 30.0), **bound_values(4.0, T=4))
-    assert terms.weight_range == 0.0
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        ([1.5, 0.5], "task weight 1 is 0.5, outside [1, r_max = 4.0] where the uniform bound holds"),
+        ([5.0, 2.0], "task weight 0 is 5.0, outside [1, r_max = 4.0] where the uniform bound holds"),
+        (np.full(4, 30.0), "task weight 0 is 30.0, outside [1, r_max = 4.0] where the uniform bound holds"),
+    ],
+    ids=["below-one", "above-cap", "all-thirty"],
+)
+def test_adaptive_bound_rejects_weights_outside_the_box(lam, message):
+    with pytest.raises(ValueError) as err:
+        bound_rhs_any_lambda(0.0, 0.0, task_weights=lam, **bound_values(4.0, T=len(lam)))
+    assert str(err.value) == message
+
+
+def test_adaptive_bound_takes_weights_on_the_box_boundary_with_a_warning():
+    with pytest.warns(UserWarning, match="on the box boundary"):
+        terms = bound_rhs_any_lambda(0.0, 0.0, task_weights=[1.0, 4.0], **bound_values(4.0))
+    # (2 r / T) sum 1/lam = 4 * 1.25 = 5
+    assert terms.weight_range == pytest.approx(np.sqrt(9 * np.log(5.0) / 10), rel=1e-12)
 
 
 def test_adaptive_bound_breakdown_sums_to_total():
@@ -866,6 +883,26 @@ def test_bound_report_rejects_a_permuted_stacks_list_before_any_sampling(monkeyp
     monkeypatch.setattr("conicmtl.bounds.rademacher_mc", never)
     with pytest.raises(ValueError, match="stack of task 'synth1' has shape .* for task 'synth0'"):
         bound_report(model, tasks, mc_samples=50, seed=3, stacks=stacks[::-1])
+
+
+def test_bound_report_rejects_a_pareto_model_outside_the_box_before_any_sampling(monkeypatch):
+    # fit-sweep instance 33 (pareto, p = 4, bias) ends with a second weight far above r_max = 8
+    tasks, stacks, cfg = sweep_instance(33, *SWEEP[33])
+    model = fit(tasks, stacks, cfg, kernel_specs=SPECS)
+    lam = model.task_weights.tolist()
+    assert cfg.mode == "pareto" and 1.0 <= lam[0] <= cfg.r_max < lam[1]
+
+    def never(*args, **kwargs):
+        raise AssertionError("called for a model outside the box")
+
+    for module, name in [
+        (kernels, "build_gram_stack"), (training, "weighted_empirical_loss"),
+        (bounds, "rademacher_mc"), (training, "decision_values"),
+    ]:
+        monkeypatch.setattr(module, name, never)
+    with pytest.raises(ValueError) as err:
+        bound_report(model, tasks, mc_samples=50)
+    assert str(err.value) == f"task weight 1 is {lam[1]}, outside [1, r_max = 8.0] where the uniform bound holds"
 
 
 def test_verification_suite_all_pass():

@@ -204,6 +204,12 @@ def trained_model(tmp_path_factory):
     return train(tmp_path_factory.mktemp("trained"), "m", "--fraction", "0.5")
 
 
+@pytest.fixture(scope="module")
+def pareto_model(tmp_path_factory):
+    """(model path, split directory) of a pareto model whose task weights, near 2, exceed its r_max of 1.5."""
+    return train(tmp_path_factory.mktemp("pareto"), "m", "--fraction", "0.5", "--mode", "pareto", "--r-max", "1.5")
+
+
 @pytest.mark.parametrize(
     "command, options, message",
     [
@@ -215,6 +221,10 @@ def trained_model(tmp_path_factory):
         ("predict", ["--task", "synth9"], "unknown task 'synth9'; the model's tasks are synth0, synth1"),
         ("bound", ["--samples", "0"], "samples must be positive, got 0"),
         ("bound", ["--delta", "1.5"], "delta must lie in (0, 1)"),
+        (
+            "bound", ["--model", "{pareto}/m.txt", "--train-data", "{pareto}/m.train"],
+            "task weight 0 is 2.0569225963694207, outside [1, r_max = 1.5] where the uniform bound holds",
+        ),
         ("radcheck", ["--instances", "0"], "n_instances must be a positive integer, got 0"),
         ("experiment", ["--grid-p", "0.5"], "grid_p value 0.5 must be >= 1"),
         ("experiment", ["--data", "{tmp}/nan.txt"], "{tmp}/nan.txt:2: bad label 'nan'"),
@@ -226,13 +236,13 @@ def trained_model(tmp_path_factory):
     ids=[
         "train-budget-frac-zero", "train-budget-frac-negative", "train-budget-frac-nan",
         "train-budget-frac-below-inverse-r-max", "train-negative-C", "predict-unknown-task",
-        "bound-samples-zero", "bound-delta", "radcheck-instances-zero", "experiment-grid-p-below-one",
-        "experiment-nan-label", "experiment-inf-label",
+        "bound-samples-zero", "bound-delta", "bound-weight-outside-box", "radcheck-instances-zero",
+        "experiment-grid-p-below-one", "experiment-nan-label", "experiment-inf-label",
         "report-alpha-above-one", "report-alpha-nan", "report-unknown-reference",
     ],
 )
 def test_rejected_input_ends_the_command_before_any_gram_fit_sampling_or_prediction(
-    tmp_path, capsys, monkeypatch, trained_model, command, options, message
+    tmp_path, capsys, monkeypatch, trained_model, pareto_model, command, options, message
 ):
     model, split = trained_model
     results = tmp_path / "results.csv"
@@ -263,7 +273,7 @@ def test_rejected_input_ends_the_command_before_any_gram_fit_sampling_or_predict
         (bounds, "rademacher_mc"), (verification, "rademacher_mc"), (training, "decision_values"),
     ]:
         monkeypatch.setattr(module, name, never)
-    options = [option.format(tmp=tmp_path) for option in options]
+    options = [option.format(tmp=tmp_path, pareto=pareto_model[0].parent) for option in options]
     assert error_message(capsys, [command, *required, *options]) == message.format(tmp=tmp_path)
     assert not (tmp_path / "m.txt").exists() and not (tmp_path / "r.csv").exists()
 
